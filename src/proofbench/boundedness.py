@@ -224,7 +224,6 @@ class _Walker:
         gamma0 = add(beta, pow2(alpha0))
         # the guard inversion bounds the witness's rank; the rank oracle
         # realizes the bound directly and the stated cap is re-checked
-        and_invert(premise, 1, inst)
         if in_field(self.spec, n):
             rho = self._log_rank(n, pow2(gamma0), strict=False)
             beta0 = max_ord(rho, beta)

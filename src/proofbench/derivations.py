@@ -16,13 +16,17 @@ truncation rather than silently passing unverified branches.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union, get_args
 
 from . import sexpr
 from .formulas import (
+    FORMULA,
+    ORDINAL,
+    SPEC,
     Conj,
     Disj,
     Exists,
@@ -32,6 +36,7 @@ from .formulas import (
     Member,
     NotMember,
     Num,
+    Role,
     Sequent,
     atom_true,
     eval_term,
@@ -42,8 +47,6 @@ from .formulas import (
     seq,
     sequent_from_sexp,
     sequent_to_sexp,
-    formula_from_sexp,
-    formula_to_sexp,
     subst_num,
     term_vars,
     ti_sequent,
@@ -58,13 +61,8 @@ from .orderings import (
     otyp,
     rank,
     rankable,
-    spec_from_sexp,
-    spec_to_sexp,
 )
 from .ordinals import EPSILON, OMEGA, ONE, ZERO, Cmp, NotationError, Ordinal, add, compare, from_int, le, lt, mul, succ
-from .ordinals import parse as ord_parse
-from .ordinals import text as ord_text
-from .sexpr import Str
 
 
 class DerivationError(ValueError):
@@ -207,7 +205,7 @@ class FiniteSupport:
     """Explicit children at finitely many indices, a default family elsewhere."""
 
     entries: tuple[tuple[int, "Code"], ...]
-    default: Union[TiVac, PredVac]
+    default: "Default"
 
     def child(self, i: int) -> "Code":
         for j, c in self.entries:
@@ -217,6 +215,7 @@ class FiniteSupport:
 
 
 Family = Union[TiKids, PredKids, FiniteSupport]
+Default = Union[TiVac, PredVac]
 
 
 @dataclass(frozen=True)
@@ -263,6 +262,171 @@ Code = Union[
     AxMNode, AxLNode, AndNode, OrNode, ExNode, CutNode, RepNode, AllNode,
     TiProg, TiRoot, Mono, Inv,
 ]
+
+
+# --- S-expression certificate format ----------------------------------------------------
+
+
+def code_to_sexp(code):
+    """The S-expression of a code, a child family or a default family."""
+    shape = _ENCODERS.get(type(code))
+    if shape is None:
+        raise DerivationError(f"not a derivation code: a {type(code).__name__}")
+    head, encoders = shape
+    out = [head]
+    for encode, value in zip(encoders, code.__dict__.values()):
+        out.append(encode(value))
+    return out
+
+
+def _entry_pairs(x) -> list[list]:
+    if not isinstance(x, list):
+        raise DerivationError(f"fs entries must be a list, found {sexpr.describe(x)}")
+    pairs = []
+    for e in x:
+        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int)):
+            raise DerivationError(f"bad fs entry: {sexpr.describe(e)}")
+        pairs.append([e[0], e[1]])
+    return pairs
+
+
+def code_from_sexp(x) -> Code:
+    """Decode a certificate term.
+
+    Node fields are decoded off an explicit stack rather than by recursion,
+    so nesting depth is bounded by memory, not by Python's stack.  Each
+    visited node leaves a build step (constructor, argument list, and the
+    slot its value goes to); running them last to first builds every node
+    after all of its descendants.
+    """
+    out = [None]
+    todo = [(x, _CODE.sort, out, 0)]
+    builds = []
+    while todo:
+        x, sort, dest, slot = todo.pop()
+        cls = None
+        if isinstance(x, list) and x and isinstance(x[0], str):
+            cls = _BY_HEAD[sort].get(x[0])
+        if cls is None or len(x) != len(_SHAPES[cls].roles) + 1:
+            raise DerivationError(f"not a {sort}: {sexpr.describe(x)}")
+        args = x[1:]
+        builds.append((cls, args, dest, slot))
+        for i, role in enumerate(_SHAPES[cls].roles):
+            if role.decode is not None:
+                args[i] = role.decode(args[i])
+            elif role is _ENTRIES:
+                pairs = _entry_pairs(args[i])
+                # map() is lazy, so each pair is frozen after its code is built
+                builds.append((tuple, [map(tuple, pairs)], args, i))
+                for pair in pairs:
+                    todo.append((pair[1], _CODE.sort, pair, 1))
+            else:
+                todo.append((args[i], role.sort, args, i))
+    while builds:  # popping frees each argument list once its node is built
+        build, args, dest, slot = builds.pop()
+        dest[slot] = build(*args)
+    return out[0]
+
+
+def code_text(code: Code) -> str:
+    return sexpr.dump(code_to_sexp(code))
+
+
+def parse_code(s: str) -> Code:
+    return code_from_sexp(sexpr.parse(s))
+
+
+# --- shapes ----------------------------------------------------------------------
+#
+# As in formulas: one table gives every code kind, child family and default
+# family its head and field roles, fields in head argument order.  Explicit
+# nodes also name their rule and where they keep their premises.
+
+
+def _int_from_sexp(x) -> int:
+    if not isinstance(x, int):
+        raise DerivationError(f"expected an integer, found {sexpr.describe(x)}")
+    return x
+
+
+# the sequent codec belongs to another layer and is looked up when called, as
+# in formulas; code_from_sexp decodes the node fields
+_SEQUENT = Role(lambda d: sequent_to_sexp(d), lambda x: sequent_from_sexp(x))
+_INT = Role(int, _int_from_sexp)
+_CODE = Role(code_to_sexp, None, "derivation code")
+_FAMILY = Role(code_to_sexp, None, "child family")
+_DEFAULT = Role(code_to_sexp, None, "default family")
+_ENTRIES = Role(lambda entries: [[i, code_to_sexp(c)] for i, c in entries], None)
+
+
+class _Shape(NamedTuple):
+    head: str
+    roles: tuple[Role, ...]
+    rule: RuleTag | None = None
+    # (index, field) per premise; the index is a number or names its field
+    premises: tuple[tuple[int | str, str], ...] = ()
+
+
+_SHAPES = {
+    AxMNode: _Shape("axm", (_SEQUENT, ORDINAL), RuleTag.AXM),
+    AxLNode: _Shape("axl", (_SEQUENT, ORDINAL), RuleTag.AXL),
+    AndNode: _Shape("and", (_SEQUENT, ORDINAL, _CODE, _CODE), RuleTag.AND, ((1, "left"), (2, "right"))),
+    OrNode: _Shape("or", (_SEQUENT, ORDINAL, _INT, _CODE), RuleTag.OR, (("branch", "child"),)),
+    ExNode: _Shape("ex", (_SEQUENT, ORDINAL, _INT, _CODE), RuleTag.EX, (("witness", "child"),)),
+    CutNode: _Shape("cut", (_SEQUENT, ORDINAL, _CODE, _CODE), RuleTag.CUT, ((1, "left"), (2, "right"))),
+    RepNode: _Shape("rep", (_SEQUENT, ORDINAL, _CODE), RuleTag.REP, ((1, "child"),)),
+    AllNode: _Shape("all", (_SEQUENT, ORDINAL, _FAMILY), RuleTag.ALL),
+    TiProg: _Shape("tiprog", (SPEC, _INT)),
+    TiRoot: _Shape("tiroot", (SPEC,)),
+    Mono: _Shape("mono", (_CODE, _SEQUENT, ORDINAL)),
+    Inv: _Shape("inv", (_CODE, FORMULA, _INT)),
+    TiKids: _Shape("tikids", (SPEC,)),
+    PredKids: _Shape("predkids", (SPEC, _INT)),
+    FiniteSupport: _Shape("fs", (_ENTRIES, _DEFAULT)),
+    TiVac: _Shape("tivac", (SPEC,)),
+    PredVac: _Shape("predvac", (SPEC, _INT)),
+}
+
+_RULES = {cls: shape.rule for cls, shape in _SHAPES.items() if shape.rule is not None}
+_PREMISES = {cls: shape.premises for cls, shape in _SHAPES.items() if cls not in (AllNode, FiniteSupport)}
+_ENCODERS = {cls: (shape.head, tuple(r.encode for r in shape.roles)) for cls, shape in _SHAPES.items()}
+_BY_HEAD = {
+    role.sort: {_SHAPES[cls].head: cls for cls in get_args(union)}
+    for role, union in ((_CODE, Code), (_FAMILY, Family), (_DEFAULT, Default))
+}
+
+
+def premises(code) -> dict[int, "Code"]:
+    """Index -> premise of an explicit node or of a finite-support family.
+
+    An All node answers for its family.  Codes whose premises are not
+    written out (axioms, builders, transformers, infinite families) give {}.
+    """
+    kids = {}
+    pairs = _PREMISES.get(type(code))
+    if pairs is None:
+        if type(code) is AllNode:
+            return premises(code.family)
+        if type(code) is FiniteSupport:
+            for i, c in code.entries:
+                kids.setdefault(i, c)  # the first entry for an index is its child
+        return kids
+    for index, field in pairs:
+        kids[index if type(index) is int else getattr(code, index)] = getattr(code, field)
+    return kids
+
+
+def with_premises(code, kids: dict[int, "Code"]):
+    """The same node with the premises that `premises` reads replaced by kids."""
+    cls = type(code)
+    if cls is AllNode:
+        return AllNode(code.sequent, code.tag, with_premises(code.family, kids))
+    if cls is FiniteSupport:
+        return FiniteSupport(tuple(kids.items()), code.default)
+    fields = code.__dict__.copy()
+    for index, field in _PREMISES[cls]:
+        fields[field] = kids[index if type(index) is int else fields[index]]
+    return cls(**fields)
 
 
 # --- canonical TI builders ---------------------------------------------------------
@@ -348,41 +512,20 @@ def derive_ti(spec: OrderingSpec) -> Code:
 # --- step ---------------------------------------------------------------------------
 
 
-def _no_children(_: int) -> Code:
-    raise DerivationError("axioms have no premises")
-
-
 def step(code: Code) -> Step:
     """Decode one node: label, premise index set, and child-code function."""
-    if isinstance(code, AxMNode):
-        return Step(NodeLabel(code.sequent, RuleTag.AXM, code.tag), (), _no_children)
-    if isinstance(code, AxLNode):
-        return Step(NodeLabel(code.sequent, RuleTag.AXL, code.tag), (), _no_children)
-    if isinstance(code, AndNode):
-        return Step(
-            NodeLabel(code.sequent, RuleTag.AND, code.tag),
-            (1, 2),
-            lambda i: code.left if i == 1 else code.right,
-        )
-    if isinstance(code, OrNode):
-        if code.branch not in (1, 2):
+    cls = type(code)
+    rule = _RULES.get(cls)
+    if rule is not None:
+        if cls is AllNode:
+            return Step(NodeLabel(code.sequent, rule, code.tag), NAT, code.family.child)
+        if cls is OrNode and code.branch not in (1, 2):
             raise DerivationError("Or branch index must be 1 or 2")
-        return Step(NodeLabel(code.sequent, RuleTag.OR, code.tag), (code.branch,), lambda i: code.child)
-    if isinstance(code, ExNode):
-        if code.witness < 0:
+        if cls is ExNode and code.witness < 0:
             raise DerivationError("Ex witness must be a natural")
-        return Step(NodeLabel(code.sequent, RuleTag.EX, code.tag), (code.witness,), lambda i: code.child)
-    if isinstance(code, CutNode):
-        return Step(
-            NodeLabel(code.sequent, RuleTag.CUT, code.tag),
-            (1, 2),
-            lambda i: code.left if i == 1 else code.right,
-        )
-    if isinstance(code, RepNode):
-        return Step(NodeLabel(code.sequent, RuleTag.REP, code.tag), (1,), lambda i: code.child)
-    if isinstance(code, AllNode):
-        return Step(NodeLabel(code.sequent, RuleTag.ALL, code.tag), NAT, code.family.child)
-    if isinstance(code, TiProg):
+        kids = premises(code)
+        return Step(NodeLabel(code.sequent, rule, code.tag), tuple(kids), kids.__getitem__)
+    if cls is TiProg:
         spec, n = code.spec, code.element
         rho = rank(spec, n)
         return Step(
@@ -390,11 +533,11 @@ def step(code: Code) -> Step:
             (n,),
             lambda i: _ti_body(spec, n),
         )
-    if isinstance(code, TiRoot):
+    if cls is TiRoot:
         spec = code.spec
         tag = add(mul(OMEGA, otyp(spec)), ONE)
         return Step(NodeLabel(ti_sequent(spec), RuleTag.ALL, tag), NAT, TiKids(spec).child)
-    if isinstance(code, Mono):
+    if cls is Mono:
         inner = step(code.child)
         if inner.label.rule is RuleTag.REP:
             # a repetition premise must equal its conclusion, so the
@@ -407,9 +550,9 @@ def step(code: Code) -> Step:
                 lambda i: Mono(child, code.sequent, child_tag),
             )
         return Step(NodeLabel(code.sequent, inner.label.rule, code.tag), inner.indices, inner.child)
-    if isinstance(code, Inv):
+    if cls is Inv:
         return _step_inv(code)
-    raise DerivationError(f"not a derivation code: {code!r}")
+    raise DerivationError(f"not a derivation code: a {cls.__name__}")
 
 
 def _step_inv(code: Inv) -> Step:
@@ -659,191 +802,35 @@ def expand(code: Code) -> Code:
     for the TI root, finite-rank elements for predecessor quantifiers.
     Transformed codes (Mono over such a tree) expand by relabelling.
     """
-    if isinstance(code, (AxMNode, AxLNode)):
-        return code
-    if isinstance(code, AndNode):
-        return AndNode(code.sequent, code.tag, expand(code.left), expand(code.right))
-    if isinstance(code, OrNode):
-        return OrNode(code.sequent, code.tag, code.branch, expand(code.child))
-    if isinstance(code, ExNode):
-        return ExNode(code.sequent, code.tag, code.witness, expand(code.child))
-    if isinstance(code, CutNode):
-        return CutNode(code.sequent, code.tag, expand(code.left), expand(code.right))
-    if isinstance(code, RepNode):
-        return RepNode(code.sequent, code.tag, expand(code.child))
-    if isinstance(code, AllNode):
-        fam = code.family
-        if isinstance(fam, FiniteSupport):
-            entries = tuple((i, expand(c)) for i, c in fam.entries)
-            return AllNode(code.sequent, code.tag, FiniteSupport(entries, fam.default))
-        if isinstance(fam, TiKids):
-            support = finite_field(fam.spec)
-            if support is None:
-                raise DerivationError("cannot expand: infinite field")
-            entries = tuple((i, expand(fam.child(i))) for i in sorted(support))
-            return AllNode(code.sequent, code.tag, FiniteSupport(entries, TiVac(fam.spec)))
-        if isinstance(fam, PredKids):
-            support = finite_predecessors(fam.spec, fam.element)
-            if support is None:
-                raise DerivationError("cannot expand: infinitely many predecessors")
-            entries = tuple((i, expand(fam.child(i))) for i in sorted(support))
-            return AllNode(
-                code.sequent, code.tag, FiniteSupport(entries, PredVac(fam.spec, fam.element))
-            )
-        raise DerivationError(f"unknown family {fam!r}")
-    if isinstance(code, TiRoot):
+    cls = type(code)
+    if cls is AllNode and type(code.family) is not FiniteSupport:
+        code = AllNode(code.sequent, code.tag, _finite_support(code.family))
+    if cls in _RULES:
+        kids = premises(code)
+        for i, c in kids.items():
+            kids[i] = expand(c)
+        return with_premises(code, kids) if kids else code
+    if cls is TiRoot:
         tag = add(mul(OMEGA, otyp(code.spec)), ONE)
         return expand(AllNode(ti_sequent(code.spec), tag, TiKids(code.spec)))
-    if isinstance(code, TiProg):
+    if cls is TiProg:
         s = step(code)
         return ExNode(s.label.sequent, s.label.tag, code.element, expand(_ti_body(code.spec, code.element)))
-    if isinstance(code, Mono):
-        inner = expand(code.child)
-        return _relabel(inner, code.sequent, code.tag)
-    raise DerivationError(f"cannot expand {type(code).__name__} terms")
+    if cls is Mono:
+        return dataclasses.replace(expand(code.child), sequent=code.sequent, tag=code.tag)
+    raise DerivationError(f"cannot expand {cls.__name__} terms")
 
 
-def _relabel(code: Code, sequent: Sequent, tag: Ordinal) -> Code:
-    import dataclasses
-
-    return dataclasses.replace(code, sequent=sequent, tag=tag)
-
-
-# --- S-expression certificate format ----------------------------------------------------
-
-
-def _tag_sexp(tag: Ordinal):
-    return Str(ord_text(tag))
-
-
-def code_to_sexp(code: Code):
-    if isinstance(code, AxMNode):
-        return ["axm", sequent_to_sexp(code.sequent), _tag_sexp(code.tag)]
-    if isinstance(code, AxLNode):
-        return ["axl", sequent_to_sexp(code.sequent), _tag_sexp(code.tag)]
-    if isinstance(code, AndNode):
-        return ["and", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                code_to_sexp(code.left), code_to_sexp(code.right)]
-    if isinstance(code, OrNode):
-        return ["or", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                code.branch, code_to_sexp(code.child)]
-    if isinstance(code, ExNode):
-        return ["ex", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                code.witness, code_to_sexp(code.child)]
-    if isinstance(code, CutNode):
-        return ["cut", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                code_to_sexp(code.left), code_to_sexp(code.right)]
-    if isinstance(code, RepNode):
-        return ["rep", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                code_to_sexp(code.child)]
-    if isinstance(code, AllNode):
-        return ["all", sequent_to_sexp(code.sequent), _tag_sexp(code.tag),
-                _family_to_sexp(code.family)]
-    if isinstance(code, TiProg):
-        return ["tiprog", spec_to_sexp(code.spec), code.element]
-    if isinstance(code, TiRoot):
-        return ["tiroot", spec_to_sexp(code.spec)]
-    if isinstance(code, Mono):
-        return ["mono", code_to_sexp(code.child), sequent_to_sexp(code.sequent), _tag_sexp(code.tag)]
-    if isinstance(code, Inv):
-        return ["inv", code_to_sexp(code.child), formula_to_sexp(code.conj), code.which]
-    raise DerivationError(f"not a derivation code: {code!r}")
-
-
-def _family_to_sexp(fam: Family):
-    if isinstance(fam, TiKids):
-        return ["tikids", spec_to_sexp(fam.spec)]
-    if isinstance(fam, PredKids):
-        return ["predkids", spec_to_sexp(fam.spec), fam.element]
-    if isinstance(fam, FiniteSupport):
-        entries = [[i, code_to_sexp(c)] for i, c in fam.entries]
-        return ["fs", entries, _default_to_sexp(fam.default)]
-    raise DerivationError(f"unknown family {fam!r}")
-
-
-def _default_to_sexp(d):
-    if isinstance(d, TiVac):
-        return ["tivac", spec_to_sexp(d.spec)]
-    if isinstance(d, PredVac):
-        return ["predvac", spec_to_sexp(d.spec), d.element]
-    raise DerivationError(f"unknown default family {d!r}")
-
-
-def _parse_tag(x) -> Ordinal:
-    if not isinstance(x, Str):
-        raise DerivationError(f"ordinal tag must be a quoted notation: {x!r}")
-    return ord_parse(x.value)
-
-
-def code_from_sexp(x) -> Code:
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise DerivationError(f"not a derivation code: {x!r}")
-    head, rest = x[0], x[1:]
-    if head == "axm" and len(rest) == 2:
-        return AxMNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]))
-    if head == "axl" and len(rest) == 2:
-        return AxLNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]))
-    if head == "and" and len(rest) == 4:
-        return AndNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]),
-                       code_from_sexp(rest[2]), code_from_sexp(rest[3]))
-    if head == "or" and len(rest) == 4 and isinstance(rest[2], int):
-        return OrNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]), rest[2],
-                      code_from_sexp(rest[3]))
-    if head == "ex" and len(rest) == 4 and isinstance(rest[2], int):
-        return ExNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]), rest[2],
-                      code_from_sexp(rest[3]))
-    if head == "cut" and len(rest) == 4:
-        return CutNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]),
-                       code_from_sexp(rest[2]), code_from_sexp(rest[3]))
-    if head == "rep" and len(rest) == 3:
-        return RepNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]), code_from_sexp(rest[2]))
-    if head == "all" and len(rest) == 3:
-        return AllNode(sequent_from_sexp(rest[0]), _parse_tag(rest[1]), _family_from_sexp(rest[2]))
-    if head == "tiprog" and len(rest) == 2 and isinstance(rest[1], int):
-        return TiProg(spec_from_sexp(rest[0]), rest[1])
-    if head == "tiroot" and len(rest) == 1:
-        return TiRoot(spec_from_sexp(rest[0]))
-    if head == "mono" and len(rest) == 3:
-        return Mono(code_from_sexp(rest[0]), sequent_from_sexp(rest[1]), _parse_tag(rest[2]))
-    if head == "inv" and len(rest) == 3 and isinstance(rest[2], int):
-        return Inv(code_from_sexp(rest[0]), formula_from_sexp(rest[1]), rest[2])
-    raise DerivationError(f"not a derivation code: {x!r}")
-
-
-def _family_from_sexp(x) -> Family:
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise DerivationError(f"not a child family: {x!r}")
-    head, rest = x[0], x[1:]
-    if head == "tikids" and len(rest) == 1:
-        return TiKids(spec_from_sexp(rest[0]))
-    if head == "predkids" and len(rest) == 2 and isinstance(rest[1], int):
-        return PredKids(spec_from_sexp(rest[0]), rest[1])
-    if head == "fs" and len(rest) == 2:
-        entries = []
-        if not isinstance(rest[0], list):
-            raise DerivationError("fs entries must be a list")
-        for e in rest[0]:
-            if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int)):
-                raise DerivationError(f"bad fs entry: {e!r}")
-            entries.append((e[0], code_from_sexp(e[1])))
-        return FiniteSupport(tuple(entries), _default_from_sexp(rest[1]))
-    raise DerivationError(f"not a child family: {x!r}")
-
-
-def _default_from_sexp(x):
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise DerivationError(f"not a default family: {x!r}")
-    head, rest = x[0], x[1:]
-    if head == "tivac" and len(rest) == 1:
-        return TiVac(spec_from_sexp(rest[0]))
-    if head == "predvac" and len(rest) == 2 and isinstance(rest[1], int):
-        return PredVac(spec_from_sexp(rest[0]), rest[1])
-    raise DerivationError(f"not a default family: {x!r}")
-
-
-def code_text(code: Code) -> str:
-    return sexpr.dump(code_to_sexp(code))
-
-
-def parse_code(s: str) -> Code:
-    return code_from_sexp(sexpr.parse(s))
+def _finite_support(fam: Family) -> FiniteSupport:
+    """The family's in-support children written out, unexpanded."""
+    cls = type(fam)
+    if cls is TiKids:
+        support, default, why = finite_field(fam.spec), TiVac(fam.spec), "infinite field"
+    elif cls is PredKids:
+        support = finite_predecessors(fam.spec, fam.element)
+        default, why = PredVac(fam.spec, fam.element), "infinitely many predecessors"
+    else:
+        raise DerivationError(f"unknown family: a {cls.__name__}")
+    if support is None:
+        raise DerivationError(f"cannot expand: {why}")
+    return FiniteSupport(tuple((i, fam.child(i)) for i in sorted(support)), default)

@@ -14,8 +14,9 @@ Sequents are plain frozensets of formulas, read disjunctively.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, NamedTuple, Union
 
 from . import sexpr
 from .orderings import (
@@ -34,7 +35,7 @@ from .ordinals import Ordinal
 from .ordinals import parse as ord_parse
 from .ordinals import text as ord_text
 from .sexpr import Str
-from .verdict import Verdict, v_and, v_or
+from .verdict import Verdict, v_and, v_not, v_or
 
 
 class FormulaError(ValueError):
@@ -68,37 +69,40 @@ class Times:
 
 Term = Union[Num, Var, Plus, Times]
 
+# the binary term operators: S-expression head and arithmetic
+_OPERATORS = {Plus: ("+", operator.add), Times: ("*", operator.mul)}
+_OPERATOR_HEADS = {head: cls for cls, (head, _) in _OPERATORS.items()}
+
 
 def eval_term(t: Term, env: dict[str, int] | None = None) -> int:
-    if isinstance(t, Num):
+    cls = type(t)
+    if cls is Num:
         return t.value
-    if isinstance(t, Var):
+    if cls is Var:
         if env and t.name in env:
             return env[t.name]
         raise FormulaError(f"open term: variable {t.name}")
-    if isinstance(t, Plus):
-        return eval_term(t.left, env) + eval_term(t.right, env)
-    if isinstance(t, Times):
-        return eval_term(t.left, env) * eval_term(t.right, env)
-    raise FormulaError(f"not a term: {t!r}")
+    if cls not in _OPERATORS:
+        raise FormulaError(f"not a term: a {cls.__name__}")
+    return _OPERATORS[cls][1](eval_term(t.left, env), eval_term(t.right, env))
 
 
 def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Num):
+    cls = type(t)
+    if cls is Num:
         return frozenset()
-    if isinstance(t, Var):
+    if cls is Var:
         return frozenset({t.name})
     return term_vars(t.left) | term_vars(t.right)
 
 
 def subst_term(t: Term, var: str, value: int) -> Term:
-    if isinstance(t, Num):
+    cls = type(t)
+    if cls is Num:
         return t
-    if isinstance(t, Var):
+    if cls is Var:
         return Num(value) if t.name == var else t
-    if isinstance(t, Plus):
-        return Plus(subst_term(t.left, var, value), subst_term(t.right, var, value))
-    return Times(subst_term(t.left, var, value), subst_term(t.right, var, value))
+    return cls(subst_term(t.left, var, value), subst_term(t.right, var, value))
 
 
 # --- formulas ------------------------------------------------------------------
@@ -197,9 +201,6 @@ Formula = Union[
     SegMember, NotSegMember, Conj, Disj, ForAll, Exists,
 ]
 
-ATOMS = (Eq, Neq, Member, NotMember, OrdLess, NotOrdLess, FieldMember,
-         NotFieldMember, SegMember, NotSegMember)
-
 Sequent = frozenset
 
 
@@ -207,103 +208,233 @@ def seq(*formulas: Formula) -> Sequent:
     return frozenset(formulas)
 
 
+# --- S-expression format -------------------------------------------------------------
+
+
+def term_to_sexp(t: Term):
+    cls = type(t)
+    if cls is Num:
+        return t.value
+    if cls is Var:
+        return t.name
+    if cls not in _OPERATORS:
+        raise FormulaError(f"not a term: a {cls.__name__}")
+    return [_OPERATORS[cls][0], term_to_sexp(t.left), term_to_sexp(t.right)]
+
+
+def term_from_sexp(x) -> Term:
+    if isinstance(x, int):
+        if x < 0:
+            raise FormulaError("numerals are non-negative")
+        return Num(x)
+    if isinstance(x, str):
+        return Var(x)
+    if isinstance(x, list) and len(x) == 3 and isinstance(x[0], str) and x[0] in _OPERATOR_HEADS:
+        return _OPERATOR_HEADS[x[0]](term_from_sexp(x[1]), term_from_sexp(x[2]))
+    raise FormulaError(f"not a term: {sexpr.describe(x)}")
+
+
+def formula_to_sexp(f: Formula):
+    shape = _ENCODERS.get(type(f))
+    if shape is None:
+        raise _not_a_formula(f)
+    head, encoders = shape
+    out = [head]
+    i = 0  # counters, as zip() and enumerate() made these loops slower
+    for value in f.__dict__.values():
+        out.append(encoders[i](value))
+        i += 1
+    return out
+
+
+def formula_from_sexp(x) -> Formula:
+    shape = None
+    if isinstance(x, list) and x and isinstance(x[0], str):
+        shape = _DECODERS.get(x[0])
+    if shape is None or len(x) != len(shape[1]) + 1:
+        raise FormulaError(f"not a formula: {sexpr.describe(x)}")
+    cls, decoders = shape
+    args = []
+    i = 1
+    for decode in decoders:
+        args.append(decode(x[i]))
+        i += 1
+    return cls(*args)
+
+
+def sequent_to_sexp(delta: Sequent):
+    parts = sorted((formula_to_sexp(f) for f in delta), key=sexpr.dump)
+    return ["seq"] + parts
+
+
+def sequent_from_sexp(x) -> Sequent:
+    if not isinstance(x, list) or not x or x[0] != "seq":
+        raise FormulaError(f"not a sequent: {sexpr.describe(x)}")
+    return frozenset(formula_from_sexp(f) for f in x[1:])
+
+
+def formula_text(f: Formula) -> str:
+    return sexpr.dump(formula_to_sexp(f))
+
+
+def parse_formula(s: str) -> Formula:
+    return formula_from_sexp(sexpr.parse(s))
+
+
+def sequent_text(delta: Sequent) -> str:
+    return sexpr.dump(sequent_to_sexp(delta))
+
+
+def parse_sequent(s: str) -> Sequent:
+    return sequent_from_sexp(sexpr.parse(s))
+
+
+# --- shapes ----------------------------------------------------------------------
+#
+# One table gives every formula class its S-expression head and the role of
+# each field; a class's fields, in declaration order, are the head's
+# arguments.  The roles say how a field is written and read, and which
+# fields the structural operations below descend into.  Every function that
+# walks formulas dispatches on type(f) through these tables and reads the
+# fields as f.__dict__, which a frozen dataclass fills in declaration order.
+
+
+class Role(NamedTuple):
+    """How a field is written and read.
+
+    A node field has no decoder but a sort, the kind of term it holds; the
+    reader of that term language decodes it.
+    """
+
+    encode: Callable
+    decode: Callable | None
+    sort: str | None = None
+
+
+def _symbol(x) -> str:
+    if not isinstance(x, str):
+        raise FormulaError(f"expected a variable name, found {sexpr.describe(x)}")
+    return x
+
+
+def _ordinal(x) -> Ordinal:
+    if not isinstance(x, Str):
+        raise FormulaError(f"expected a quoted notation, found {sexpr.describe(x)}")
+    return ord_parse(x.value)
+
+
+TERM = Role(term_to_sexp, term_from_sexp)
+FORMULA = Role(formula_to_sexp, formula_from_sexp)
+# another layer's codec is looked up when called, so that a wrapper bound to
+# its name here (such as a tracer's) sees the call
+SPEC = Role(lambda s: spec_to_sexp(s), lambda x: spec_from_sexp(x))
+SYMBOL = Role(str, _symbol)
+ORDINAL = Role(lambda o: Str(ord_text(o)), _ordinal)
+
+_SHAPES = {
+    Eq: ("=", (TERM, TERM)),
+    Neq: ("!=", (TERM, TERM)),
+    Member: ("in", (TERM, SYMBOL)),
+    NotMember: ("nin", (TERM, SYMBOL)),
+    OrdLess: ("lt", (SPEC, TERM, TERM)),
+    NotOrdLess: ("nlt", (SPEC, TERM, TERM)),
+    FieldMember: ("fld", (SPEC, TERM)),
+    NotFieldMember: ("nfld", (SPEC, TERM)),
+    SegMember: ("seg", (SPEC, TERM, ORDINAL)),
+    NotSegMember: ("nseg", (SPEC, TERM, ORDINAL)),
+    Conj: ("and", (FORMULA, FORMULA)),
+    Disj: ("or", (FORMULA, FORMULA)),
+    ForAll: ("forall", (SYMBOL, FORMULA)),
+    Exists: ("exists", (SYMBOL, FORMULA)),
+}
+
+# De Morgan duals; a dual pair has the same fields in the same order
+_POSITIVE_DUALS = {
+    Eq: Neq, Member: NotMember, OrdLess: NotOrdLess, FieldMember: NotFieldMember,
+    SegMember: NotSegMember, Conj: Disj, ForAll: Exists,
+}
+_DUAL = {**_POSITIVE_DUALS, **{neg: pos for pos, neg in _POSITIVE_DUALS.items()}}
+
+# per class: its dual, the positions of its term fields and of its
+# subformula fields, and whether it binds the variable in its `var` field
+_OPS = {
+    cls: (
+        _DUAL[cls],
+        tuple(i for i, role in enumerate(roles) if role is TERM),
+        tuple(i for i, role in enumerate(roles) if role is FORMULA),
+        cls in (ForAll, Exists),
+    )
+    for cls, (_, roles) in _SHAPES.items()
+}
+_ENCODERS = {cls: (head, tuple(role.encode for role in roles)) for cls, (head, roles) in _SHAPES.items()}
+_DECODERS = {head: (cls, tuple(role.decode for role in roles)) for cls, (head, roles) in _SHAPES.items()}
+
+
+def _not_a_formula(f) -> FormulaError:
+    return FormulaError(f"not a formula: a {type(f).__name__}")
+
+
 def negate(f: Formula) -> Formula:
-    if isinstance(f, Eq):
-        return Neq(f.left, f.right)
-    if isinstance(f, Neq):
-        return Eq(f.left, f.right)
-    if isinstance(f, Member):
-        return NotMember(f.term, f.var)
-    if isinstance(f, NotMember):
-        return Member(f.term, f.var)
-    if isinstance(f, OrdLess):
-        return NotOrdLess(f.spec, f.left, f.right)
-    if isinstance(f, NotOrdLess):
-        return OrdLess(f.spec, f.left, f.right)
-    if isinstance(f, FieldMember):
-        return NotFieldMember(f.spec, f.term)
-    if isinstance(f, NotFieldMember):
-        return FieldMember(f.spec, f.term)
-    if isinstance(f, SegMember):
-        return NotSegMember(f.spec, f.term, f.bound)
-    if isinstance(f, NotSegMember):
-        return SegMember(f.spec, f.term, f.bound)
-    if isinstance(f, Conj):
-        return Disj(negate(f.left), negate(f.right))
-    if isinstance(f, Disj):
-        return Conj(negate(f.left), negate(f.right))
-    if isinstance(f, ForAll):
-        return Exists(f.var, negate(f.body))
-    if isinstance(f, Exists):
-        return ForAll(f.var, negate(f.body))
-    raise FormulaError(f"not a formula: {f!r}")
+    try:
+        dual, _, subs, _ = _OPS[type(f)]
+    except KeyError:
+        raise _not_a_formula(f) from None
+    if not subs:
+        return dual(*f.__dict__.values())
+    args = [*f.__dict__.values()]
+    for i in subs:
+        args[i] = negate(args[i])
+    return dual(*args)
 
 
 def subformulas(f: Formula):
     yield f
-    if isinstance(f, (Conj, Disj)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
-    elif isinstance(f, (ForAll, Exists)):
-        yield from subformulas(f.body)
+    args = [*f.__dict__.values()]
+    for i in _OPS[type(f)][2]:
+        yield from subformulas(args[i])
 
 
 def is_x_positive(f: Formula, var: str = "X") -> bool:
     """No occurrence of the form t not-in var."""
-    return not any(isinstance(g, NotMember) and g.var == var for g in subformulas(f))
+    return not any(type(g) is NotMember and g.var == var for g in subformulas(f))
 
 
 def set_vars(f: Formula) -> frozenset[str]:
-    return frozenset(g.var for g in subformulas(f) if isinstance(g, (Member, NotMember)))
+    return frozenset(g.var for g in subformulas(f) if type(g) in (Member, NotMember))
 
 
 def is_atom(f: Formula) -> bool:
-    return isinstance(f, ATOMS)
+    return type(f) in _ATOM_TESTS
 
 
 def free_num_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Eq, Neq, OrdLess, NotOrdLess)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, (Member, NotMember, FieldMember, NotFieldMember, SegMember, NotSegMember)):
-        return term_vars(f.term)
-    if isinstance(f, (Conj, Disj)):
-        return free_num_vars(f.left) | free_num_vars(f.right)
-    if isinstance(f, (ForAll, Exists)):
-        return free_num_vars(f.body) - {f.var}
-    raise FormulaError(f"not a formula: {f!r}")
+    try:
+        _, terms, subs, binder = _OPS[type(f)]
+    except KeyError:
+        raise _not_a_formula(f) from None
+    args = [*f.__dict__.values()]
+    out = frozenset()
+    for i in terms:
+        out |= term_vars(args[i])
+    for i in subs:
+        out |= free_num_vars(args[i])
+    return out - {f.var} if binder else out
 
 
 def subst_num(f: Formula, var: str, value: int) -> Formula:
     """Instantiate a number variable with a numeral (capture-free: numerals)."""
-    if isinstance(f, Eq):
-        return Eq(subst_term(f.left, var, value), subst_term(f.right, var, value))
-    if isinstance(f, Neq):
-        return Neq(subst_term(f.left, var, value), subst_term(f.right, var, value))
-    if isinstance(f, Member):
-        return Member(subst_term(f.term, var, value), f.var)
-    if isinstance(f, NotMember):
-        return NotMember(subst_term(f.term, var, value), f.var)
-    if isinstance(f, OrdLess):
-        return OrdLess(f.spec, subst_term(f.left, var, value), subst_term(f.right, var, value))
-    if isinstance(f, NotOrdLess):
-        return NotOrdLess(f.spec, subst_term(f.left, var, value), subst_term(f.right, var, value))
-    if isinstance(f, FieldMember):
-        return FieldMember(f.spec, subst_term(f.term, var, value))
-    if isinstance(f, NotFieldMember):
-        return NotFieldMember(f.spec, subst_term(f.term, var, value))
-    if isinstance(f, SegMember):
-        return SegMember(f.spec, subst_term(f.term, var, value), f.bound)
-    if isinstance(f, NotSegMember):
-        return NotSegMember(f.spec, subst_term(f.term, var, value), f.bound)
-    if isinstance(f, Conj):
-        return Conj(subst_num(f.left, var, value), subst_num(f.right, var, value))
-    if isinstance(f, Disj):
-        return Disj(subst_num(f.left, var, value), subst_num(f.right, var, value))
-    if isinstance(f, ForAll):
-        return f if f.var == var else ForAll(f.var, subst_num(f.body, var, value))
-    if isinstance(f, Exists):
-        return f if f.var == var else Exists(f.var, subst_num(f.body, var, value))
-    raise FormulaError(f"not a formula: {f!r}")
+    try:
+        _, terms, subs, binder = _OPS[type(f)]
+    except KeyError:
+        raise _not_a_formula(f) from None
+    if binder and f.var == var:
+        return f
+    args = [*f.__dict__.values()]
+    for i in terms:
+        args[i] = subst_term(args[i], var, value)
+    for i in subs:
+        args[i] = subst_num(args[i], var, value)
+    return type(f)(*args)
 
 
 def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> Formula:
@@ -316,17 +447,16 @@ def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> For
         raise FormulaError(f"substitution target is not positive in {var}")
 
     def walk(g: Formula) -> Formula:
-        if isinstance(g, Member) and g.var == var:
+        cls = type(g)
+        if cls is Member and g.var == var:
             return template(g.term)
-        if isinstance(g, Conj):
-            return Conj(walk(g.left), walk(g.right))
-        if isinstance(g, Disj):
-            return Disj(walk(g.left), walk(g.right))
-        if isinstance(g, ForAll):
-            return ForAll(g.var, walk(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, walk(g.body))
-        return g
+        subs = _OPS[cls][2]
+        if not subs:
+            return g
+        args = [*g.__dict__.values()]
+        for i in subs:
+            args[i] = walk(args[i])
+        return cls(*args)
 
     return walk(f)
 
@@ -343,18 +473,11 @@ def segment_template(spec: OrderingSpec, bound: Ordinal) -> Callable[[Term], For
 # --- budgeted evaluation ---------------------------------------------------------
 
 
-def _conjuncts(f: Formula):
-    if isinstance(f, Conj):
-        yield from _conjuncts(f.left)
-        yield from _conjuncts(f.right)
-    else:
-        yield f
-
-
-def _disjuncts(f: Formula):
-    if isinstance(f, Disj):
-        yield from _disjuncts(f.left)
-        yield from _disjuncts(f.right)
+def _operands(f: Formula, connective: type):
+    """The operands of a nest of one binary connective (Conj or Disj)."""
+    if type(f) is connective:
+        yield from _operands(f.left, connective)
+        yield from _operands(f.right, connective)
     else:
         yield f
 
@@ -367,7 +490,7 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
     predecessor guard below an element of finite rank, or field membership
     in an order of finite type.
     """
-    guards = _conjuncts(body) if existential else _disjuncts(body)
+    guards = _operands(body, Conj if existential else Disj)
     want_less, want_field = (OrdLess, FieldMember) if existential else (NotOrdLess, NotFieldMember)
     for g in guards:
         if isinstance(g, want_less) and g.left == Var(var) and not term_vars(g.right):
@@ -390,6 +513,36 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
     return None
 
 
+def _set_variable_atom(f: Formula) -> bool:
+    raise FormulaError("eval_closed needs a set-variable-free formula")
+
+
+def _segment_holds(f: Formula) -> bool | None:
+    n = eval_term(f.term)
+    if not in_field(f.spec, n):
+        return False
+    try:
+        return segment_member(f.spec, n, f.bound)
+    except UnsupportedRankError:
+        return None
+
+
+# Truth of each positive closed atom (None: undecidable here, UNKNOWN); its
+# dual holds exactly when it fails.  The lambdas look the ordering predicates
+# up when called.
+_HOLDS = {
+    Eq: lambda f: eval_term(f.left) == eval_term(f.right),
+    Member: _set_variable_atom,
+    OrdLess: lambda f: less(f.spec, eval_term(f.left), eval_term(f.right)),
+    FieldMember: lambda f: in_field(f.spec, eval_term(f.term)),
+    SegMember: _segment_holds,
+}
+_ATOM_TESTS = {
+    **{pos: (holds, True) for pos, holds in _HOLDS.items()},
+    **{_DUAL[pos]: (holds, False) for pos, holds in _HOLDS.items()},
+}
+
+
 def eval_closed(f: Formula, budget: int) -> Verdict:
     """Three-valued evaluation; quantifiers search numerals below `budget`.
 
@@ -399,75 +552,45 @@ def eval_closed(f: Formula, budget: int) -> Verdict:
     exactly over that finite domain.  Set variables are not allowed
     (evaluate after substitution).
     """
-    if isinstance(f, (Member, NotMember)):
-        raise FormulaError("eval_closed needs a set-variable-free formula")
-    if isinstance(f, Eq):
-        return Verdict.TRUE if eval_term(f.left) == eval_term(f.right) else Verdict.FALSE
-    if isinstance(f, Neq):
-        return Verdict.TRUE if eval_term(f.left) != eval_term(f.right) else Verdict.FALSE
-    if isinstance(f, OrdLess):
-        return Verdict.TRUE if less(f.spec, eval_term(f.left), eval_term(f.right)) else Verdict.FALSE
-    if isinstance(f, NotOrdLess):
-        return Verdict.TRUE if not less(f.spec, eval_term(f.left), eval_term(f.right)) else Verdict.FALSE
-    if isinstance(f, FieldMember):
-        return Verdict.TRUE if in_field(f.spec, eval_term(f.term)) else Verdict.FALSE
-    if isinstance(f, NotFieldMember):
-        return Verdict.TRUE if not in_field(f.spec, eval_term(f.term)) else Verdict.FALSE
-    if isinstance(f, (SegMember, NotSegMember)):
-        n = eval_term(f.term)
-        if not in_field(f.spec, n):
-            inside = False
-        else:
-            try:
-                inside = segment_member(f.spec, n, f.bound)
-            except UnsupportedRankError:
-                return Verdict.UNKNOWN
-        if isinstance(f, SegMember):
-            return Verdict.TRUE if inside else Verdict.FALSE
-        return Verdict.FALSE if inside else Verdict.TRUE
-    if isinstance(f, Conj):
+    cls = type(f)
+    test = _ATOM_TESTS.get(cls)
+    if test is not None:
+        holds, positive = test
+        value = holds(f)
+        if value is None:
+            return Verdict.UNKNOWN
+        return Verdict.TRUE if bool(value) is positive else Verdict.FALSE
+    if cls is Conj:
         return v_and(eval_closed(f.left, budget), eval_closed(f.right, budget))
-    if isinstance(f, Disj):
+    if cls is Disj:
         return v_or(eval_closed(f.left, budget), eval_closed(f.right, budget))
-    if isinstance(f, ForAll):
-        if f.var not in free_num_vars(f.body):
-            return eval_closed(f.body, budget)
-        domain = _critical_domain(f.var, f.body, existential=False)
-        if domain is not None:
-            acc = Verdict.TRUE
-            for i in domain:
-                acc = v_and(acc, eval_closed(subst_num(f.body, f.var, i), budget))
-                if acc is Verdict.FALSE:
-                    return acc
-            return acc
-        for i in range(budget):
-            if eval_closed(subst_num(f.body, f.var, i), budget) is Verdict.FALSE:
-                return Verdict.FALSE
-        return Verdict.UNKNOWN
-    if isinstance(f, Exists):
-        if f.var not in free_num_vars(f.body):
-            return eval_closed(f.body, budget)
-        domain = _critical_domain(f.var, f.body, existential=True)
-        if domain is not None:
-            acc = Verdict.FALSE
-            for i in domain:
-                acc = v_or(acc, eval_closed(subst_num(f.body, f.var, i), budget))
-                if acc is Verdict.TRUE:
-                    return acc
-            return acc
-        for i in range(budget):
-            if eval_closed(subst_num(f.body, f.var, i), budget) is Verdict.TRUE:
-                return Verdict.TRUE
-        return Verdict.UNKNOWN
-    raise FormulaError(f"not a formula: {f!r}")
+    if cls is not ForAll and cls is not Exists:
+        raise _not_a_formula(f)
+    if f.var not in free_num_vars(f.body):
+        return eval_closed(f.body, budget)
+    # one instance with the decisive value settles the quantifier
+    existential = cls is Exists
+    decisive = Verdict.TRUE if existential else Verdict.FALSE
+    domain = _critical_domain(f.var, f.body, existential)
+    if domain is not None:
+        combine = v_or if existential else v_and
+        acc = v_not(decisive)
+        for i in domain:
+            acc = combine(acc, eval_closed(subst_num(f.body, f.var, i), budget))
+            if acc is decisive:
+                return acc
+        return acc
+    for i in range(budget):
+        if eval_closed(subst_num(f.body, f.var, i), budget) is decisive:
+            return decisive
+    return Verdict.UNKNOWN
 
 
 def atom_true(f: Formula) -> bool:
     """Membership of a closed, set-variable-free atom in the atomic diagram."""
     if not is_atom(f) or isinstance(f, (Member, NotMember)) or free_num_vars(f):
         return False
-    verdict = eval_closed(f, 1)
-    return verdict is Verdict.TRUE
+    return eval_closed(f, 1) is Verdict.TRUE
 
 
 # --- progressiveness and transfinite induction ------------------------------------
@@ -496,118 +619,3 @@ def prog_witness_instance(spec: OrderingSpec, n: int, var: str = "X") -> Formula
     """The instance picked when refuting progressiveness at element n."""
     body = negate(prog_formula(spec, var)).body
     return subst_num(body, "x", n)
-
-
-# --- S-expression format -------------------------------------------------------------
-
-
-def term_to_sexp(t: Term):
-    if isinstance(t, Num):
-        return t.value
-    if isinstance(t, Var):
-        return t.name
-    if isinstance(t, Plus):
-        return ["+", term_to_sexp(t.left), term_to_sexp(t.right)]
-    if isinstance(t, Times):
-        return ["*", term_to_sexp(t.left), term_to_sexp(t.right)]
-    raise FormulaError(f"not a term: {t!r}")
-
-
-def term_from_sexp(x) -> Term:
-    if isinstance(x, int):
-        if x < 0:
-            raise FormulaError("numerals are non-negative")
-        return Num(x)
-    if isinstance(x, str):
-        return Var(x)
-    if isinstance(x, list) and len(x) == 3 and x[0] in ("+", "*"):
-        ctor = Plus if x[0] == "+" else Times
-        return ctor(term_from_sexp(x[1]), term_from_sexp(x[2]))
-    raise FormulaError(f"not a term: {x!r}")
-
-
-def formula_to_sexp(f: Formula):
-    if isinstance(f, Eq):
-        return ["=", term_to_sexp(f.left), term_to_sexp(f.right)]
-    if isinstance(f, Neq):
-        return ["!=", term_to_sexp(f.left), term_to_sexp(f.right)]
-    if isinstance(f, Member):
-        return ["in", term_to_sexp(f.term), f.var]
-    if isinstance(f, NotMember):
-        return ["nin", term_to_sexp(f.term), f.var]
-    if isinstance(f, OrdLess):
-        return ["lt", spec_to_sexp(f.spec), term_to_sexp(f.left), term_to_sexp(f.right)]
-    if isinstance(f, NotOrdLess):
-        return ["nlt", spec_to_sexp(f.spec), term_to_sexp(f.left), term_to_sexp(f.right)]
-    if isinstance(f, FieldMember):
-        return ["fld", spec_to_sexp(f.spec), term_to_sexp(f.term)]
-    if isinstance(f, NotFieldMember):
-        return ["nfld", spec_to_sexp(f.spec), term_to_sexp(f.term)]
-    if isinstance(f, SegMember):
-        return ["seg", spec_to_sexp(f.spec), term_to_sexp(f.term), Str(ord_text(f.bound))]
-    if isinstance(f, NotSegMember):
-        return ["nseg", spec_to_sexp(f.spec), term_to_sexp(f.term), Str(ord_text(f.bound))]
-    if isinstance(f, Conj):
-        return ["and", formula_to_sexp(f.left), formula_to_sexp(f.right)]
-    if isinstance(f, Disj):
-        return ["or", formula_to_sexp(f.left), formula_to_sexp(f.right)]
-    if isinstance(f, ForAll):
-        return ["forall", f.var, formula_to_sexp(f.body)]
-    if isinstance(f, Exists):
-        return ["exists", f.var, formula_to_sexp(f.body)]
-    raise FormulaError(f"not a formula: {f!r}")
-
-
-def formula_from_sexp(x) -> Formula:
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise FormulaError(f"not a formula: {x!r}")
-    head, rest = x[0], x[1:]
-    if head in ("=", "!=") and len(rest) == 2:
-        ctor = Eq if head == "=" else Neq
-        return ctor(term_from_sexp(rest[0]), term_from_sexp(rest[1]))
-    if head in ("in", "nin") and len(rest) == 2 and isinstance(rest[1], str):
-        ctor = Member if head == "in" else NotMember
-        return ctor(term_from_sexp(rest[0]), rest[1])
-    if head in ("lt", "nlt") and len(rest) == 3:
-        ctor = OrdLess if head == "lt" else NotOrdLess
-        return ctor(spec_from_sexp(rest[0]), term_from_sexp(rest[1]), term_from_sexp(rest[2]))
-    if head in ("fld", "nfld") and len(rest) == 2:
-        ctor = FieldMember if head == "fld" else NotFieldMember
-        return ctor(spec_from_sexp(rest[0]), term_from_sexp(rest[1]))
-    if head in ("seg", "nseg") and len(rest) == 3 and isinstance(rest[2], Str):
-        ctor = SegMember if head == "seg" else NotSegMember
-        return ctor(spec_from_sexp(rest[0]), term_from_sexp(rest[1]), ord_parse(rest[2].value))
-    if head in ("and", "or") and len(rest) == 2:
-        ctor = Conj if head == "and" else Disj
-        return ctor(formula_from_sexp(rest[0]), formula_from_sexp(rest[1]))
-    if head in ("forall", "exists") and len(rest) == 2 and isinstance(rest[0], str):
-        ctor = ForAll if head == "forall" else Exists
-        return ctor(rest[0], formula_from_sexp(rest[1]))
-    raise FormulaError(f"not a formula: {x!r}")
-
-
-def sequent_to_sexp(delta: Sequent):
-    parts = sorted((formula_to_sexp(f) for f in delta), key=sexpr.dump)
-    return ["seq"] + parts
-
-
-def sequent_from_sexp(x) -> Sequent:
-    if not isinstance(x, list) or not x or x[0] != "seq":
-        raise FormulaError(f"not a sequent: {x!r}")
-    return frozenset(formula_from_sexp(f) for f in x[1:])
-
-
-def formula_text(f: Formula) -> str:
-    return sexpr.dump(formula_to_sexp(f))
-
-
-def parse_formula(s: str) -> Formula:
-    return formula_from_sexp(sexpr.parse(s))
-
-
-def sequent_text(delta: Sequent) -> str:
-    return sexpr.dump(sequent_to_sexp(delta))
-
-
-def parse_sequent(s: str) -> Sequent:
-    return sequent_from_sexp(sexpr.parse(s))

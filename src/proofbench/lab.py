@@ -224,7 +224,7 @@ def store_from_sexp(x, cert_loader: Callable[[str], str]) -> TheoryStore:
     claims = []
     for item in x[2:]:
         if not (isinstance(item, list) and len(item) == 3 and item[0] == "claim"):
-            raise LabError(f"bad claim: {item!r}")
+            raise LabError(f"bad claim: {sexpr.describe(item)}")
         spec = spec_from_sexp(item[1])
         ev = item[2]
         if ev == "asserted":
@@ -233,7 +233,7 @@ def store_from_sexp(x, cert_loader: Callable[[str], str]) -> TheoryStore:
             code = parse_code(cert_loader(ev[1].value))
             claims.append(Claim(spec, Evidence.CHECKED, code))
         else:
-            raise LabError(f"bad evidence: {ev!r}")
+            raise LabError(f"bad evidence: {sexpr.describe(ev)}")
     return TheoryStore(x[1].value, tuple(claims))
 
 

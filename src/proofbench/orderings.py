@@ -616,7 +616,7 @@ def spec_to_sexp(spec: OrderingSpec):
 
 def spec_from_sexp(x) -> OrderingSpec:
     if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise SpecError(f"not an ordering spec: {x!r}")
+        raise SpecError(f"not an ordering spec: {sexpr.describe(x)}")
     head = x[0]
     if head == "fin":
         if len(x) != 2 or not isinstance(x[1], int) or x[1] < 0:

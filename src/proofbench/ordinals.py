@@ -234,10 +234,16 @@ def text(a: Ordinal) -> str:
     return "+".join(parts)
 
 
+# Parenthesised exponents may nest this deep.  The reader recurses once per
+# level, so deeper input is rejected rather than left to exhaust the stack.
+MAX_NESTING = 100
+
+
 class _Reader:
     def __init__(self, s: str):
         self.s = s
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> str:
         return self.s[self.i] if self.i < len(self.s) else ""
@@ -275,8 +281,12 @@ class _Reader:
         c = self.peek()
         if c == "(":
             self.take()
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise NotationError(f"exponents nest deeper than {MAX_NESTING} levels")
             e = self.sum()
             self.expect(")")
+            self.depth -= 1
             if e.is_finite() or e == OMEGA:
                 raise NotationError("redundant parentheses in exponent")
             return e

@@ -22,7 +22,6 @@ from .derivations import (
     Code,
     CutNode,
     ExNode,
-    FiniteSupport,
     OrNode,
     RepNode,
     and_invert,
@@ -31,8 +30,10 @@ from .derivations import (
     derive_ti,
     expand,
     parse_code,
+    premises,
     root_label,
     weaken,
+    with_premises,
 )
 from .formulas import (
     Conj,
@@ -154,37 +155,16 @@ def criterion_2(rng: random.Random) -> CriterionResult:
 def _tree_nodes(code: Code, path=()):
     """All explicit nodes with their paths (finite-support expansions only)."""
     yield path, code
-    if isinstance(code, (AndNode, CutNode)):
-        yield from _tree_nodes(code.left, path + (1,))
-        yield from _tree_nodes(code.right, path + (2,))
-    elif isinstance(code, OrNode):
-        yield from _tree_nodes(code.child, path + (code.branch,))
-    elif isinstance(code, ExNode):
-        yield from _tree_nodes(code.child, path + (code.witness,))
-    elif isinstance(code, RepNode):
-        yield from _tree_nodes(code.child, path + (1,))
-    elif isinstance(code, AllNode) and isinstance(code.family, FiniteSupport):
-        for i, c in code.family.entries:
-            yield from _tree_nodes(c, path + (i,))
+    for i, c in premises(code).items():
+        yield from _tree_nodes(c, path + (i,))
 
 
 def _rebuild(code: Code, path, replacement: Code) -> Code:
     if not path:
         return replacement
-    head, rest = path[0], path[1:]
-    if isinstance(code, (AndNode, CutNode)):
-        if head == 1:
-            return dataclasses.replace(code, left=_rebuild(code.left, rest, replacement))
-        return dataclasses.replace(code, right=_rebuild(code.right, rest, replacement))
-    if isinstance(code, (OrNode, ExNode, RepNode)):
-        return dataclasses.replace(code, child=_rebuild(code.child, rest, replacement))
-    if isinstance(code, AllNode):
-        fam = code.family
-        entries = tuple(
-            (i, _rebuild(c, rest, replacement) if i == head else c) for i, c in fam.entries
-        )
-        return dataclasses.replace(code, family=dataclasses.replace(fam, entries=entries))
-    raise ValueError(f"cannot rebuild through {type(code).__name__}")
+    kids = premises(code)
+    kids[path[0]] = _rebuild(kids[path[0]], path[1:], replacement)
+    return with_premises(code, kids)
 
 
 def _principal_delete(node: Code):
@@ -212,12 +192,10 @@ def _retag_rule(node: Code):
         return AxMNode(node.sequent, node.tag)
     if isinstance(node, AndNode):
         return CutNode(node.sequent, node.tag, node.left, node.right)
-    if isinstance(node, OrNode):
+    if isinstance(node, (OrNode, ExNode)):
         return RepNode(node.sequent, node.tag, node.child)
-    if isinstance(node, ExNode):
-        return RepNode(node.sequent, node.tag, node.child)
-    if isinstance(node, AllNode) and isinstance(node.family, FiniteSupport) and node.family.entries:
-        i, c = node.family.entries[0]
+    if isinstance(node, AllNode) and premises(node):
+        i, c = next(iter(premises(node).items()))
         return ExNode(node.sequent, node.tag, i, c)
     return None
 

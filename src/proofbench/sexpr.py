@@ -126,6 +126,20 @@ def parse_many(text: str):
     return top
 
 
+def describe(value) -> str:
+    """Name a value's head and arity for an error message.
+
+    A list is never printed whole: malformed input can nest far deeper than
+    `repr` or `dump` can recurse.
+    """
+    if not isinstance(value, list):
+        return repr(value)
+    if not value:
+        return "()"
+    head = "a list" if isinstance(value[0], list) else repr(value[0])
+    return f"({head} ...) with {len(value) - 1} argument(s)"
+
+
 def dump(value) -> str:
     if isinstance(value, list):
         return "(" + " ".join(dump(v) for v in value) + ")"

@@ -151,7 +151,7 @@ def enumeration_from_sexp(x, cert_loader: Callable[[str], str]) -> list[Certifie
     for item in x[1:]:
         if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int)
                 and isinstance(item[2], Str)):
-            raise SpectorError(f"bad entry: {item!r}")
+            raise SpectorError(f"bad entry: {sexpr.describe(item)}")
         code = parse_code(cert_loader(item[2].value))
         out.append(CertifiedEntry(item[0], spec_from_sexp(item[1]), code))
     return out

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -19,9 +20,11 @@ from proofbench.derivations import (
     expand,
     make_rep,
     parse_code,
+    premises,
     root_label,
     step,
     weaken,
+    with_premises,
 )
 from proofbench.formulas import (
     Conj,
@@ -265,3 +268,51 @@ def test_inversion_rejects_cut_inputs():
     inv = and_invert(cut, 1)
     with pytest.raises(DerivationError):
         step(inv)
+
+
+# --- shape table: premises and the iterative decoder
+
+
+def test_premises_round_trip_and_match_step():
+    tree = expand(derive_ti(FinOrd(3)))
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        kids = premises(node)
+        assert with_premises(node, dict(kids)) == node
+        s = step(node)
+        if s.indices is not NAT:
+            assert tuple(kids) == s.indices
+            assert all(s.child(i) is c for i, c in kids.items())
+        stack.extend(kids.values())
+    assert premises(TiRoot(FinOrd(3))) == {} and premises(TiProg(FinOrd(3), 1)) == {}
+
+
+def test_decoder_is_not_bounded_by_the_stack():
+    # nest through fs entries and mono children as well as premises
+    text = '(axm (seq (= 1 1)) "0")'
+    for i in range(1, 3001):
+        if i % 3 == 0:
+            text = f'(rep (seq (= 1 1)) "{i}" {text})'
+        else:
+            text = f'(all (seq (= 1 1)) "{i}" (fs ((0 {text})) (tivac (fin 1))))'
+    code = parse_code(f'(mono {text} (seq (= 1 1) (= 2 2)) "3001")')
+    code, depth = code.child, 0
+    while premises(code):
+        (code,) = premises(code).values()
+        depth += 1
+    assert depth == 3000 and code == AxMNode(seq(Eq(num(1), num(1))), ZERO)
+
+
+@pytest.mark.parametrize(
+    "text, named",
+    [
+        ("(foo 1 2)", "'foo' ...) with 2 argument(s)"),
+        ("(rep (seq) \"1\")", "'rep' ...) with 2 argument(s)"),
+        ("(all (seq) \"1\" (tivac (fin 1)))", "child family: ('tivac' ...) with 1 argument(s)"),
+        ("((((1))))", "(a list ...) with 0 argument(s)"),
+    ],
+)
+def test_decode_errors_name_head_and_arity(text, named):
+    with pytest.raises(DerivationError, match=re.escape(named)):
+        parse_code(text)

@@ -223,5 +223,5 @@ def test_grammar_examples():
     assert f == Disj(Eq(Plus(num(2), num(2)), num(4)), Member(num(7)))
     g = parse_formula('(seg (fin 5) 3 "4")')
     assert g == SegMember(FinOrd(5), num(3), from_int(4))
-    with pytest.raises(FormulaError):
+    with pytest.raises(FormulaError, match=r"'and' \.\.\.\) with 1 argument"):
         parse_formula("(and (= 1 1))")
