@@ -175,29 +175,35 @@ class _Walker:
         return rho
 
     def claim(self, code: Code) -> tuple[Ordinal, Verdict]:
-        """Returns (gamma, verdict) for the node's own sequent partition."""
-        self.nodes += 1
-        if self.steps_left <= 0:
-            return ZERO, Verdict.UNKNOWN
-        self.steps_left -= 1
-        s = step(code)
-        label = s.label
-        negp, witness_atoms, delta = _partition(self.spec, label.sequent)
-        beta = _beta_of(self.spec, witness_atoms)
-        alpha = label.tag
-        gamma = add(beta, pow2(alpha))
-        rule = label.rule
+        """Returns (gamma, verdict) for the node's own sequent partition.  A rep
+        chain is walked in a loop: its outermost gamma, the verdict below it."""
+        outer = None
+        while True:
+            self.nodes += 1
+            if self.steps_left <= 0:
+                return (ZERO if outer is None else outer), Verdict.UNKNOWN
+            self.steps_left -= 1
+            s = step(code)
+            label = s.label
+            negp, witness_atoms, delta = _partition(self.spec, label.sequent)
+            beta = _beta_of(self.spec, witness_atoms)
+            alpha = label.tag
+            gamma = add(beta, pow2(alpha))
+            outer = gamma if outer is None else outer
+            if label.rule is not RuleTag.REP:
+                return outer, self._verdict(s, negp, witness_atoms, delta, beta, alpha, gamma)
+            code = s.child(1)
 
+    def _verdict(self, s, negp, witness_atoms, delta, beta, alpha, gamma) -> Verdict:
+        """The verdict of a node that is not a rep."""
+        rule = s.label.rule
         if rule is RuleTag.CUT:
             raise BoundednessError("cut encountered in a cut-free walk")
-        if rule is RuleTag.REP:
-            _, verdict = self.claim(s.child(1))
-            return gamma, verdict
         if rule is RuleTag.AXM:
             for f in delta:
                 if is_atom(f) and atom_true(f):
-                    return gamma, Verdict.TRUE
-            return gamma, Verdict.UNKNOWN
+                    return Verdict.TRUE
+            return Verdict.UNKNOWN
         if rule is RuleTag.AXL:
             for f in delta:
                 if isinstance(f, Member) and not term_vars(f.term):
@@ -205,8 +211,8 @@ class _Walker:
                     for w in witness_atoms:
                         if eval_term(w.term) == t and in_field(self.spec, t):
                             self._log_rank(t, gamma)
-                            return gamma, Verdict.TRUE
-            return gamma, Verdict.UNKNOWN
+                            return Verdict.TRUE
+            return Verdict.UNKNOWN
 
         # rule with premises: principal formula either refutes progressiveness
         # (the existential witness case) or sits in Delta (side-formula case)
@@ -218,7 +224,7 @@ class _Walker:
                 return self._witness_case(gamma, beta, alpha, n, inst, premise)
         return self._side_case(s, negp, delta, beta, alpha, gamma)
 
-    def _witness_case(self, gamma, beta, alpha, n, inst, premise) -> tuple[Ordinal, Verdict]:
+    def _witness_case(self, gamma, beta, alpha, n, inst, premise) -> Verdict:
         self.case4 += 1
         alpha0 = root_label(premise).tag
         gamma0 = add(beta, pow2(alpha0))
@@ -237,44 +243,35 @@ class _Walker:
         gamma2, verdict = self.claim(inverted)
         if compare(gamma2, gamma) is Cmp.GT:
             raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-        return gamma, verdict
+        return verdict
 
-    def _side_case(self, s, negp, delta, beta, alpha, gamma) -> tuple[Ordinal, Verdict]:
-        label = s.label
-        rule = label.rule
+    def _side_case(self, s, negp, delta, beta, alpha, gamma) -> Verdict:
+        rule = s.label.rule
         if rule is RuleTag.AND:
             g1, v1 = self.claim(s.child(1))
             g2, v2 = self.claim(s.child(2))
             if compare(max_ord(g1, g2), gamma) is Cmp.GT:
                 raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-            return gamma, v_and(v1, v2)
+            return v_and(v1, v2)
         if rule in (RuleTag.OR, RuleTag.EX):
             g1, v1 = self.claim(s.child(s.indices[0]))
             if compare(g1, gamma) is Cmp.GT:
                 raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-            return gamma, v1
+            return v1
         if rule is RuleTag.ALL:
-            principal = None
-            for f in delta:
-                if isinstance(f, ForAll):
-                    principal = f
-                    break
-            verdicts = []
-            for i in range(self.width_budget):
-                _, vi = self.claim(s.child(i))
-                verdicts.append(vi)
+            principal = next((f for f in delta if isinstance(f, ForAll)), None)
             sampled = Verdict.TRUE
-            for v in verdicts:
-                sampled = v_and(sampled, v)
+            for i in range(self.width_budget):
+                sampled = v_and(sampled, self.claim(s.child(i))[1])
             if principal is not None:
                 substituted = substitute_sequent(
                     frozenset({principal}), "X", segment_template(self.spec, gamma)
                 )
                 direct = eval_claim(substituted, self.eval_budget)
                 if direct is Verdict.TRUE:
-                    return gamma, Verdict.TRUE
+                    return Verdict.TRUE
             # finitely many sampled premises never prove the universal
-            return gamma, Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
+            return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
         raise BoundednessError(f"unsupported rule in the walk: {rule}")
 
 

@@ -20,11 +20,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cmp_to_key, lru_cache
-from heapq import merge
+from heapq import heappop, heappush, merge
 from math import isqrt
 
 from . import sexpr
-from .ordinals import ONE, ZERO, Cmp, NotationError, Ordinal, add, compare, from_int, lt, mul, parse, text
+from .ordinals import (ONE, Cmp, NotationError, Ordinal, add, canonical_texts, compare, div, from_int, left_diff, lt,
+                       mul, parse, text)
 from .sexpr import Str
 from .verdict import Verdict
 
@@ -72,17 +73,15 @@ class TableOrd:
 OrderingSpec = FinOrd | BelowOrd | SumOrd | LexOrd | RevOrd | TableOrd
 
 
-@dataclass(frozen=True)
-class RankedElement:
-    element: int
-    rank: Ordinal
-
-
 # --- element coding ----------------------------------------------------------
 
 
+def _text_code(s: str) -> int:
+    return int.from_bytes(s.encode("ascii"), "big")
+
+
 def ord_code(o: Ordinal) -> int:
-    return int.from_bytes(text(o).encode("ascii"), "big")
+    return _text_code(text(o))
 
 
 def ord_decode(n: int) -> Ordinal | None:
@@ -253,38 +252,9 @@ def segment_member(spec: OrderingSpec, n: int, alpha: Ordinal) -> bool:
     return lt(rank(spec, n), alpha)
 
 
-def _left_diff(a: Ordinal, b: Ordinal) -> Ordinal:
-    """The unique c with a + c = b, for a <= b."""
-    cm = compare(a, b)
-    if cm is Cmp.GT:
-        raise NotationError("left difference needs a <= b")
-    if cm is Cmp.EQ:
-        return ZERO
-    if a.eterm != b.eterm:
-        return Ordinal(b.eterm - a.eterm, b.wterms)
-    k = 0
-    while k < len(a.wterms) and k < len(b.wterms) and a.wterms[k] == b.wterms[k]:
-        k += 1
-    if k == len(a.wterms):
-        return Ordinal(0, b.wterms[k:])
-    ea, ca = a.wterms[k]
-    eb, cb = b.wterms[k]
-    if ea == eb:
-        # a < b with equal exponents at k forces ca < cb; the rest of a is
-        # absorbed into the merged leading term
-        return Ordinal(0, ((eb, cb - ca),) + b.wterms[k + 1 :])
-    return Ordinal(0, b.wterms[k:])
-
-
-def elements_up_to_rank(spec: OrderingSpec, k: int) -> list[int] | None:
-    """The elements of rank 0..k-1, or None when inversion is unavailable."""
-    out = []
-    for i in range(k):
-        e = element_of_rank(spec, from_int(i))
-        if e is None:
-            return None
-        out.append(e)
-    return out
+def elements_up_to_rank(spec: OrderingSpec, k: int) -> list[int]:
+    """The elements of rank 0..k-1, for k <= otyp(spec)."""
+    return [element_of_rank(spec, from_int(i)) for i in range(k)]
 
 
 def finite_field(spec: OrderingSpec) -> list[int] | None:
@@ -310,7 +280,7 @@ def finite_predecessors(spec: OrderingSpec, n: int) -> list[int] | None:
 
 
 def element_of_rank(spec: OrderingSpec, rho: Ordinal) -> int | None:
-    """Inverse of rank, when rho < otyp(spec)."""
+    """Inverse of rank; None when rho >= otyp(spec)."""
     if not lt(rho, otyp(spec)):
         return None
     if isinstance(spec, FinOrd):
@@ -320,74 +290,51 @@ def element_of_rank(spec: OrderingSpec, rho: Ordinal) -> int | None:
     if isinstance(spec, SumOrd):
         first_type = otyp(spec.first)
         if lt(rho, first_type):
-            e = element_of_rank(spec.first, rho)
-            return None if e is None else 2 * e
-        e = element_of_rank(spec.second, _left_diff(first_type, rho))
-        return None if e is None else 2 * e + 1
+            return 2 * element_of_rank(spec.first, rho)
+        return 2 * element_of_rank(spec.second, left_diff(first_type, rho)) + 1
     if isinstance(spec, TableOrd):
         ordered = sorted(_table_field(spec), key=cmp_to_key(lambda x, y: -1 if less(spec, x, y) else 1))
         return ordered[rho.nat_value()]
-    if isinstance(spec, LexOrd):
-        for e in field_elements(spec, 512):
-            if rank(spec, e) == rho:
-                return e
-        return None
-    return None
+    # otyp raised on every other spec, so this is a lex: rho = otyp(minor)*q + r
+    q, r = div(rho, otyp(spec.minor))
+    return pair_code(element_of_rank(spec.major, q), element_of_rank(spec.minor, r))
 
 
 # --- field enumeration (ascending code order) --------------------------------
 
-_GRAMMAR_ALPHABET = "0123456789()*+E^w"
-_MAX_TEXT_LENGTH = 5
-
-
-_NOTATION_STAGE_CACHE: dict[int, list[Ordinal]] = {}
-
-
-def _notations_of_length(length: int) -> list[Ordinal]:
-    """All canonical notations with text of the given length, in code order."""
-    got = _NOTATION_STAGE_CACHE.get(length)
-    if got is not None:
-        return got
-    heads = set("0123456789wE")
-    chunk = []
-    for tup in itertools.product(_GRAMMAR_ALPHABET, repeat=length):
-        if tup[0] not in heads or tup[-1] in "(*+^":
-            continue
-        s = "".join(tup)
-        try:
-            chunk.append((s, parse(s)))
-        except NotationError:
-            continue
-    chunk.sort()  # same length: code order equals string order
-    result = [o for _, o in chunk]
-    _NOTATION_STAGE_CACHE[length] = result
-    return result
-
-
-_BELOW_CACHE: dict[Ordinal, tuple[list[int], int]] = {}
-
-
-def _below_prefix(bound: Ordinal, k: int) -> list[int]:
-    """At least the first k Below(bound) codes (fewer only if exhausted)."""
-    codes, next_length = _BELOW_CACHE.get(bound, ([], 1))
-    while len(codes) < k and next_length <= _MAX_TEXT_LENGTH:
-        for o in _notations_of_length(next_length):
-            if lt(o, bound):
-                codes.append(ord_code(o))
-        next_length += 1
-        _BELOW_CACHE[bound] = (codes, next_length)
-    return codes
-
 
 def _iter_below(bound: Ordinal):
-    i = 0
-    while True:
-        codes = _below_prefix(bound, i + 1)
-        if i >= len(codes):
-            return
-        yield codes[i]
-        i += 1
+    if bound.is_finite():  # just 0..n-1
+        return map(_text_code, map(str, range(bound.nat_value())))
+    # an infinite bound holds every natural, so no length of text comes up empty
+    return (_text_code(s) for s in canonical_texts() if lt(parse(s), bound))
+
+
+def _iter_lex(spec: LexOrd):
+    """Lex codes in code order, by a lazy merge of the rows pair_code(a_i, b_j).
+
+    pair_code grows with each argument, so row i waits until (i-1, 0) is
+    out, and each row asks for b_j only after row 0 has asked for it.
+    """
+    sides = (iter_field(spec.major), iter_field(spec.minor))
+    seen: tuple[list[int], list[int]] = ([], [])
+    heap: list[tuple[int, int, int]] = []
+
+    def push(i: int, j: int):
+        for side, k in ((0, i), (1, j)):
+            if k == len(seen[side]):
+                seen[side].extend(itertools.islice(sides[side], 1))
+            if k >= len(seen[side]):
+                return
+        heappush(heap, (pair_code(seen[0][i], seen[1][j]), i, j))
+
+    push(0, 0)
+    while heap:
+        code, i, j = heappop(heap)
+        yield code
+        push(i, j + 1)
+        if j == 0:
+            push(i + 1, 0)
 
 
 def iter_field(spec: OrderingSpec):
@@ -411,48 +358,9 @@ def iter_field(spec: OrderingSpec):
         raise SpecError(f"unknown spec {spec!r}")
 
 
-def _take(spec, k):
-    out = []
-    for e in iter_field(spec):
-        out.append(e)
-        if len(out) >= k:
-            break
-    return out
-
-
-def _iter_lex(spec: LexOrd):
-    emitted = 0
-    m = 8
-    while True:
-        majors = _take(spec.major, m + 1)
-        minors = _take(spec.minor, m + 1)
-        maj_done = len(majors) <= m
-        min_done = len(minors) <= m
-        cutoff = None
-        if not maj_done or not min_done:
-            nxt = []
-            if not maj_done:
-                nxt.append(majors[m])
-                majors = majors[:m]
-            if not min_done:
-                nxt.append(minors[m])
-                minors = minors[:m]
-            cutoff = min(nxt)
-        codes = sorted(pair_code(a, b) for a in majors for b in minors)
-        safe = codes if cutoff is None else [c for c in codes if c < cutoff]
-        if len(safe) > emitted:
-            yield from safe[emitted:]
-            emitted = len(safe)
-        if cutoff is None:
-            return
-        m *= 2
-        if m > 1 << 20:
-            return
-
-
 def field_elements(spec: OrderingSpec, k: int) -> list[int]:
     """First k field elements by code."""
-    return _take(spec, k)
+    return list(itertools.islice(iter_field(spec), k))
 
 
 # --- linearity check ----------------------------------------------------------
@@ -566,12 +474,7 @@ def embed_search(
         top = add(rank(source, beta), ONE)
         if compare(top, otyp(target)) is Cmp.GT:
             return EmbedResult(False, None, "target order type too small")
-        mapping = []
-        for x in restriction:
-            img = element_of_rank(target, rank(source, x))
-            if img is None:
-                return EmbedResult(False, None, "rank inversion exhausted")
-            mapping.append((x, img))
+        mapping = [(x, element_of_rank(target, rank(source, x))) for x in restriction]
     else:
         pool = field_elements(target, pool_size if pool_size is not None else max(64, 2 * len(restriction)))
         pool.sort(key=cmp_to_key(lambda a, b: -1 if less(target, a, b) else 1))

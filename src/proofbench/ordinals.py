@@ -21,9 +21,10 @@ Examples: ``w^2*3+w+5``, ``E+1``, ``w^(w+1)*2``.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cache, lru_cache
 
 
 class NotationError(ValueError):
@@ -86,7 +87,6 @@ class Ordinal:
 
 ZERO = Ordinal(0, ())
 ONE = Ordinal(0, ((ZERO, 1),))
-TWO = Ordinal(0, ((ZERO, 2),))
 OMEGA = Ordinal(0, ((ONE, 1),))
 EPSILON = Ordinal(1, ())
 
@@ -202,6 +202,51 @@ def pow2(a: Ordinal) -> Ordinal:
         return from_int(2**n)
     q = Ordinal(0, tuple(limit_terms))
     return Ordinal(0, ((q, 2**n),))
+
+
+def left_diff(a: Ordinal, b: Ordinal) -> Ordinal:
+    """The unique c with a + c = b, for a <= b."""
+    if lt(b, a):
+        raise NotationError("left difference needs a <= b")
+    if a.eterm != b.eterm:
+        return Ordinal(b.eterm - a.eterm, b.wterms)
+    k = 0
+    while k < len(a.wterms) and k < len(b.wterms) and a.wterms[k] == b.wterms[k]:
+        k += 1
+    if k == len(a.wterms):
+        return Ordinal(0, b.wterms[k:])
+    ea, ca = a.wterms[k]
+    eb, cb = b.wterms[k]
+    if ea == eb:
+        # a < b with equal exponents at k forces ca < cb; the rest of a is
+        # absorbed into the merged leading term
+        return Ordinal(0, ((eb, cb - ca),) + b.wterms[k + 1 :])
+    return Ordinal(0, b.wterms[k:])
+
+
+def div(a: Ordinal, b: Ordinal) -> tuple[Ordinal, Ordinal]:
+    """Left division: the (q, r) with a = b*q + r and r < b, for b > 0.
+
+    With w^l the leading power of b, b*w^g = w^(l+g) for g >= 1, and b*E = E
+    when b < E.  So every E and every term w^e*c of a with e > l passes to
+    q as E or w^(e-l)*c; what remains of a is b*n + r for the largest
+    natural n with b*n <= it.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("ordinal division by zero")
+    if b.eterm:
+        # b*w already exceeds every notation, so q is finite
+        q, rest, n = ZERO, a, a.eterm // b.eterm
+    else:
+        lead, lead_coeff = b.wterms[0]
+        k = sum(1 for e, _ in a.wterms if lt(lead, e))  # exponents decrease
+        q = Ordinal(a.eterm, tuple((left_diff(lead, e), c) for e, c in a.wterms[:k]))
+        rest = Ordinal(0, a.wterms[k:])
+        n = rest.wterms[0][1] // lead_coeff if rest.wterms and rest.wterms[0][0] == lead else 0
+    # n bounds the quotient from above and misses it by at most one
+    if lt(rest, mul(b, from_int(n))):
+        n -= 1
+    return add(q, from_int(n)), left_diff(mul(b, from_int(n)), rest)
 
 
 # --- text form -------------------------------------------------------------
@@ -345,3 +390,53 @@ def parse(s: str) -> Ordinal:
     if r.i != len(s):
         raise NotationError(f"trailing input at position {r.i} in {s!r}")
     return value
+
+
+def canonical_texts():
+    """Every canonical notation text, shortest first and in text order within a length.
+
+    Texts are built from the grammar above one length at a time, with E only
+    first in a sum and a natural only last, as canonical form has them.  Each
+    production is memoized per length, for this generator alone, as a tuple.
+    Digits sort before "E" and "w", so within a length the numerals come
+    first.  Exponent order is left to `parse`, which drops the texts that are
+    not canonical.
+    """
+
+    def nats(n: int, least: int):
+        """Naturals >= least written with n digits."""
+        return map(str, range(max(least, 10 ** (n - 1) if n > 1 else 0), 10**n if n > 0 else 0))
+
+    @cache
+    def coeff(n: int) -> tuple[str, ...]:
+        return ("",) if n == 0 else tuple("*" + c for c in nats(n - 1, 2))
+
+    @cache
+    def exponent(n: int) -> tuple[str, ...]:
+        return (*nats(n, 2), *(("w",) if n == 1 else ()), *("(" + s + ")" for s in w_sum(n - 2)))
+
+    def e_term(n: int) -> tuple[str, ...]:
+        return tuple("E" + c for c in coeff(n - 1))
+
+    @cache
+    def w_term(n: int) -> tuple[str, ...]:
+        powers = ("w^" + e + c for k in range(1, n - 1) for e in exponent(k) for c in coeff(n - 2 - k))
+        return (*("w" + c for c in coeff(n - 1)), *powers)
+
+    def sums(term, n: int) -> tuple[str, ...]:
+        """A term alone, or followed by "+" and a sum of w-terms or a nonzero natural."""
+        return (*term(n), *(t + "+" + s for k in range(1, n - 1) for t in term(k)
+                            for s in itertools.chain(w_sum(n - 1 - k), nats(n - 1 - k, 1))))
+
+    @cache
+    def w_sum(n: int) -> tuple[str, ...]:
+        return sums(w_term, n)
+
+    for n in itertools.count(1):
+        yield from nats(n, 0)
+        for s in sorted(sums(e_term, n) + w_sum(n)):
+            try:
+                parse(s)
+            except NotationError:
+                continue
+            yield s

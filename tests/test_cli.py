@@ -29,14 +29,16 @@ def test_ord_compare_and_errors(capsys):
 
 
 def test_ti_and_check_round_trip(tmp_path, capsys):
-    cert = tmp_path / "fin3.sx"
-    code, out, _ = run_cli(capsys, "ti", "(fin 3)", "-o", str(cert))
-    assert code == EXIT_OK
-    assert cert.exists()
-    code, out, _ = run_cli(capsys, "check", str(cert), "--depth", "64", "--width", "8",
-                           "--cut-free")
-    assert code == EXIT_OK
-    assert "pass" in out
+    # fields above MAX_EXPANDED_FIELD elements get the compact term
+    for spec, head in [("(fin 3)", "(all "), ("(lex (fin 2) (fin 7))", "(tiroot ")]:
+        cert = tmp_path / "cert.sx"
+        code, out, _ = run_cli(capsys, "ti", spec, "-o", str(cert))
+        assert code == EXIT_OK
+        assert cert.read_text().startswith(head)
+        code, out, _ = run_cli(capsys, "check", str(cert), "--depth", "64", "--width", "8",
+                               "--cut-free")
+        assert code == EXIT_OK
+        assert "pass" in out
 
 
 def test_check_detects_tag_tampering(tmp_path, capsys):
@@ -82,6 +84,11 @@ def test_bound_truth_mode(tmp_path, capsys):
     record = json.loads(out.splitlines()[0])
     assert record["gamma"] == "w^2*2"
     assert record["verdict"] == "true"
+    # the witness step and the membership axiom check one element against different bounds
+    bounds = {}
+    for check in record["checks"]:
+        bounds.setdefault(check["element"], set()).add(check["bound"])
+    assert bounds and all(len(b) == 2 for b in bounds.values())
 
 
 def test_spector_flow(tmp_path, capsys):

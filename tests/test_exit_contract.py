@@ -13,8 +13,10 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, main
-from proofbench.derivations import code_text, derive_ti, expand
+from proofbench.derivations import code_text, derive_ti, expand, parse_code
+from proofbench.formulas import sequent_text, ti_sequent
 from proofbench.orderings import FinOrd
 from proofbench.ordinals import MAX_NESTING
 
@@ -87,6 +89,27 @@ def test_deep_rep_tower_passes(tmp_path):
     assert code == EXIT_OK, err
     record = json.loads(out.splitlines()[0])
     assert record["passed"] and record["nodes_visited"] == 3001
+
+
+def test_deep_rep_tower_bound_truth(tmp_path):
+    # rep levels over (tiroot (fin 1)), whose tag is w+1, all with its TI sequent
+    seq = sequent_text(ti_sequent(FinOrd(1)))
+
+    def tower(levels):
+        head = "".join(f'(rep {seq} "w+{i}" ' for i in range(levels + 1, 1, -1))
+        return head + "(tiroot (fin 1))" + ")" * levels
+
+    path = tmp_path / "t.sx"
+    path.write_text(tower(3000))
+    code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth", "--depth", "4000",
+                          "--json"])
+    assert code == EXIT_OK, err
+    record = json.loads(out.splitlines()[0])
+    assert record["alpha"] == "w+3001" and record["verdict"] == "true"
+    # every level is walked and counted
+    deep = bounded_truth(parse_code(tower(3000)), FinOrd(1), depth_budget=4000)
+    bare = bounded_truth(parse_code(tower(0)), FinOrd(1))
+    assert deep.nodes_visited == bare.nodes_visited + 3000
 
 
 def test_deeply_nested_parentheses_are_bad_input(tmp_path):

@@ -1,5 +1,12 @@
+import itertools
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
+import proofbench
 from proofbench.orderings import (
     BelowOrd,
     FinOrd,
@@ -13,6 +20,7 @@ from proofbench.orderings import (
     embed_search,
     field_elements,
     in_field,
+    iter_field,
     less,
     ord_code,
     ord_decode,
@@ -26,7 +34,7 @@ from proofbench.orderings import (
     spec_text,
     unpair_code,
 )
-from proofbench.ordinals import compare, from_int, parse
+from proofbench.ordinals import NotationError, canonical_texts, compare, from_int, lt, parse
 from proofbench.verdict import Verdict
 
 P = parse
@@ -107,13 +115,65 @@ def test_rank_matches_less():
 def test_field_elements_below_w():
     first = field_elements(BelowOrd(W), 200)
     assert first == [code(str(i)) for i in range(200)]
+    # a finite bound ends the field, past the five-character texts
+    whole = list(iter_field(BelowOrd(from_int(100_001))))
+    assert whole == [code(str(i)) for i in range(100_001)] and whole[-1] == code("100000")
+
+
+def _scan(length: int) -> list[str]:
+    """Reference oracle: every string of the notation alphabet that parses, in text order."""
+    found = []
+    for chars in itertools.product(sorted("0123456789()*+E^w"), repeat=length):
+        try:
+            parse("".join(chars))
+        except NotationError:
+            continue
+        found.append("".join(chars))
+    return found
+
+
+def test_below_fields_match_the_scan_oracle():
+    texts = [s for length in range(1, 5) for s in _scan(length)]
+    assert list(itertools.islice(canonical_texts(), len(texts))) == texts
+    for bound in (W, P("w^w"), P("E+1")):
+        want = [code(s) for s in texts if lt(P(s), bound)]
+        assert field_elements(BelowOrd(bound), len(want)) == want
+
+
+def test_below_enumeration_is_thread_safe():
+    # a fresh process, so that the threads are the first to enumerate
+    script = """
+import json, sys, threading
+from proofbench.orderings import BelowOrd, field_elements
+from proofbench.ordinals import parse
+results = [None] * 4
+def take(i):
+    results[i] = field_elements(BelowOrd(parse("w^2")), 5000)
+threads = [threading.Thread(target=take, args=(i,)) for i in range(4)]
+sys.setswitchinterval(1e-6)
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(120)
+sys.setswitchinterval(0.005)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps(results))
+"""
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    single = field_elements(BelowOrd(W2), 5000)
+    assert json.loads(done.stdout) == [single] * 4
 
 
 def test_element_of_rank_inverts_rank():
-    for spec in [FinOrd(6), BelowOrd(W2), SumOrd(FinOrd(2), BelowOrd(W))]:
-        for n in field_elements(spec, 40):
+    lex = LexOrd(FinOrd(3), BelowOrd(W))
+    for spec, count in [(FinOrd(6), 40), (BelowOrd(W2), 40), (SumOrd(FinOrd(2), BelowOrd(W)), 40), (lex, 1000)]:
+        for n in field_elements(spec, count):
             assert element_of_rank(spec, rank(spec, n)) == n
     assert element_of_rank(FinOrd(3), from_int(5)) is None
+    assert element_of_rank(lex, P("w*2+1000")) == pair_code(2, code("1000"))
 
 
 def test_check_lo():

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from proofbench import cnforacle as oracle
@@ -16,7 +16,9 @@ from proofbench.ordinals import (
     NotationError,
     add,
     compare,
+    div,
     from_int,
+    lt,
     mul,
     parse,
     pow2,
@@ -135,6 +137,20 @@ def test_pow2_strictly_monotone():
         lo, hi = (a, b) if c is Cmp.LT else (b, a)
         assert compare(pow2(lo), pow2(hi)) is Cmp.LT
     assert compare(pow2(P("w^2")), pow2(EPSILON)) is Cmp.LT
+
+
+@given(st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_div_is_left_division(rng):
+    a, b = random_ordinal(rng), random_ordinal(rng)
+    assume(not b.is_zero())
+    q, r = div(a, b)
+    try:
+        product = mul(b, q)
+    except CapExceededError:
+        reject()
+    assert add(product, r) == a
+    assert lt(r, b)
 
 
 def test_compare_is_total_order():
