@@ -159,11 +159,11 @@ def _beta_of(spec: OrderingSpec, witness_atoms) -> Ordinal:
 
 
 class _Walker:
-    def __init__(self, spec: OrderingSpec, eval_budget: int, width_budget: int, step_budget: int):
+    def __init__(self, spec: OrderingSpec, eval_budget: int, width_budget: int):
         self.spec = spec
         self.eval_budget = eval_budget
         self.width_budget = width_budget
-        self.steps_left = step_budget
+        self.steps_left = 20000
         self.rank_checks: list[RankCheck] = []
         self.case4 = 0
         self.nodes = 0
@@ -281,7 +281,6 @@ def bounded_truth(
     eval_budget: int = 200,
     depth_budget: int = 64,
     width_budget: int = 8,
-    step_budget: int = 20000,
 ) -> SemanticClaim:
     """Extract gamma = beta + 2^alpha and verify the substituted claim.
 
@@ -300,7 +299,7 @@ def bounded_truth(
     alpha = root.tag
     gamma = add(beta, pow2(alpha))
 
-    walker = _Walker(spec, eval_budget, width_budget, step_budget)
+    walker = _Walker(spec, eval_budget, width_budget)
     walked_gamma, verdict = walker.claim(code)
     if walked_gamma != gamma:
         raise BoundednessError("bound mismatch between the walk and the root")

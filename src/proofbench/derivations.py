@@ -25,8 +25,7 @@ from typing import Callable, NamedTuple, Union, get_args
 from . import sexpr
 from .formulas import (
     FORMULA,
-    ORDINAL,
-    SPEC,
+    SEQUENTS,
     Conj,
     Disj,
     Exists,
@@ -36,7 +35,6 @@ from .formulas import (
     Member,
     NotMember,
     Num,
-    Role,
     Sequent,
     atom_true,
     eval_term,
@@ -45,13 +43,13 @@ from .formulas import (
     prog_formula,
     prog_witness_instance,
     seq,
-    sequent_from_sexp,
-    sequent_to_sexp,
     subst_num,
     term_vars,
     ti_sequent,
 )
 from .orderings import (
+    ORDINAL,
+    SPEC,
     OrderingSpec,
     UnsupportedRankError,
     finite_field,
@@ -63,6 +61,7 @@ from .orderings import (
     rankable,
 )
 from .ordinals import EPSILON, OMEGA, ONE, ZERO, Cmp, NotationError, Ordinal, add, compare, from_int, le, lt, mul, succ
+from .sexpr import ENTRIES, INT, Role
 
 
 class DerivationError(ValueError):
@@ -267,96 +266,29 @@ Code = Union[
 # --- S-expression certificate format ----------------------------------------------------
 
 
-def code_to_sexp(code):
-    """The S-expression of a code, a child family or a default family."""
-    shape = _ENCODERS.get(type(code))
-    if shape is None:
-        raise DerivationError(f"not a derivation code: a {type(code).__name__}")
-    head, encoders = shape
-    out = [head]
-    for encode, value in zip(encoders, code.__dict__.values()):
-        out.append(encode(value))
-    return out
-
-
-def _entry_pairs(x) -> list[list]:
-    if not isinstance(x, list):
-        raise DerivationError(f"fs entries must be a list, found {sexpr.describe(x)}")
-    pairs = []
-    for e in x:
-        if not (isinstance(e, list) and len(e) == 2 and isinstance(e[0], int)):
-            raise DerivationError(f"bad fs entry: {sexpr.describe(e)}")
-        pairs.append([e[0], e[1]])
-    return pairs
-
-
-def code_from_sexp(x) -> Code:
-    """Decode a certificate term.
-
-    Node fields are decoded off an explicit stack rather than by recursion,
-    so nesting depth is bounded by memory, not by Python's stack.  Each
-    visited node leaves a build step (constructor, argument list, and the
-    slot its value goes to); running them last to first builds every node
-    after all of its descendants.
-    """
-    out = [None]
-    todo = [(x, _CODE.sort, out, 0)]
-    builds = []
-    while todo:
-        x, sort, dest, slot = todo.pop()
-        cls = None
-        if isinstance(x, list) and x and isinstance(x[0], str):
-            cls = _BY_HEAD[sort].get(x[0])
-        if cls is None or len(x) != len(_SHAPES[cls].roles) + 1:
-            raise DerivationError(f"not a {sort}: {sexpr.describe(x)}")
-        args = x[1:]
-        builds.append((cls, args, dest, slot))
-        for i, role in enumerate(_SHAPES[cls].roles):
-            if role.decode is not None:
-                args[i] = role.decode(args[i])
-            elif role is _ENTRIES:
-                pairs = _entry_pairs(args[i])
-                # map() is lazy, so each pair is frozen after its code is built
-                builds.append((tuple, [map(tuple, pairs)], args, i))
-                for pair in pairs:
-                    todo.append((pair[1], _CODE.sort, pair, 1))
-            else:
-                todo.append((args[i], role.sort, args, i))
-    while builds:  # popping frees each argument list once its node is built
-        build, args, dest, slot = builds.pop()
-        dest[slot] = build(*args)
-    return out[0]
-
-
 def code_text(code: Code) -> str:
-    return sexpr.dump(code_to_sexp(code))
+    return sexpr.dump(sexpr.write(CODES, code))
 
 
 def parse_code(s: str) -> Code:
-    return code_from_sexp(sexpr.parse(s))
+    return sexpr.read(CODES, sexpr.parse(s))
 
 
 # --- shapes ----------------------------------------------------------------------
 #
 # As in formulas: one table gives every code kind, child family and default
 # family its head and field roles, fields in head argument order.  Explicit
-# nodes also name their rule and where they keep their premises.
+# nodes also name their rule and where they keep their premises.  Codes nest
+# without limit; the values inside them nest at most ordinals.MAX_NESTING deep.
 
-
-def _int_from_sexp(x) -> int:
-    if not isinstance(x, int):
-        raise DerivationError(f"expected an integer, found {sexpr.describe(x)}")
-    return x
-
-
-# the sequent codec belongs to another layer and is looked up when called, as
-# in formulas; code_from_sexp decodes the node fields
-_SEQUENT = Role(lambda d: sequent_to_sexp(d), lambda x: sequent_from_sexp(x))
-_INT = Role(int, _int_from_sexp)
-_CODE = Role(code_to_sexp, None, "derivation code")
-_FAMILY = Role(code_to_sexp, None, "child family")
-_DEFAULT = Role(code_to_sexp, None, "default family")
-_ENTRIES = Role(lambda entries: [[i, code_to_sexp(c)] for i, c in entries], None)
+CODES = sexpr.Sort("a derivation code", DerivationError, bounded=False)
+FAMILIES = sexpr.Sort("a child family", DerivationError, bounded=False)
+DEFAULTS = sexpr.Sort("a default family", DerivationError, bounded=False)
+_SEQUENT = Role(sort=SEQUENTS)
+_CODE = Role(sort=CODES)
+_FAMILY = Role(sort=FAMILIES)
+_DEFAULT = Role(sort=DEFAULTS)
+_ENTRIES = Role(sort=CODES, many=ENTRIES)
 
 
 class _Shape(NamedTuple):
@@ -371,29 +303,27 @@ _SHAPES = {
     AxMNode: _Shape("axm", (_SEQUENT, ORDINAL), RuleTag.AXM),
     AxLNode: _Shape("axl", (_SEQUENT, ORDINAL), RuleTag.AXL),
     AndNode: _Shape("and", (_SEQUENT, ORDINAL, _CODE, _CODE), RuleTag.AND, ((1, "left"), (2, "right"))),
-    OrNode: _Shape("or", (_SEQUENT, ORDINAL, _INT, _CODE), RuleTag.OR, (("branch", "child"),)),
-    ExNode: _Shape("ex", (_SEQUENT, ORDINAL, _INT, _CODE), RuleTag.EX, (("witness", "child"),)),
+    OrNode: _Shape("or", (_SEQUENT, ORDINAL, INT, _CODE), RuleTag.OR, (("branch", "child"),)),
+    ExNode: _Shape("ex", (_SEQUENT, ORDINAL, INT, _CODE), RuleTag.EX, (("witness", "child"),)),
     CutNode: _Shape("cut", (_SEQUENT, ORDINAL, _CODE, _CODE), RuleTag.CUT, ((1, "left"), (2, "right"))),
     RepNode: _Shape("rep", (_SEQUENT, ORDINAL, _CODE), RuleTag.REP, ((1, "child"),)),
     AllNode: _Shape("all", (_SEQUENT, ORDINAL, _FAMILY), RuleTag.ALL),
-    TiProg: _Shape("tiprog", (SPEC, _INT)),
+    TiProg: _Shape("tiprog", (SPEC, INT)),
     TiRoot: _Shape("tiroot", (SPEC,)),
     Mono: _Shape("mono", (_CODE, _SEQUENT, ORDINAL)),
-    Inv: _Shape("inv", (_CODE, FORMULA, _INT)),
+    Inv: _Shape("inv", (_CODE, FORMULA, INT)),
     TiKids: _Shape("tikids", (SPEC,)),
-    PredKids: _Shape("predkids", (SPEC, _INT)),
+    PredKids: _Shape("predkids", (SPEC, INT)),
     FiniteSupport: _Shape("fs", (_ENTRIES, _DEFAULT)),
     TiVac: _Shape("tivac", (SPEC,)),
-    PredVac: _Shape("predvac", (SPEC, _INT)),
+    PredVac: _Shape("predvac", (SPEC, INT)),
 }
+
+for _sort, _union in ((CODES, Code), (FAMILIES, Family), (DEFAULTS, Default)):
+    _sort.define({cls: _SHAPES[cls][:2] for cls in get_args(_union)})
 
 _RULES = {cls: shape.rule for cls, shape in _SHAPES.items() if shape.rule is not None}
 _PREMISES = {cls: shape.premises for cls, shape in _SHAPES.items() if cls not in (AllNode, FiniteSupport)}
-_ENCODERS = {cls: (shape.head, tuple(r.encode for r in shape.roles)) for cls, shape in _SHAPES.items()}
-_BY_HEAD = {
-    role.sort: {_SHAPES[cls].head: cls for cls in get_args(union)}
-    for role, union in ((_CODE, Code), (_FAMILY, Family), (_DEFAULT, Default))
-}
 
 
 def premises(code) -> dict[int, "Code"]:
@@ -537,26 +467,44 @@ def step(code: Code) -> Step:
         spec = code.spec
         tag = add(mul(OMEGA, otyp(spec)), ONE)
         return Step(NodeLabel(ti_sequent(spec), RuleTag.ALL, tag), NAT, TiKids(spec).child)
-    if cls is Mono:
-        inner = step(code.child)
-        if inner.label.rule is RuleTag.REP:
-            # a repetition premise must equal its conclusion, so the
-            # weakening is pushed through to the child (at its own tag)
-            child = inner.child(1)
-            child_tag = step(child).label.tag
-            return Step(
-                NodeLabel(code.sequent, RuleTag.REP, code.tag),
-                (1,),
-                lambda i: Mono(child, code.sequent, child_tag),
-            )
-        return Step(NodeLabel(code.sequent, inner.label.rule, code.tag), inner.indices, inner.child)
-    if cls is Inv:
-        return _step_inv(code)
+    if cls is Mono or cls is Inv:
+        return _step_chain(code)
     raise DerivationError(f"not a derivation code: a {cls.__name__}")
 
 
-def _step_inv(code: Inv) -> Step:
-    inner = step(code.child)
+def _step_chain(code: Mono | Inv) -> Step:
+    """A chain of transformers (Mono, Inv) is peeled in a loop: the code
+    under it is stepped once, then the transformers are applied outward."""
+    chain = []
+    while type(code) is Mono or type(code) is Inv:
+        chain.append(code)
+        code = code.child
+    s = step(code)
+    while chain:
+        t = chain.pop()
+        s = _step_mono(t, s) if type(t) is Mono else _step_inv(t, s)
+    return s
+
+
+def _step_mono(code: Mono, inner: Step) -> Step:
+    """The step of `code` from the step of its child."""
+    if inner.label.rule is RuleTag.REP:
+        # a repetition premise must equal its conclusion, so the
+        # weakening is pushed through to the child (at its own tag)
+        child = inner.child(1)
+        # a Mono's tag is its own field: stepping a chain of them for it
+        # would step each link again, twice more per level
+        child_tag = child.tag if type(child) is Mono else step(child).label.tag
+        return Step(
+            NodeLabel(code.sequent, RuleTag.REP, code.tag),
+            (1,),
+            lambda i: Mono(child, code.sequent, child_tag),
+        )
+    return Step(NodeLabel(code.sequent, inner.label.rule, code.tag), inner.indices, inner.child)
+
+
+def _step_inv(code: Inv, inner: Step) -> Step:
+    """The step of `code` from the step of its child."""
     delta = inner.label.sequent
     conj, which = code.conj, code.which
     if not isinstance(conj, Conj) or which not in (1, 2):

@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Union
+from typing import Callable, Union
 
 from . import sexpr
 from .orderings import (
+    ORDINAL,
+    SPEC,
     OrderingSpec,
     UnsupportedRankError,
     elements_up_to_rank,
@@ -28,13 +30,9 @@ from .orderings import (
     otyp,
     rank,
     segment_member,
-    spec_from_sexp,
-    spec_to_sexp,
 )
 from .ordinals import Ordinal
-from .ordinals import parse as ord_parse
-from .ordinals import text as ord_text
-from .sexpr import Str
+from .sexpr import NATURAL, REST, SYMBOL, Role
 from .verdict import Verdict, v_and, v_not, v_or
 
 
@@ -69,9 +67,8 @@ class Times:
 
 Term = Union[Num, Var, Plus, Times]
 
-# the binary term operators: S-expression head and arithmetic
-_OPERATORS = {Plus: ("+", operator.add), Times: ("*", operator.mul)}
-_OPERATOR_HEADS = {head: cls for cls, (head, _) in _OPERATORS.items()}
+# the binary term operators
+_OPERATORS = {Plus: operator.add, Times: operator.mul}
 
 
 def eval_term(t: Term, env: dict[str, int] | None = None) -> int:
@@ -84,7 +81,7 @@ def eval_term(t: Term, env: dict[str, int] | None = None) -> int:
         raise FormulaError(f"open term: variable {t.name}")
     if cls not in _OPERATORS:
         raise FormulaError(f"not a term: a {cls.__name__}")
-    return _OPERATORS[cls][1](eval_term(t.left, env), eval_term(t.right, env))
+    return _OPERATORS[cls](eval_term(t.left, env), eval_term(t.right, env))
 
 
 def term_vars(t: Term) -> frozenset[str]:
@@ -211,125 +208,43 @@ def seq(*formulas: Formula) -> Sequent:
 # --- S-expression format -------------------------------------------------------------
 
 
-def term_to_sexp(t: Term):
-    cls = type(t)
-    if cls is Num:
-        return t.value
-    if cls is Var:
-        return t.name
-    if cls not in _OPERATORS:
-        raise FormulaError(f"not a term: a {cls.__name__}")
-    return [_OPERATORS[cls][0], term_to_sexp(t.left), term_to_sexp(t.right)]
-
-
-def term_from_sexp(x) -> Term:
-    if isinstance(x, int):
-        if x < 0:
-            raise FormulaError("numerals are non-negative")
-        return Num(x)
-    if isinstance(x, str):
-        return Var(x)
-    if isinstance(x, list) and len(x) == 3 and isinstance(x[0], str) and x[0] in _OPERATOR_HEADS:
-        return _OPERATOR_HEADS[x[0]](term_from_sexp(x[1]), term_from_sexp(x[2]))
-    raise FormulaError(f"not a term: {sexpr.describe(x)}")
-
-
-def formula_to_sexp(f: Formula):
-    shape = _ENCODERS.get(type(f))
-    if shape is None:
-        raise _not_a_formula(f)
-    head, encoders = shape
-    out = [head]
-    i = 0  # counters, as zip() and enumerate() made these loops slower
-    for value in f.__dict__.values():
-        out.append(encoders[i](value))
-        i += 1
-    return out
-
-
-def formula_from_sexp(x) -> Formula:
-    shape = None
-    if isinstance(x, list) and x and isinstance(x[0], str):
-        shape = _DECODERS.get(x[0])
-    if shape is None or len(x) != len(shape[1]) + 1:
-        raise FormulaError(f"not a formula: {sexpr.describe(x)}")
-    cls, decoders = shape
-    args = []
-    i = 1
-    for decode in decoders:
-        args.append(decode(x[i]))
-        i += 1
-    return cls(*args)
-
-
-def sequent_to_sexp(delta: Sequent):
-    parts = sorted((formula_to_sexp(f) for f in delta), key=sexpr.dump)
-    return ["seq"] + parts
-
-
-def sequent_from_sexp(x) -> Sequent:
-    if not isinstance(x, list) or not x or x[0] != "seq":
-        raise FormulaError(f"not a sequent: {sexpr.describe(x)}")
-    return frozenset(formula_from_sexp(f) for f in x[1:])
-
-
 def formula_text(f: Formula) -> str:
-    return sexpr.dump(formula_to_sexp(f))
+    return sexpr.dump(sexpr.write(FORMULAS, f))
 
 
 def parse_formula(s: str) -> Formula:
-    return formula_from_sexp(sexpr.parse(s))
+    return sexpr.read(FORMULAS, sexpr.parse(s))
 
 
 def sequent_text(delta: Sequent) -> str:
-    return sexpr.dump(sequent_to_sexp(delta))
+    return sexpr.dump(sexpr.write(SEQUENTS, delta))
 
 
 def parse_sequent(s: str) -> Sequent:
-    return sequent_from_sexp(sexpr.parse(s))
+    return sexpr.read(SEQUENTS, sexpr.parse(s))
 
 
 # --- shapes ----------------------------------------------------------------------
 #
-# One table gives every formula class its S-expression head and the role of
-# each field; a class's fields, in declaration order, are the head's
-# arguments.  The roles say how a field is written and read, and which
-# fields the structural operations below descend into.  Every function that
-# walks formulas dispatches on type(f) through these tables and reads the
-# fields as f.__dict__, which a frozen dataclass fills in declaration order.
+# One table per sort (sexpr.Sort) gives every term and formula class its head
+# and the role of each field.  The roles also say which fields the
+# structural operations below descend into: every function that walks
+# formulas dispatches on type(f) through these tables and reads the fields
+# as f.__dict__, which a frozen dataclass fills in declaration order.
 
+TERMS = sexpr.Sort("a term", FormulaError)
+FORMULAS = sexpr.Sort("a formula", FormulaError)
+SEQUENTS = sexpr.Sort("a sequent", FormulaError)
+TERM = Role(sort=TERMS)
+FORMULA = Role(sort=FORMULAS)
 
-class Role(NamedTuple):
-    """How a field is written and read.
-
-    A node field has no decoder but a sort, the kind of term it holds; the
-    reader of that term language decodes it.
-    """
-
-    encode: Callable
-    decode: Callable | None
-    sort: str | None = None
-
-
-def _symbol(x) -> str:
-    if not isinstance(x, str):
-        raise FormulaError(f"expected a variable name, found {sexpr.describe(x)}")
-    return x
-
-
-def _ordinal(x) -> Ordinal:
-    if not isinstance(x, Str):
-        raise FormulaError(f"expected a quoted notation, found {sexpr.describe(x)}")
-    return ord_parse(x.value)
-
-
-TERM = Role(term_to_sexp, term_from_sexp)
-FORMULA = Role(formula_to_sexp, formula_from_sexp)
-# another layer's codec is looked up when called, so that a wrapper bound to
-# its name here (such as a tracer's) sees the call
-SPEC = Role(lambda s: spec_to_sexp(s), lambda x: spec_from_sexp(x))
-SYMBOL = Role(str, _symbol)
-ORDINAL = Role(lambda o: Str(ord_text(o)), _ordinal)
+TERMS.define({
+    Num: (int, (NATURAL,)),
+    Var: (str, (SYMBOL,)),
+    Plus: ("+", (TERM, TERM)),
+    Times: ("*", (TERM, TERM)),
+})
+SEQUENTS.define({frozenset: ("seq", (Role(sort=FORMULAS, many=REST),))})
 
 _SHAPES = {
     Eq: ("=", (TERM, TERM)),
@@ -366,8 +281,7 @@ _OPS = {
     )
     for cls, (_, roles) in _SHAPES.items()
 }
-_ENCODERS = {cls: (head, tuple(role.encode for role in roles)) for cls, (head, roles) in _SHAPES.items()}
-_DECODERS = {head: (cls, tuple(role.decode for role in roles)) for cls, (head, roles) in _SHAPES.items()}
+FORMULAS.define(_SHAPES)
 
 
 def _not_a_formula(f) -> FormulaError:

@@ -21,6 +21,7 @@ from . import sexpr
 from .derivations import Code, check_local, parse_code, root_label
 from .formulas import ti_sequent
 from .orderings import (
+    SPECS,
     OrderingSpec,
     check_lo,
     embed_search,
@@ -29,7 +30,6 @@ from .orderings import (
     otyp,
     rankable,
     search_descending,
-    spec_from_sexp,
 )
 from .ordinals import ZERO, Cmp, Ordinal, compare, max_ord
 from .sexpr import Str
@@ -225,7 +225,7 @@ def store_from_sexp(x, cert_loader: Callable[[str], str]) -> TheoryStore:
     for item in x[2:]:
         if not (isinstance(item, list) and len(item) == 3 and item[0] == "claim"):
             raise LabError(f"bad claim: {sexpr.describe(item)}")
-        spec = spec_from_sexp(item[1])
+        spec = sexpr.read(SPECS, item[1])
         ev = item[2]
         if ev == "asserted":
             claims.append(Claim(spec, Evidence.ASSERTED))

@@ -26,7 +26,7 @@ from math import isqrt
 from . import sexpr
 from .ordinals import (ONE, Cmp, NotationError, Ordinal, add, canonical_texts, compare, div, from_int, left_diff, lt,
                        mul, parse, text)
-from .sexpr import Str
+from .sexpr import NATURAL, REST, Role, Str
 from .verdict import Verdict
 
 
@@ -306,8 +306,9 @@ def element_of_rank(spec: OrderingSpec, rho: Ordinal) -> int | None:
 def _iter_below(bound: Ordinal):
     if bound.is_finite():  # just 0..n-1
         return map(_text_code, map(str, range(bound.nat_value())))
-    # an infinite bound holds every natural, so no length of text comes up empty
-    return (_text_code(s) for s in canonical_texts() if lt(parse(s), bound))
+    # an infinite bound holds every natural, so no length of text comes up
+    # empty, and only the texts that are not numerals need a comparison
+    return (_text_code(s) for s in canonical_texts() if s[0].isdigit() or lt(parse(s), bound))
 
 
 def _iter_lex(spec: LexOrd):
@@ -395,9 +396,7 @@ def check_lo(spec: OrderingSpec, budget: int) -> LoReport:
 # --- descending-chain search ---------------------------------------------------
 
 
-def search_descending(
-    spec: OrderingSpec, start: int, budget: int, pool_size: int | None = None
-) -> list[int] | None:
+def search_descending(spec: OrderingSpec, start: int, budget: int) -> list[int] | None:
     """Look for a descending chain of length `budget` starting at `start`.
 
     Rank-supporting specs are reported chain-free outright: every step
@@ -410,7 +409,7 @@ def search_descending(
         return None
     if rankable(spec):
         return None
-    pool = field_elements(spec, pool_size if pool_size is not None else max(64, 4 * budget))
+    pool = field_elements(spec, max(64, 4 * budget))
     failed_at: dict[int, int] = {}
 
     def extend(chain: list[int]) -> list[int] | None:
@@ -443,18 +442,11 @@ class EmbedResult:
     reason: str
 
 
-def embed_search(
-    source: OrderingSpec,
-    beta: int,
-    target: OrderingSpec,
-    budget: int,
-    pool_size: int | None = None,
-    max_sample: int = 256,
-) -> EmbedResult:
+def embed_search(source: OrderingSpec, beta: int, target: OrderingSpec, budget: int) -> EmbedResult:
     """Order-preserving map of {x : x <= beta in source} into target.
 
-    The restriction is sampled at codes below `budget` (at most `max_sample`
-    of them).  For rank-supporting targets the decision is exact: the
+    The restriction is sampled at codes below `budget` (at most 256 of
+    them).  For rank-supporting targets the decision is exact: the
     restriction (order type rank(beta)+1) embeds iff that does not exceed
     otyp(target), and the emitted map is the canonical rank-preserving one.
     Ill-founded targets get a greedy budgeted search instead, so failures
@@ -464,7 +456,7 @@ def embed_search(
         return EmbedResult(False, None, "restriction point outside the field")
     restriction = []
     for x in iter_field(source):
-        if x >= budget or len(restriction) >= max_sample:
+        if x >= budget or len(restriction) >= 256:
             break
         if x == beta or less(source, x, beta):
             restriction.append(x)
@@ -476,7 +468,7 @@ def embed_search(
             return EmbedResult(False, None, "target order type too small")
         mapping = [(x, element_of_rank(target, rank(source, x))) for x in restriction]
     else:
-        pool = field_elements(target, pool_size if pool_size is not None else max(64, 2 * len(restriction)))
+        pool = field_elements(target, max(64, 2 * len(restriction)))
         pool.sort(key=cmp_to_key(lambda a, b: -1 if less(target, a, b) else 1))
         mapping = []
         pos = 0
@@ -501,63 +493,34 @@ def embed_search(
 # --- S-expression format ---------------------------------------------------------
 
 
-def spec_to_sexp(spec: OrderingSpec):
-    if isinstance(spec, FinOrd):
-        return ["fin", spec.size]
-    if isinstance(spec, BelowOrd):
-        return ["below", Str(text(spec.bound))]
-    if isinstance(spec, SumOrd):
-        return ["sum", spec_to_sexp(spec.first), spec_to_sexp(spec.second)]
-    if isinstance(spec, LexOrd):
-        return ["lex", spec_to_sexp(spec.major), spec_to_sexp(spec.minor)]
-    if isinstance(spec, RevOrd):
-        return ["rev", spec_to_sexp(spec.inner)]
-    if isinstance(spec, TableOrd):
-        return ["table"] + [[a, b] for a, b in sorted(spec.pairs)]
-    raise SpecError(f"unknown spec {spec!r}")
+def _notation(x) -> Ordinal | None:
+    return parse(x.value) if type(x) is Str else None
 
 
-def spec_from_sexp(x) -> OrderingSpec:
-    if not isinstance(x, list) or not x or not isinstance(x[0], str):
-        raise SpecError(f"not an ordering spec: {sexpr.describe(x)}")
-    head = x[0]
-    if head == "fin":
-        if len(x) != 2 or not isinstance(x[1], int) or x[1] < 0:
-            raise SpecError("fin wants one non-negative size")
-        return FinOrd(x[1])
-    if head == "below":
-        if len(x) != 2 or not isinstance(x[1], Str):
-            raise SpecError('below wants a quoted notation, e.g. (below "w^2")')
-        return BelowOrd(parse(x[1].value))
-    if head == "sum":
-        if len(x) != 3:
-            raise SpecError("sum wants two specs")
-        return SumOrd(spec_from_sexp(x[1]), spec_from_sexp(x[2]))
-    if head == "lex":
-        if len(x) != 3:
-            raise SpecError("lex wants two specs")
-        return LexOrd(spec_from_sexp(x[1]), spec_from_sexp(x[2]))
-    if head == "rev":
-        if len(x) != 2:
-            raise SpecError("rev wants one spec")
-        return RevOrd(spec_from_sexp(x[1]))
-    if head == "table":
-        pairs = set()
-        for p in x[1:]:
-            if (
-                not isinstance(p, list)
-                or len(p) != 2
-                or not all(isinstance(v, int) and v >= 0 for v in p)
-            ):
-                raise SpecError("table entries are (n m) pairs")
-            pairs.add((p[0], p[1]))
-        return TableOrd(frozenset(pairs))
-    raise SpecError(f"unknown combinator {head!r}")
+def _table_pair(x) -> tuple[int, int] | None:
+    if type(x) is list and len(x) == 2 and all(type(v) is int and v >= 0 for v in x):
+        return x[0], x[1]
+    return None
+
+
+SPECS = sexpr.Sort("an ordering spec", SpecError)
+SPEC = Role(sort=SPECS)
+# an ordinal notation, written quoted
+ORDINAL = Role(lambda o: Str(text(o)), _notation)
+
+SPECS.define({
+    FinOrd: ("fin", (NATURAL,)),
+    BelowOrd: ("below", (ORDINAL,)),
+    SumOrd: ("sum", (SPEC, SPEC)),
+    LexOrd: ("lex", (SPEC, SPEC)),
+    RevOrd: ("rev", (SPEC,)),
+    TableOrd: ("table", (Role(list, _table_pair, many=REST),)),
+})
 
 
 def spec_text(spec: OrderingSpec) -> str:
-    return sexpr.dump(spec_to_sexp(spec))
+    return sexpr.dump(sexpr.write(SPECS, spec))
 
 
 def parse_spec(s: str) -> OrderingSpec:
-    return spec_from_sexp(sexpr.parse(s))
+    return sexpr.read(SPECS, sexpr.parse(s))

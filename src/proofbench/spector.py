@@ -17,6 +17,7 @@ from . import sexpr
 from .derivations import Code, check_local, derive_ti, parse_code, root_label
 from .formulas import ti_sequent
 from .orderings import (
+    SPECS,
     BelowOrd,
     OrderingSpec,
     element_of_rank,
@@ -25,7 +26,6 @@ from .orderings import (
     ord_code,
     otyp,
     rank,
-    spec_from_sexp,
 )
 from .ordinals import EPSILON, ONE, ZERO, Cmp, Ordinal, add, compare, lt, max_ord, pow2
 from .sexpr import Str
@@ -153,7 +153,7 @@ def enumeration_from_sexp(x, cert_loader: Callable[[str], str]) -> list[Certifie
                 and isinstance(item[2], Str)):
             raise SpectorError(f"bad entry: {sexpr.describe(item)}")
         code = parse_code(cert_loader(item[2].value))
-        out.append(CertifiedEntry(item[0], spec_from_sexp(item[1]), code))
+        out.append(CertifiedEntry(item[0], sexpr.read(SPECS, item[1]), code))
     return out
 
 

@@ -2,7 +2,8 @@
 
 0 = pass, 1 = a verdict failed (and a fail record says so), 2 = bad input,
 3 = precondition violated; never a traceback.  Certificates decode at any
-nesting depth; ordinal notations nest at most `ordinals.MAX_NESTING` deep.
+nesting depth; ordinal notations, and the formulas, terms and ordering specs
+in a certificate, nest at most `ordinals.MAX_NESTING` deep.
 """
 
 import contextlib
@@ -10,14 +11,15 @@ import io
 import json
 import re
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, main
 from proofbench.derivations import code_text, derive_ti, expand, parse_code
-from proofbench.formulas import sequent_text, ti_sequent
-from proofbench.orderings import FinOrd
+from proofbench.formulas import FormulaError, parse_formula, parse_sequent, sequent_text, ti_sequent
+from proofbench.orderings import FinOrd, SpecError, parse_spec
 from proofbench.ordinals import MAX_NESTING
 
 BASE = code_text(expand(derive_ti(FinOrd(2))))
@@ -26,6 +28,18 @@ HEADS = ["axm", "axl", "and", "or", "ex", "cut", "rep", "all", "tiprog", "tiroot
          "inv", "tikids", "predkids", "fs", "tivac", "predvac", "seq", "=", "!=", "in", "nin",
          "lt", "nlt", "fld", "nfld", "seg", "nseg", "forall", "exists", "fin", "below", "sum",
          "lex", "rev", "table", "foo"]
+
+
+# where the fuzz nests a formula, a term or an ordering spec, and how
+WRAPS = {
+    "formula": (r"\((?:in|nin) \w+ X\)", "(and (= 1 1) "),
+    "term": (r"(?<=in )\w+(?= X\))", "(+ 0 "),
+    "spec": (r"\(fin 2\)", "(rev "),
+}
+
+
+def nest(opener: str, inner: str, levels: int) -> str:
+    return opener * levels + inner + ")" * levels
 
 
 def rep_tower(levels: int) -> str:
@@ -70,7 +84,17 @@ def mutants(draw):
                 text = text[:at] + text[at + 1:]
         else:
             levels = draw(st.integers(1, 3000))
-            text = "".join(f'(rep (seq) "{i}" ' for i in range(levels)) + text + ")" * levels
+            what = draw(st.sampled_from(["rep", "mono", *WRAPS]))
+            if what == "rep":
+                text = "".join(f'(rep (seq) "{i}" ' for i in range(levels)) + text + ")" * levels
+            elif what == "mono":
+                text = "(mono " * levels + text + ' (seq (= 1 1)) "0")' * levels
+            else:
+                pattern, opener = WRAPS[what]
+                spots = [m.span() for m in re.finditer(pattern, text)]
+                if spots:
+                    a, b = draw(st.sampled_from(spots))
+                    text = text[:a] + nest(opener, text[a:b], levels) + text[b:]
     return text
 
 
@@ -131,3 +155,62 @@ def test_over_nested_notation_is_bad_input(tmp_path):
     path.write_text(f'(axm (seq (= 1 1)) "{tower(400)}")')
     code, _, err = run(["check", str(path), "--json"])
     assert code == EXIT_PARSE and "nest" in err
+
+
+DEEP_VALUES = {
+    "formula": f'(axm (seq {nest("(and (= 1 1) ", "(= 1 1)", 3000)}) "0")',
+    "term": f'(axm (seq (= {nest("(+ 0 ", "1", 3000)} 1)) "0")',
+    "spec": f'(tiroot {nest("(rev ", "(fin 1)", 3000)})',
+}
+
+
+@pytest.mark.parametrize("kind", DEEP_VALUES)
+def test_deeply_nested_values_are_bad_input(tmp_path, kind):
+    path = tmp_path / "deep.sx"
+    path.write_text(DEEP_VALUES[kind])
+    code, _, err = run(["check", str(path), "--json"])
+    assert code == EXIT_PARSE and f"deeper than {MAX_NESTING} levels" in err and "Traceback" not in err
+
+
+# each text, given a depth, nests that many parentheses deep
+@pytest.mark.parametrize(
+    "read, text, error",
+    [
+        (parse_formula, lambda k: nest("(and (= 1 1) ", "(= 1 1)", k - 1), FormulaError),
+        (parse_formula, lambda k: f"(= {nest('(+ 0 ', '1', k - 1)} 1)", FormulaError),
+        (parse_spec, lambda k: nest("(rev ", "(fin 1)", k - 1), SpecError),
+        # a sequent, its formula and the spec in it count together
+        (parse_sequent, lambda k: f"(seq (fld {nest('(rev ', '(fin 1)', k - 3)} 0))", SpecError),
+    ],
+    ids=["formula", "term", "spec", "spec-in-sequent"],
+)
+def test_values_nest_up_to_the_bound(read, text, error):
+    hash(read(text(MAX_NESTING)))
+    with pytest.raises(error, match=f"deeper than {MAX_NESTING} levels"):
+        read(text(MAX_NESTING + 1))
+
+
+AXIOM = '(axm (seq (= 1 1)) "0")'
+CONJ = "(and (= 1 1) (= 1 1))"
+
+
+@pytest.mark.parametrize(
+    "text, nodes",
+    [
+        ("(mono " * 3000 + AXIOM + ' (seq (= 1 1)) "0")' * 3000, 1),
+        # the weakenings are pushed through each repetition to its premise
+        ("(mono " * 3000 + rep_tower(50) + ' (seq (= 1 1)) "50")' * 3000, 51),
+        # every inversion after the first misses its target
+        ("(inv " * 3000 + f'(axm (seq (= 1 1) {CONJ}) "0")' + f" {CONJ} 1)" * 3000, None),
+        # each weakening puts the target back for the inversion above it
+        ("(inv (mono " * 1500 + AXIOM + f' (seq (= 1 1) {CONJ}) "0") {CONJ} 1)' * 1500, 1),
+    ],
+    ids=["mono", "mono-over-rep", "inv", "inv-over-mono"],
+)
+def test_deep_transformer_chains(tmp_path, text, nodes):
+    path = tmp_path / "chain.sx"
+    path.write_text(text)
+    code, out, err = run(["check", str(path), "--json"])
+    assert_contract(code, out, err)
+    if nodes is not None:
+        assert code == EXIT_OK and json.loads(out.splitlines()[0])["nodes_visited"] == nodes

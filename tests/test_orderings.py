@@ -118,6 +118,10 @@ def test_field_elements_below_w():
     # a finite bound ends the field, past the five-character texts
     whole = list(iter_field(BelowOrd(from_int(100_001))))
     assert whole == [code(str(i)) for i in range(100_001)] and whole[-1] == code("100000")
+    # numerals lie below every infinite bound, so they are not parsed
+    parse.cache_clear()
+    assert len(field_elements(BelowOrd(W), 100_000)) == 100_000
+    assert parse.cache_info().misses < 10_000
 
 
 def _scan(length: int) -> list[str]:
