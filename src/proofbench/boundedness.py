@@ -45,7 +45,7 @@ from .formulas import (
     term_vars,
     ti_sequent,
 )
-from .orderings import OrderingSpec, in_field, iter_field, otyp, rank, rankable
+from .orderings import OrderingSpec, field_elements, in_field, otyp, rank, rankable
 from .ordinals import ZERO, Cmp, Ordinal, add, compare, le, lt, max_ord, pow2
 from .verdict import Verdict, v_and, v_or
 
@@ -344,9 +344,7 @@ def otyp_bound(
     value = otyp(spec)
     comparison = compare(value, bound)
     checks = []
-    for e in iter_field(spec):
-        if len(checks) >= eval_budget:
-            break
+    for e in field_elements(spec, eval_budget):
         rho = rank(spec, e)
         checks.append(RankCheck(e, rho, bound, lt(rho, bound)))
     ok = comparison in (Cmp.LT, Cmp.EQ) and all(c.ok for c in checks)

@@ -526,13 +526,28 @@ def _step_inv(code: Inv, inner: Step) -> Step:
                 chosen = Inv(chosen, conj, which)
             return step(Mono(chosen, new_seq, inner.label.tag))
 
-    def kid(i: int) -> Code:
-        c = inner.child(i)
-        if conj in step(c).label.sequent:
-            return Inv(c, conj, which)
-        return c
+    below = inner.child if type(inner.child) is _Inverted else _Inverted(inner.child, ())
+    kids = _Inverted(below.child, below.inversions + ((conj, which, picked),))
+    return Step(NodeLabel(new_seq, rule, inner.label.tag), inner.indices, kids)
 
-    return Step(NodeLabel(new_seq, rule, inner.label.tag), inner.indices, kid)
+
+class _Inverted(NamedTuple):
+    """The children under a chain of inversions, and its (conj, which, picked)
+    triples, innermost first.  A child is stepped once, then its sequent is
+    tracked: each inversion trades a present `conj` for `picked`."""
+
+    child: Callable[[int], Code]
+    inversions: tuple[tuple[Formula, int, Formula], ...]
+
+    def __call__(self, i: int) -> Code:
+        c = self.child(i)
+        seq = set(step(c).label.sequent)
+        for conj, which, picked in self.inversions:
+            if conj in seq:
+                c = Inv(c, conj, which)
+                seq.remove(conj)
+                seq.add(picked)
+        return c
 
 
 def root_label(code: Code) -> NodeLabel:

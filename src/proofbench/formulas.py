@@ -24,11 +24,10 @@ from .orderings import (
     SPEC,
     OrderingSpec,
     UnsupportedRankError,
-    elements_up_to_rank,
+    finite_field,
+    finite_predecessors,
     in_field,
     less,
-    otyp,
-    rank,
     segment_member,
 )
 from .ordinals import Ordinal
@@ -411,19 +410,11 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
             spec, n = g.spec, eval_term(g.right)
             if not in_field(spec, n):
                 return []
-            try:
-                rho = rank(spec, n)
-            except UnsupportedRankError:
-                continue
-            if rho.is_finite():
-                return elements_up_to_rank(spec, rho.nat_value())
+            if (domain := finite_predecessors(spec, n)) is not None:
+                return domain
         if isinstance(g, want_field) and g.term == Var(var):
-            try:
-                size = otyp(g.spec)
-            except UnsupportedRankError:
-                continue
-            if size.is_finite():
-                return elements_up_to_rank(g.spec, size.nat_value())
+            if (domain := finite_field(g.spec)) is not None:
+                return domain
     return None
 
 

@@ -13,7 +13,7 @@ subrelation of the base, never descends unboundedly on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Union
 
@@ -29,6 +29,7 @@ from .orderings import (
     less,
     otyp,
     rankable,
+    restriction_embeds,
     search_descending,
 )
 from .ordinals import ZERO, Cmp, Ordinal, compare, max_ord
@@ -86,7 +87,7 @@ class ChainReport:
     first_violation: int | None
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrecT:
     """The induced relation: below the base, bounded by embeddable claims."""
 
@@ -94,23 +95,19 @@ class PrecT:
     store: TheoryStore
     embed_budget: int
     usable: tuple[int, ...]  # indices of claims that passed the linearity check
-    _embed_memo: dict = field(default_factory=dict, repr=False)
+    ranked: frozenset[int]  # usable claims whose orderings have ranks
 
     def less(self, a: int, b: int) -> bool:
         return less(self.base, a, b) and self.bounded(b)
 
     def bounded(self, b: int) -> bool:
-        """Some usable claim embeds the base restricted below b."""
-        return any(self._embeds(i, b) for i in self.usable)
-
-    def _embeds(self, claim_index: int, b: int) -> bool:
-        key = (claim_index, b)
-        got = self._embed_memo.get(key)
-        if got is None:
-            target = self.store.claims[claim_index].ordering
-            got = embed_search(self.base, b, target, self.embed_budget).ok
-            self._embed_memo[key] = got
-        return got
+        """Some usable claim embeds the base restricted below b: decided
+        exactly on claims with ranks, searched for on the others."""
+        return any(
+            restriction_embeds(self.base, b, self.store.claims[i].ordering) if i in self.ranked
+            else embed_search(self.base, b, self.store.claims[i].ordering, self.embed_budget).ok
+            for i in self.usable
+        )
 
 
 def build_precT(
@@ -138,7 +135,8 @@ def build_precT(
                 raise LabError(f"claim {i}: certificate fails local checks: {report.fail_reason}")
         if check_lo(claim.ordering, lo_budget).verdict is Verdict.TRUE:
             usable.append(i)
-    return PrecT(base, store, embed_budget, tuple(usable))
+    ranked = frozenset(i for i in usable if rankable(store.claims[i].ordering))
+    return PrecT(base, store, embed_budget, tuple(usable), ranked)
 
 
 def retype(prec: PrecT) -> Ordinal:
@@ -161,12 +159,10 @@ def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToB
     claim whose ordering admits a budget-length constructive descent is the
     culprit.  A checked culprit would be a soundness bug and raises.
     """
-    checked = 0
     for i in prec.usable:
-        claim = prec.store.claims[i]
-        checked += 1
-        if rankable(claim.ordering):
+        if i in prec.ranked:
             continue
+        claim = prec.store.claims[i]
         starts = field_elements(claim.ordering, 1)
         if not starts:
             continue
@@ -177,7 +173,7 @@ def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToB
                     f"soundness violation: checked claim {i} guards an ill-founded ordering"
                 )
             return CulpritReport(i, claim.ordering, claim.evidence, tuple(chain))
-    return WellFoundedUpToBudget(chain_budget, checked)
+    return WellFoundedUpToBudget(chain_budget, len(prec.usable))
 
 
 def chain_check(

@@ -24,8 +24,8 @@ from heapq import heappop, heappush, merge
 from math import isqrt
 
 from . import sexpr
-from .ordinals import (ONE, Cmp, NotationError, Ordinal, add, canonical_texts, compare, div, from_int, left_diff, lt,
-                       mul, parse, text)
+from .ordinals import (NotationError, Ordinal, add, canonical_texts, div, from_int, le, left_diff, lt, mul, parse,
+                       succ, text)
 from .sexpr import NATURAL, REST, Role, Str
 from .verdict import Verdict
 
@@ -38,39 +38,221 @@ class UnsupportedRankError(ValueError):
     """Rank/order type requested on a spec without one (Rev, bad tables)."""
 
 
+class OrderingSpec:
+    """A spec kind's defaults: well-founded, with no order type.  The kinds'
+    methods recurse through the module functions below, so their caches
+    see every call."""
+
+    def rankable(self) -> bool:
+        return True
+
+    def otyp(self) -> Ordinal:
+        raise UnsupportedRankError(f"no order type for {self!r}")
+
+    def rank(self, n: int) -> Ordinal:
+        raise UnsupportedRankError(f"no rank on {self!r}")
+
+
 @dataclass(frozen=True)
-class FinOrd:
+class FinOrd(OrderingSpec):
     size: int
 
+    def in_field(self, n: int) -> bool:
+        return 0 <= n < self.size
+
+    def less(self, n: int, m: int) -> bool:
+        return 0 <= n < m < self.size
+
+    def otyp(self) -> Ordinal:
+        return from_int(self.size)
+
+    def rank(self, n: int) -> Ordinal:
+        return from_int(n)
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        return rho.nat_value()
+
+    def iter_field(self):
+        return range(self.size)
+
 
 @dataclass(frozen=True)
-class BelowOrd:
+class BelowOrd(OrderingSpec):
     bound: Ordinal
 
+    def in_field(self, n: int) -> bool:
+        o = ord_decode(n)
+        return o is not None and lt(o, self.bound)
+
+    def less(self, n: int, m: int) -> bool:
+        a, b = ord_decode(n), ord_decode(m)
+        return a is not None and b is not None and lt(a, b) and lt(b, self.bound)
+
+    def otyp(self) -> Ordinal:
+        return self.bound
+
+    def rank(self, n: int) -> Ordinal:
+        return ord_decode(n)
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        return ord_code(rho)
+
+    def iter_field(self):
+        if self.bound.is_finite():  # just 0..n-1
+            return map(_text_code, map(str, range(self.bound.nat_value())))
+        # an infinite bound holds every natural, so no length of text comes up
+        # empty, and only the texts that are not numerals need a comparison
+        return (_text_code(s) for s in canonical_texts() if s[0].isdigit() or lt(parse(s), self.bound))
+
 
 @dataclass(frozen=True)
-class SumOrd:
+class SumOrd(OrderingSpec):
     first: "OrderingSpec"
     second: "OrderingSpec"
 
+    def in_field(self, n: int) -> bool:
+        return n >= 0 and in_field(self.second if n % 2 else self.first, n // 2)
+
+    def less(self, n: int, m: int) -> bool:
+        if not (in_field(self, n) and in_field(self, m)):
+            return False
+        if n % 2 != m % 2:
+            return m % 2 == 1
+        return less(self.second if n % 2 else self.first, n // 2, m // 2)
+
+    def rankable(self) -> bool:
+        return rankable(self.first) and rankable(self.second)
+
+    def otyp(self) -> Ordinal:
+        return add(otyp(self.first), otyp(self.second))
+
+    def rank(self, n: int) -> Ordinal:
+        if n % 2 == 0:
+            return rank(self.first, n // 2)
+        return add(otyp(self.first), rank(self.second, n // 2))
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        first_type = otyp(self.first)
+        if lt(rho, first_type):
+            return 2 * element_of_rank(self.first, rho)
+        return 2 * element_of_rank(self.second, left_diff(first_type, rho)) + 1
+
+    def iter_field(self):
+        return merge((2 * a for a in iter_field(self.first)), (2 * b + 1 for b in iter_field(self.second)))
+
 
 @dataclass(frozen=True)
-class LexOrd:
+class LexOrd(OrderingSpec):
     major: "OrderingSpec"
     minor: "OrderingSpec"
 
+    def in_field(self, n: int) -> bool:
+        if n < 0:
+            return False
+        a, b = unpair_code(n)
+        return in_field(self.major, a) and in_field(self.minor, b)
+
+    def less(self, n: int, m: int) -> bool:
+        if not (in_field(self, n) and in_field(self, m)):
+            return False
+        na, nb = unpair_code(n)
+        ma, mb = unpair_code(m)
+        return less(self.major, na, ma) if na != ma else less(self.minor, nb, mb)
+
+    def rankable(self) -> bool:
+        return rankable(self.major) and rankable(self.minor)
+
+    def otyp(self) -> Ordinal:
+        return mul(otyp(self.minor), otyp(self.major))
+
+    def rank(self, n: int) -> Ordinal:
+        a, b = unpair_code(n)
+        return add(mul(otyp(self.minor), rank(self.major, a)), rank(self.minor, b))
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        q, r = div(rho, otyp(self.minor))  # rho = otyp(minor)*q + r
+        return pair_code(element_of_rank(self.major, q), element_of_rank(self.minor, r))
+
+    def iter_field(self):
+        """Codes in code order, by a lazy merge of the rows pair_code(a_i, b_j).
+
+        pair_code grows with each argument, so row i waits until (i-1, 0) is
+        out, and each row asks for b_j only after row 0 has asked for it.
+        """
+        sides = (iter_field(self.major), iter_field(self.minor))
+        seen: tuple[list[int], list[int]] = ([], [])
+        heap: list[tuple[int, int, int]] = []
+
+        def push(i: int, j: int):
+            for side, k in ((0, i), (1, j)):
+                if k == len(seen[side]):
+                    seen[side].extend(itertools.islice(sides[side], 1))
+                if k >= len(seen[side]):
+                    return
+            heappush(heap, (pair_code(seen[0][i], seen[1][j]), i, j))
+
+        push(0, 0)
+        while heap:
+            code, i, j = heappop(heap)
+            yield code
+            push(i, j + 1)
+            if j == 0:
+                push(i + 1, 0)
+
 
 @dataclass(frozen=True)
-class RevOrd:
+class RevOrd(OrderingSpec):
     inner: "OrderingSpec"
 
+    def in_field(self, n: int) -> bool:
+        return in_field(self.inner, n)
+
+    def less(self, n: int, m: int) -> bool:
+        return n != m and less(self.inner, m, n)
+
+    def rankable(self) -> bool:
+        return False
+
+    def iter_field(self):
+        return iter_field(self.inner)
+
 
 @dataclass(frozen=True)
-class TableOrd:
+class TableOrd(OrderingSpec):
     pairs: frozenset[tuple[int, int]]
 
+    def field(self) -> frozenset[int]:
+        return frozenset(x for p in self.pairs for x in p)
 
-OrderingSpec = FinOrd | BelowOrd | SumOrd | LexOrd | RevOrd | TableOrd
+    def in_field(self, n: int) -> bool:
+        return n in self.field()
+
+    def less(self, n: int, m: int) -> bool:
+        return (n, m) in self.pairs
+
+    def ordered(self) -> list[int]:
+        """The field by number of predecessors: the order, when the pairs are linear."""
+        field = self.field()
+        return sorted(field, key=lambda x: sum((y, x) in self.pairs for y in field))
+
+    def rankable(self) -> bool:
+        ordered = self.ordered()
+        return self.pairs == {(x, y) for i, x in enumerate(ordered) for y in ordered[i + 1:]}
+
+    def otyp(self) -> Ordinal:
+        if not self.rankable():
+            raise UnsupportedRankError("table is not a linear order")
+        return from_int(len(self.field()))
+
+    def rank(self, n: int) -> Ordinal:
+        otyp(self)  # cached, and raises unless the table is a linear order
+        return from_int(sum((x, n) in self.pairs for x in self.field()))
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        return self.ordered()[rho.nat_value()]
+
+    def iter_field(self):
+        return sorted(self.field())
 
 
 # --- element coding ----------------------------------------------------------
@@ -105,120 +287,25 @@ def unpair_code(n: int) -> tuple[int, int]:
     return s - b, b
 
 
-def _table_field(t: TableOrd) -> frozenset[int]:
-    return frozenset(x for p in t.pairs for x in p)
-
-
 # --- decision procedures ------------------------------------------------------
 
 
 def in_field(spec: OrderingSpec, n: int) -> bool:
-    if isinstance(spec, FinOrd):
-        return 0 <= n < spec.size
-    if isinstance(spec, BelowOrd):
-        o = ord_decode(n)
-        return o is not None and lt(o, spec.bound)
-    if isinstance(spec, SumOrd):
-        part, m = (spec.first, n // 2) if n % 2 == 0 else (spec.second, n // 2)
-        return n >= 0 and in_field(part, m)
-    if isinstance(spec, LexOrd):
-        if n < 0:
-            return False
-        a, b = unpair_code(n)
-        return in_field(spec.major, a) and in_field(spec.minor, b)
-    if isinstance(spec, RevOrd):
-        return in_field(spec.inner, n)
-    if isinstance(spec, TableOrd):
-        return n in _table_field(spec)
-    raise SpecError(f"unknown spec {spec!r}")
+    return spec.in_field(n)
 
 
 def less(spec: OrderingSpec, n: int, m: int) -> bool:
-    if isinstance(spec, FinOrd):
-        return 0 <= n < m < spec.size
-    if isinstance(spec, BelowOrd):
-        a, b = ord_decode(n), ord_decode(m)
-        return (
-            a is not None
-            and b is not None
-            and lt(a, spec.bound)
-            and lt(b, spec.bound)
-            and lt(a, b)
-        )
-    if isinstance(spec, SumOrd):
-        if not (in_field(spec, n) and in_field(spec, m)):
-            return False
-        if n % 2 == 0 and m % 2 == 1:
-            return True
-        if n % 2 == 1 and m % 2 == 0:
-            return False
-        part = spec.first if n % 2 == 0 else spec.second
-        return less(part, n // 2, m // 2)
-    if isinstance(spec, LexOrd):
-        if not (in_field(spec, n) and in_field(spec, m)):
-            return False
-        na, nb = unpair_code(n)
-        ma, mb = unpair_code(m)
-        if na != ma:
-            return less(spec.major, na, ma)
-        return less(spec.minor, nb, mb)
-    if isinstance(spec, RevOrd):
-        return n != m and less(spec.inner, m, n)
-    if isinstance(spec, TableOrd):
-        return (n, m) in spec.pairs
-    raise SpecError(f"unknown spec {spec!r}")
-
-
-def _table_valid(t: TableOrd) -> bool:
-    field = sorted(_table_field(t))
-    for x in field:
-        if (x, x) in t.pairs:
-            return False
-    for x, y in itertools.combinations(field, 2):
-        if ((x, y) in t.pairs) == ((y, x) in t.pairs):
-            return False
-    for x, y in t.pairs:
-        for z in field:
-            if (y, z) in t.pairs and (x, z) not in t.pairs:
-                return False
-    return True
+    return spec.less(n, m)
 
 
 def rankable(spec: OrderingSpec) -> bool:
     """True when the combinator is well-founded by construction."""
-    if isinstance(spec, (FinOrd, BelowOrd)):
-        return True
-    if isinstance(spec, (SumOrd, LexOrd)):
-        a, b = _parts(spec)
-        return rankable(a) and rankable(b)
-    if isinstance(spec, RevOrd):
-        return False
-    if isinstance(spec, TableOrd):
-        return _table_valid(spec)
-    raise SpecError(f"unknown spec {spec!r}")
-
-
-def _parts(spec):
-    if isinstance(spec, SumOrd):
-        return spec.first, spec.second
-    return spec.major, spec.minor
+    return spec.rankable()
 
 
 @lru_cache(maxsize=None)
 def otyp(spec: OrderingSpec) -> Ordinal:
-    if isinstance(spec, FinOrd):
-        return from_int(spec.size)
-    if isinstance(spec, BelowOrd):
-        return spec.bound
-    if isinstance(spec, SumOrd):
-        return add(otyp(spec.first), otyp(spec.second))
-    if isinstance(spec, LexOrd):
-        return mul(otyp(spec.minor), otyp(spec.major))
-    if isinstance(spec, TableOrd):
-        if not _table_valid(spec):
-            raise UnsupportedRankError("table is not a linear order")
-        return from_int(len(_table_field(spec)))
-    raise UnsupportedRankError(f"no order type for {spec!r}")
+    return spec.otyp()
 
 
 @lru_cache(maxsize=262144)
@@ -226,25 +313,7 @@ def rank(spec: OrderingSpec, n: int) -> Ordinal:
     """Order type of the strict predecessors of n."""
     if not in_field(spec, n):
         raise UnsupportedRankError(f"{n} is not in the field")
-    if isinstance(spec, FinOrd):
-        return from_int(n)
-    if isinstance(spec, BelowOrd):
-        o = ord_decode(n)
-        assert o is not None
-        return o
-    if isinstance(spec, SumOrd):
-        if n % 2 == 0:
-            return rank(spec.first, n // 2)
-        return add(otyp(spec.first), rank(spec.second, n // 2))
-    if isinstance(spec, LexOrd):
-        a, b = unpair_code(n)
-        return add(mul(otyp(spec.minor), rank(spec.major, a)), rank(spec.minor, b))
-    if isinstance(spec, TableOrd):
-        if not _table_valid(spec):
-            raise UnsupportedRankError("table is not a linear order")
-        below = [x for x in _table_field(spec) if (x, n) in spec.pairs]
-        return from_int(len(below))
-    raise UnsupportedRankError(f"no rank on {spec!r}")
+    return spec.rank(n)
 
 
 def segment_member(spec: OrderingSpec, n: int, alpha: Ordinal) -> bool:
@@ -263,9 +332,7 @@ def finite_field(spec: OrderingSpec) -> list[int] | None:
         size = otyp(spec)
     except UnsupportedRankError:
         return None
-    if not size.is_finite():
-        return None
-    return elements_up_to_rank(spec, size.nat_value())
+    return elements_up_to_rank(spec, size.nat_value()) if size.is_finite() else None
 
 
 def finite_predecessors(spec: OrderingSpec, n: int) -> list[int] | None:
@@ -274,89 +341,22 @@ def finite_predecessors(spec: OrderingSpec, n: int) -> list[int] | None:
         rho = rank(spec, n)
     except UnsupportedRankError:
         return None
-    if not rho.is_finite():
-        return None
-    return elements_up_to_rank(spec, rho.nat_value())
+    return elements_up_to_rank(spec, rho.nat_value()) if rho.is_finite() else None
 
 
 def element_of_rank(spec: OrderingSpec, rho: Ordinal) -> int | None:
     """Inverse of rank; None when rho >= otyp(spec)."""
     if not lt(rho, otyp(spec)):
         return None
-    if isinstance(spec, FinOrd):
-        return rho.nat_value()
-    if isinstance(spec, BelowOrd):
-        return ord_code(rho)
-    if isinstance(spec, SumOrd):
-        first_type = otyp(spec.first)
-        if lt(rho, first_type):
-            return 2 * element_of_rank(spec.first, rho)
-        return 2 * element_of_rank(spec.second, left_diff(first_type, rho)) + 1
-    if isinstance(spec, TableOrd):
-        ordered = sorted(_table_field(spec), key=cmp_to_key(lambda x, y: -1 if less(spec, x, y) else 1))
-        return ordered[rho.nat_value()]
-    # otyp raised on every other spec, so this is a lex: rho = otyp(minor)*q + r
-    q, r = div(rho, otyp(spec.minor))
-    return pair_code(element_of_rank(spec.major, q), element_of_rank(spec.minor, r))
+    return spec.element_of_rank(rho)
 
 
 # --- field enumeration (ascending code order) --------------------------------
 
 
-def _iter_below(bound: Ordinal):
-    if bound.is_finite():  # just 0..n-1
-        return map(_text_code, map(str, range(bound.nat_value())))
-    # an infinite bound holds every natural, so no length of text comes up
-    # empty, and only the texts that are not numerals need a comparison
-    return (_text_code(s) for s in canonical_texts() if s[0].isdigit() or lt(parse(s), bound))
-
-
-def _iter_lex(spec: LexOrd):
-    """Lex codes in code order, by a lazy merge of the rows pair_code(a_i, b_j).
-
-    pair_code grows with each argument, so row i waits until (i-1, 0) is
-    out, and each row asks for b_j only after row 0 has asked for it.
-    """
-    sides = (iter_field(spec.major), iter_field(spec.minor))
-    seen: tuple[list[int], list[int]] = ([], [])
-    heap: list[tuple[int, int, int]] = []
-
-    def push(i: int, j: int):
-        for side, k in ((0, i), (1, j)):
-            if k == len(seen[side]):
-                seen[side].extend(itertools.islice(sides[side], 1))
-            if k >= len(seen[side]):
-                return
-        heappush(heap, (pair_code(seen[0][i], seen[1][j]), i, j))
-
-    push(0, 0)
-    while heap:
-        code, i, j = heappop(heap)
-        yield code
-        push(i, j + 1)
-        if j == 0:
-            push(i + 1, 0)
-
-
 def iter_field(spec: OrderingSpec):
     """Field element codes in ascending code order."""
-    if isinstance(spec, FinOrd):
-        yield from range(spec.size)
-    elif isinstance(spec, BelowOrd):
-        yield from _iter_below(spec.bound)
-    elif isinstance(spec, SumOrd):
-        yield from merge(
-            (2 * a for a in iter_field(spec.first)),
-            (2 * b + 1 for b in iter_field(spec.second)),
-        )
-    elif isinstance(spec, RevOrd):
-        yield from iter_field(spec.inner)
-    elif isinstance(spec, TableOrd):
-        yield from sorted(_table_field(spec))
-    elif isinstance(spec, LexOrd):
-        yield from _iter_lex(spec)
-    else:
-        raise SpecError(f"unknown spec {spec!r}")
+    yield from spec.iter_field()
 
 
 def field_elements(spec: OrderingSpec, k: int) -> list[int]:
@@ -442,29 +442,32 @@ class EmbedResult:
     reason: str
 
 
+def restriction_embeds(source: OrderingSpec, beta: int, target: OrderingSpec) -> bool:
+    """{x : x <= beta in source} embeds into the rank-supporting target.
+
+    For beta in the field the restriction has order type rank(beta)+1, so
+    this is exact: it embeds iff that does not exceed otyp(target).
+    """
+    return in_field(source, beta) and le(succ(rank(source, beta)), otyp(target))
+
+
 def embed_search(source: OrderingSpec, beta: int, target: OrderingSpec, budget: int) -> EmbedResult:
     """Order-preserving map of {x : x <= beta in source} into target.
 
     The restriction is sampled at codes below `budget` (at most 256 of
-    them).  For rank-supporting targets the decision is exact: the
-    restriction (order type rank(beta)+1) embeds iff that does not exceed
-    otyp(target), and the emitted map is the canonical rank-preserving one.
+    them).  For rank-supporting targets the decision is restriction_embeds,
+    and the emitted map is the canonical rank-preserving one.
     Ill-founded targets get a greedy budgeted search instead, so failures
     there only mean "not found at this budget".
     """
     if not in_field(source, beta):
         return EmbedResult(False, None, "restriction point outside the field")
-    restriction = []
-    for x in iter_field(source):
-        if x >= budget or len(restriction) >= 256:
-            break
-        if x == beta or less(source, x, beta):
-            restriction.append(x)
+    codes = itertools.takewhile(lambda x: x < budget, iter_field(source))
+    restriction = list(itertools.islice((x for x in codes if x == beta or less(source, x, beta)), 256))
     restriction.sort(key=cmp_to_key(lambda a, b: -1 if less(source, a, b) else 1))
 
     if rankable(target):
-        top = add(rank(source, beta), ONE)
-        if compare(top, otyp(target)) is Cmp.GT:
+        if not restriction_embeds(source, beta, target):
             return EmbedResult(False, None, "target order type too small")
         mapping = [(x, element_of_rank(target, rank(source, x))) for x in restriction]
     else:

@@ -21,7 +21,7 @@ from .orderings import (
     BelowOrd,
     OrderingSpec,
     element_of_rank,
-    iter_field,
+    field_elements,
     less,
     ord_code,
     otyp,
@@ -127,11 +127,7 @@ def verify_domination(entries, report: WitnessReport, sample: int = 50) -> Domin
     for e in entries:
         value = otyp(e.ordering)
         rows.append(DominationRow(e.index, value, compare(value, report.order_type) is Cmp.LT))
-        taken = 0
-        for n in iter_field(e.ordering):
-            if taken >= sample:
-                break
-            taken += 1
+        for n in field_elements(e.ordering, sample):
             rho = rank(e.ordering, n)
             image = element_of_rank(report.ordering, rho)
             below = image is not None and (image == top or less(report.ordering, image, top))

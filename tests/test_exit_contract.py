@@ -10,6 +10,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -194,6 +195,13 @@ AXIOM = '(axm (seq (= 1 1)) "0")'
 CONJ = "(and (= 1 1) (= 1 1))"
 
 
+def inversion_chain(levels: int) -> str:
+    """`levels` inversions over a repetition, one per conjunction of its sequent."""
+    conjs = [f"(and (= {i} {i}) (= {i} {i}))" for i in range(1, levels + 1)]
+    sequent = f"(seq (= 0 0) {' '.join(conjs)})"
+    return "(inv " * levels + f'(rep {sequent} "1" (axm {sequent} "0"))' + "".join(f" {c} 1)" for c in conjs)
+
+
 @pytest.mark.parametrize(
     "text, nodes",
     [
@@ -204,13 +212,17 @@ CONJ = "(and (= 1 1) (= 1 1))"
         ("(inv " * 3000 + f'(axm (seq (= 1 1) {CONJ}) "0")' + f" {CONJ} 1)" * 3000, None),
         # each weakening puts the target back for the inversion above it
         ("(inv (mono " * 1500 + AXIOM + f' (seq (= 1 1) {CONJ}) "0") {CONJ} 1)' * 1500, 1),
+        # every inversion is pushed into the repetition's premise
+        (inversion_chain(1200), 2),
     ],
-    ids=["mono", "mono-over-rep", "inv", "inv-over-mono"],
+    ids=["mono", "mono-over-rep", "inv", "inv-over-mono", "inv-over-rep"],
 )
 def test_deep_transformer_chains(tmp_path, text, nodes):
     path = tmp_path / "chain.sx"
     path.write_text(text)
+    started = time.monotonic()
     code, out, err = run(["check", str(path), "--json"])
+    assert time.monotonic() - started < 5
     assert_contract(code, out, err)
     if nodes is not None:
         assert code == EXIT_OK and json.loads(out.splitlines()[0])["nodes_visited"] == nodes

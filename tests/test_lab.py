@@ -13,7 +13,18 @@ from proofbench.lab import (
     reflect_check,
     retype,
 )
-from proofbench.orderings import BelowOrd, FinOrd, RevOrd, TableOrd, field_elements, less, rank
+from proofbench.orderings import (
+    BelowOrd,
+    FinOrd,
+    LexOrd,
+    RevOrd,
+    SumOrd,
+    TableOrd,
+    embed_search,
+    field_elements,
+    less,
+    rank,
+)
 from proofbench.ordinals import lt, parse
 
 P = parse
@@ -63,6 +74,32 @@ def test_fin_claim_restricts_base():
     for b in elems:
         participates = any(prec.less(a, b) for a in elems if a != b)
         assert participates == (0 < rank(BelowOrd(W), b).nat_value() < 5)
+
+
+def test_bounded_matches_embed_search():
+    claims = (
+        checked(FinOrd(5)),
+        checked(BelowOrd(W)),
+        checked(SumOrd(FinOrd(2), BelowOrd(P("40")))),
+        asserted(LexOrd(FinOrd(3), BelowOrd(P("20")))),
+        checked(TableOrd(frozenset({(4, 7), (4, 9), (7, 9)}))),
+        asserted(RevOrd(FinOrd(3))),
+    )
+    base = BelowOrd(W3)
+    elems = field_elements(base, 300)
+
+    def reference(prec, b):
+        return any(embed_search(base, b, prec.store.claims[i].ordering, prec.embed_budget).ok for i in prec.usable)
+
+    for claim in claims:
+        prec = build_precT(store("t", claim), base)
+        assert prec.usable == (0,)
+        bounded = [prec.bounded(b) for b in elems]
+        assert bounded == [reference(prec, b) for b in elems]
+        assert True in bounded and False in bounded
+    prec = build_precT(store("t", *claims), base)
+    assert prec.usable == tuple(range(len(claims)))
+    assert [prec.bounded(b) for b in elems] == [reference(prec, b) for b in elems]
 
 
 def test_retype_examples():

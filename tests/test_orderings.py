@@ -1,12 +1,14 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import proofbench
+from proofbench.gens import random_spec
 from proofbench.orderings import (
     BelowOrd,
     FinOrd,
@@ -237,6 +239,26 @@ def test_embed_into_reversed_order():
     mapped = [img for _, img in r.mapping]
     for a, b in zip(mapped, mapped[1:]):
         assert less(RevOrd(BelowOrd(W)), a, b)
+
+
+def test_random_specs_agree_with_their_ranks():
+    rng = random.Random(0)
+    for _ in range(300):
+        spec = random_spec(rng, 2)
+        assert parse_spec(spec_text(spec)) == spec
+        first = field_elements(spec, 20)
+        assert first == sorted(set(first)) and all(in_field(spec, n) for n in first)
+        # no code skipped below the last one listed (below 500 once the field ends) is in the field
+        end = min(first[-1] + 1 if len(first) == 20 else 500, 500)
+        assert [n for n in range(end) if in_field(spec, n)] == [n for n in first if n < end]
+        if rankable(spec):
+            for x in first:
+                assert element_of_rank(spec, rank(spec, x)) == x
+                for y in first:
+                    assert less(spec, x, y) == lt(rank(spec, x), rank(spec, y))
+        else:
+            with pytest.raises(UnsupportedRankError):
+                otyp(spec)
 
 
 def test_pairing_round_trip():
