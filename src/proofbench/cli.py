@@ -180,6 +180,7 @@ def _check_record(report) -> dict:
         "max_depth": report.max_depth,
         "cut_free": report.cut_free,
         "truncated": report.truncated,
+        "nodes_checked": report.nodes_checked,
     }
 
 
@@ -208,8 +209,9 @@ def _cmd_check(cfg: RunConfig) -> int:
         raise _ParseFailure(str(e))
     report = check_local(code, b.depth, b.width, require_cut_free=args.cut_free)
     human = [
-        f"{'pass' if report.passed else 'fail'}: {report.nodes_visited} nodes,"
-        f" depth {report.max_depth}, cut_free={report.cut_free}, truncated={report.truncated}"
+        f"{'pass' if report.passed else 'fail'}: {report.nodes_visited} nodes"
+        f" ({report.nodes_checked} checked), depth {report.max_depth},"
+        f" cut_free={report.cut_free}, truncated={report.truncated}"
     ]
     if not report.passed:
         human.append(f"  at path {list(report.fail_path)}: {report.fail_reason}")

@@ -604,6 +604,7 @@ class CheckReport:
     max_depth: int
     cut_free: bool
     truncated: bool
+    nodes_checked: int
 
 
 def _axl_holds(delta: Sequent) -> bool:
@@ -674,10 +675,8 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
             return "Cut wants premise indices {1,2}"
         candidates = list(kids[1].sequent - delta) + [negate(g) for g in kids[2].sequent - delta]
         if not candidates:
-            candidates = [next(iter(kids[1].sequent), None)]
+            return None  # both premises lie inside delta: any cut formula fits
         for a in candidates:
-            if a is None:
-                return None
             if kids[1].sequent <= delta | {a} and kids[2].sequent <= delta | {negate(a)}:
                 return None
         return "no cut formula matches the premises"
@@ -692,6 +691,11 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
 
 _DECODE_ERRORS = (DerivationError, FormulaError, NotationError, UnsupportedRankError)
 
+# The codes whose passed subtrees check_local reuses.  A builder's fields are
+# a spec and an int, so it hashes cheaply; an explicit node's hash walks its
+# whole subtree again on every call.
+_REUSED = (TiProg, TiRoot)
+
 
 def check_local(
     code: Code,
@@ -705,24 +709,56 @@ def check_local(
     children, tags must strictly descend, and Cut nodes trip the cut_free
     flag (a failure when require_cut_free).  All nodes contribute children
     0..width_budget-1; skipped branches set `truncated`, never a silent pass.
+
+    The report is that of walking the whole tree, but each builder subtree
+    (TiProg, TiRoot) is checked once per remaining depth: the budgets are
+    fixed for the call, so the pair fixes the subtree, and a copy met again
+    adds the counts of the first.  Only subtrees that passed are kept, and
+    only for this call.  `nodes_checked` counts the clauses evaluated.
     """
-    nodes = 0
-    max_depth = 0
-    cut_free = True
-    truncated = False
-    stack: list[tuple[Code, int, tuple[int, ...]]] = [(code, 0, ())]
+    nodes = checked = max_depth = 0
+    cut_free, truncated = True, False
+    # (builder, remaining depth) -> (nodes, height, cut_free, truncated)
+    passed: dict[tuple[Code, int], tuple[int, int, bool, bool]] = {}
+    # open builder subtrees: key, depth, nodes before, and the outer
+    # max_depth, cut_free and truncated; the counters restart inside
+    frames: list[tuple[tuple[Code, int], int, int, int, bool, bool]] = []
+    # (code, its step, depth, path); only the root comes unstepped, and a
+    # None code closes the innermost frame
+    stack: list[tuple[Code | None, Step | None, int, tuple[int, ...]]] = [(code, None, 0, ())]
 
     def fail(path, reason):
-        return CheckReport(False, path, reason, nodes, max_depth, cut_free, truncated)
+        md, cf, tr = max_depth, cut_free, truncated
+        for *_, outer_md, outer_cf, outer_tr in frames:
+            md, cf, tr = max(md, outer_md), cf and outer_cf, tr or outer_tr
+        return CheckReport(False, path, reason, nodes, md, cf, tr, checked)
 
     while stack:
-        node, depth, path = stack.pop()
+        node, s, depth, path = stack.pop()
+        if node is None:
+            key, top, before, outer_md, outer_cf, outer_tr = frames.pop()
+            passed[key] = (nodes - before, max_depth - top, cut_free, truncated)
+            max_depth = max(max_depth, outer_md)
+            cut_free, truncated = cut_free and outer_cf, truncated or outer_tr
+            continue
+        if type(node) in _REUSED:
+            key = (node, depth_budget - depth)
+            seen = passed.get(key)
+            if seen is not None:
+                nodes += seen[0]
+                max_depth = max(max_depth, depth + seen[1])
+                cut_free, truncated = cut_free and seen[2], truncated or seen[3]
+                continue
+            frames.append((key, depth, nodes, max_depth, cut_free, truncated))
+            stack.append((None, None, depth, path))
+            max_depth, cut_free, truncated = depth, True, False
         nodes += 1
         max_depth = max(max_depth, depth)
-        try:
-            s = step(node)
-        except _DECODE_ERRORS as e:
-            return fail(path, f"decode error: {e}")
+        if s is None:
+            try:
+                s = step(node)
+            except _DECODE_ERRORS as e:
+                return fail(path, f"decode error: {e}")
         if s.label.rule is RuleTag.CUT:
             cut_free = False
             if require_cut_free:
@@ -733,14 +769,16 @@ def check_local(
         else:
             idxs = list(s.indices)
         kids: dict[int, NodeLabel] = {}
-        children: list[tuple[int, Code]] = []
+        children: list[tuple[int, Code, Step]] = []
         try:
             for i in idxs:
                 c = s.child(i)
-                kids[i] = step(c).label
-                children.append((i, c))
+                cs = step(c)
+                kids[i] = cs.label
+                children.append((i, c, cs))
         except _DECODE_ERRORS as e:
             return fail(path, f"decode error in a premise: {e}")
+        checked += 1
         reason = _clause_ok(s.label, kids, s.indices if s.indices is NAT else tuple(idxs))
         if reason is not None:
             return fail(path, reason)
@@ -748,11 +786,11 @@ def check_local(
             if compare(lab.tag, s.label.tag) is not Cmp.LT:
                 return fail(path + (i,), "ordinal tag fails to descend")
         if depth + 1 <= depth_budget:
-            for i, c in reversed(children):
-                stack.append((c, depth + 1, path + (i,)))
+            for i, c, cs in reversed(children):
+                stack.append((c, cs, depth + 1, path + (i,)))
         elif children:
             truncated = True
-    return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated)
+    return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated, checked)
 
 
 # --- full expansion (finite builders only) ----------------------------------------------

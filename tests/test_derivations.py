@@ -1,8 +1,14 @@
 import dataclasses
+import os
+import random
 import re
+import subprocess
+import sys
 
 import pytest
 
+import proofbench
+from proofbench import derivations, gens, regress
 from proofbench.derivations import (
     NAT,
     AndNode,
@@ -37,8 +43,8 @@ from proofbench.formulas import (
     seq,
     ti_sequent,
 )
-from proofbench.orderings import BelowOrd, FinOrd, RevOrd
-from proofbench.ordinals import ZERO, add, compare, from_int, le, parse, succ
+from proofbench.orderings import BelowOrd, FinOrd, LexOrd, RevOrd, SumOrd, field_elements
+from proofbench.ordinals import ZERO, Cmp, add, compare, from_int, le, parse, succ
 
 P = parse
 num = Num
@@ -189,6 +195,167 @@ def test_checker_rejects_wrong_rep():
     rep = RepNode(seq(Eq(num(5), num(5))), succ(ZERO), base)
     report = check_local(rep)
     assert not report.passed
+
+
+# --- the checker against the plain tree walk
+
+
+def reference_check(code, depth_budget, width_budget, require_cut_free):
+    """check_local as a plain tree walk: every copy of a shared code is
+    walked again and every node stepped twice.  Returns the seven fields
+    of its CheckReport."""
+    nodes = max_depth = 0
+    cut_free, truncated = True, False
+    stack = [(code, 0, ())]
+
+    def fail(path, reason):
+        return (False, path, reason, nodes, max_depth, cut_free, truncated)
+
+    while stack:
+        node, depth, path = stack.pop()
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        try:
+            s = step(node)
+        except derivations._DECODE_ERRORS as e:
+            return fail(path, f"decode error: {e}")
+        if s.label.rule is RuleTag.CUT:
+            cut_free = False
+            if require_cut_free:
+                return fail(path, "cut rule used in a cut-free check")
+        if s.indices is NAT:
+            idxs = list(range(width_budget))
+            truncated = True
+        else:
+            idxs = list(s.indices)
+        kids, children = {}, []
+        try:
+            for i in idxs:
+                c = s.child(i)
+                kids[i] = step(c).label
+                children.append((i, c))
+        except derivations._DECODE_ERRORS as e:
+            return fail(path, f"decode error in a premise: {e}")
+        reason = derivations._clause_ok(s.label, kids, s.indices if s.indices is NAT else tuple(idxs))
+        if reason is not None:
+            return fail(path, reason)
+        for i, lab in kids.items():
+            if compare(lab.tag, s.label.tag) is not Cmp.LT:
+                return fail(path + (i,), "ordinal tag fails to descend")
+        if depth + 1 <= depth_budget:
+            for i, c in reversed(children):
+                stack.append((c, depth + 1, path + (i,)))
+        elif children:
+            truncated = True
+    return (True, None, None, nodes, max_depth, cut_free, truncated)
+
+
+def assert_same_as_tree_walk(code, depth_budget, width_budget, require_cut_free=False):
+    report = check_local(code, depth_budget, width_budget, require_cut_free)
+    seven = dataclasses.astuple(report)[:7]
+    assert seven == reference_check(code, depth_budget, width_budget, require_cut_free), code_text(code)
+    assert report.nodes_checked <= report.nodes_visited
+    return report
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_checker_matches_tree_walk_on_compact_fin(k):
+    for depth in (2, 3, 5, 400):
+        for cut_free in (False, True):
+            assert_same_as_tree_walk(TiRoot(FinOrd(k)), depth, k + 2, cut_free)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [BelowOrd(P("w")), BelowOrd(P("w^2")), SumOrd(FinOrd(2), BelowOrd(P("w"))),
+     LexOrd(BelowOrd(P("w")), FinOrd(2))],
+    ids=["w", "w^2", "sum", "lex"],
+)
+def test_checker_matches_tree_walk_on_infinite_fields(spec):
+    for width in (3, 5):
+        for depth in (4, 9, 16):
+            assert_same_as_tree_walk(TiRoot(spec), depth, width, True)
+            for n in field_elements(spec, 4):
+                assert_same_as_tree_walk(TiProg(spec, n), depth, width)
+
+
+def test_checker_matches_tree_walk_on_written_out_trees_and_mutants():
+    for k in range(3, 7):
+        tree = expand(derive_ti(FinOrd(k)))
+        for depth in (7, 400):
+            assert_same_as_tree_walk(tree, depth, k + 2, True)
+    rng = random.Random(5)
+    tree = expand(derive_ti(FinOrd(5)))
+    nodes = list(regress._tree_nodes(tree))
+    caught = 0
+    while caught < 30:
+        path, node = nodes[rng.randrange(len(nodes))]
+        kind = rng.randrange(3)
+        if kind == 0 and path:
+            parent = next(n for p, n in nodes if p == path[:-1])
+            mutant = dataclasses.replace(node, tag=parent.tag)
+        else:
+            mutant = (regress._principal_delete if kind == 1 else regress._retag_rule)(node)
+        if mutant is None:
+            continue
+        report = assert_same_as_tree_walk(regress._rebuild(tree, path, mutant), 400, 7, True)
+        caught += not report.passed
+    assert caught == 30
+
+
+@pytest.mark.parametrize(
+    "spec, n", [(FinOrd(3), 2), (FinOrd(5), 4), (BelowOrd(P("w^2")), None)], ids=["fin3", "fin5", "w^2"]
+)
+def test_checker_matches_tree_walk_on_a_builder_at_two_depths(spec, n):
+    # the same tiprog one level below an and/cut node and two levels below
+    # it (under a rep); a budget of its height + 1 cuts the deeper copy
+    # and not the shallower one
+    x = TiProg(spec, field_elements(spec, 3)[-1] if n is None else n)
+    lab = root_label(x)
+    rep = RepNode(lab.sequent, succ(lab.tag), x)
+    conj = Conj(Eq(num(1), num(1)), Eq(num(2), num(2)))
+    tag = succ(succ(lab.tag))
+    height = check_local(x, 400, 4).max_depth
+    for top in (AndNode(lab.sequent | {conj}, tag, x, rep), AndNode(lab.sequent | {conj}, tag, rep, x),
+                CutNode(lab.sequent, tag, x, rep), CutNode(lab.sequent, tag, rep, x)):
+        for depth in (1, 2, 3, *range(height - 2, height + 4)):
+            for cut_free in (False, True):
+                assert_same_as_tree_walk(top, depth, 4, cut_free)
+
+
+def test_checker_matches_tree_walk_on_random_codes():
+    rng = random.Random(11)
+    for _ in range(500):
+        code = gens.random_code(rng)
+        assert_same_as_tree_walk(code, rng.randint(1, 8), rng.randint(1, 6), rng.random() < 0.5)
+
+
+WORK_SCRIPT = """
+from proofbench.derivations import TiRoot, check_local
+from proofbench.orderings import FinOrd
+for k in (10, 12):
+    r = check_local(TiRoot(FinOrd(k)), 400, k + 2, True)
+    print(r.passed, r.nodes_visited, r.nodes_checked)
+"""
+
+
+def test_builder_subtrees_are_checked_once():
+    # the tree walk evaluates a clause at each of its nodes; reusing the
+    # passed builder subtrees leaves a small share, the same under any
+    # hash seed
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    counts = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", WORK_SCRIPT], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        counts.add(out.stdout)
+    (text,) = counts
+    (ok10, visited10, checked10), (ok12, visited12, checked12) = (line.split() for line in text.splitlines())
+    assert ok10 == ok12 == "True"
+    assert int(visited10) == 29_692 and int(checked10) <= 2_000
+    assert int(visited12) == 135_164 and int(checked12) <= 3_000
 
 
 # --- transformations

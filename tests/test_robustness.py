@@ -160,4 +160,4 @@ def test_checker_is_thread_safe_on_shared_codes():
     with ThreadPoolExecutor(max_workers=4) as pool:
         reports = list(pool.map(lambda _: check_local(code, 24, 8, True), range(8)))
     assert all(r.passed for r in reports)
-    assert len({(r.nodes_visited, r.max_depth, r.truncated) for r in reports}) == 1
+    assert len({(r.nodes_visited, r.nodes_checked, r.max_depth, r.truncated) for r in reports}) == 1
