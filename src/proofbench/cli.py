@@ -20,7 +20,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .boundedness import BoundednessError, bounded_truth, otyp_bound
@@ -79,13 +79,17 @@ class Budgets:
     chain: int = 50
 
 
+# the flag of each Budgets field; its environment default is PROOFBENCH_<FIELD>
+_BUDGET_FLAGS = {"depth": "--depth", "width": "--width", "eval": "--eval-budget",
+                 "embed": "--embed-budget", "chain": "--chain-budget"}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     command: str
     args: argparse.Namespace
     budgets: Budgets
     json: bool
-    seed: int
 
 
 def _env_default(name: str, fallback: int) -> int:
@@ -102,11 +106,9 @@ def _env_default(name: str, fallback: int) -> int:
 
 
 def _add_budget_flags(p: argparse.ArgumentParser):
-    p.add_argument("--depth", type=int, default=_env_default("DEPTH", 64))
-    p.add_argument("--width", type=int, default=_env_default("WIDTH", 8))
-    p.add_argument("--eval-budget", type=int, default=_env_default("EVAL", 200))
-    p.add_argument("--embed-budget", type=int, default=_env_default("EMBED", 200))
-    p.add_argument("--chain-budget", type=int, default=_env_default("CHAIN", 50))
+    for field in fields(Budgets):
+        p.add_argument(_BUDGET_FLAGS[field.name], type=int, dest=field.name,
+                       default=_env_default(field.name.upper(), field.default))
     p.add_argument("--json", action="store_true", help="line-delimited records")
 
 
@@ -450,22 +452,12 @@ def run(config: RunConfig) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    budgets = Budgets(
-        depth=getattr(args, "depth", 64),
-        width=getattr(args, "width", 8),
-        eval=getattr(args, "eval_budget", 200),
-        embed=getattr(args, "embed_budget", 200),
-        chain=getattr(args, "chain_budget", 50),
-    )
-    for name, value in (("depth", budgets.depth), ("width", budgets.width),
-                        ("eval", budgets.eval), ("embed", budgets.embed),
-                        ("chain", budgets.chain)):
+    budgets = Budgets(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
+    for name, value in vars(budgets).items():
         if value <= 0:
             print(f"budget --{name} must be positive", file=sys.stderr)
             return EXIT_PARSE
-    config = RunConfig(args.command, args, budgets, getattr(args, "json", False),
-                       getattr(args, "seed", 0))
-    return run(config)
+    return run(RunConfig(args.command, args, budgets, args.json))
 
 
 if __name__ == "__main__":

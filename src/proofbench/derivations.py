@@ -267,7 +267,7 @@ Code = Union[
 
 
 def code_text(code: Code) -> str:
-    return sexpr.dump(sexpr.write(CODES, code))
+    return sexpr.write(CODES, code)
 
 
 def parse_code(s: str) -> Code:

@@ -208,7 +208,7 @@ def seq(*formulas: Formula) -> Sequent:
 
 
 def formula_text(f: Formula) -> str:
-    return sexpr.dump(sexpr.write(FORMULAS, f))
+    return sexpr.write(FORMULAS, f)
 
 
 def parse_formula(s: str) -> Formula:
@@ -216,7 +216,7 @@ def parse_formula(s: str) -> Formula:
 
 
 def sequent_text(delta: Sequent) -> str:
-    return sexpr.dump(sexpr.write(SEQUENTS, delta))
+    return sexpr.write(SEQUENTS, delta)
 
 
 def parse_sequent(s: str) -> Sequent:

@@ -509,7 +509,7 @@ def _table_pair(x) -> tuple[int, int] | None:
 SPECS = sexpr.Sort("an ordering spec", SpecError)
 SPEC = Role(sort=SPECS)
 # an ordinal notation, written quoted
-ORDINAL = Role(lambda o: Str(text(o)), _notation)
+ORDINAL = Role(lambda o: sexpr.quote(text(o)), _notation)
 
 SPECS.define({
     FinOrd: ("fin", (NATURAL,)),
@@ -517,12 +517,12 @@ SPECS.define({
     SumOrd: ("sum", (SPEC, SPEC)),
     LexOrd: ("lex", (SPEC, SPEC)),
     RevOrd: ("rev", (SPEC,)),
-    TableOrd: ("table", (Role(list, _table_pair, many=REST),)),
+    TableOrd: ("table", (Role(lambda p: f"({p[0]} {p[1]})", _table_pair, many=REST),)),
 })
 
 
 def spec_text(spec: OrderingSpec) -> str:
-    return sexpr.dump(sexpr.write(SPECS, spec))
+    return sexpr.write(SPECS, spec)
 
 
 def parse_spec(s: str) -> OrderingSpec:

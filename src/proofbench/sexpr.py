@@ -1,13 +1,15 @@
 """Small S-expression reader/writer shared by every file format in the workbench.
 
-Values are nested Python lists whose atoms are ints, symbols (plain str) and
-quoted strings (wrapped in Str so that `foo` and `"foo"` stay distinct).
-Above them sit the term languages (codes, formulas, terms, ordering specs):
-each is a `Sort` with a shape table, read by `read` and written by `write`.
+`parse` reads text into nested Python lists whose atoms are ints, symbols
+(plain str) and quoted strings (wrapped in Str so that `foo` and `"foo"` stay
+distinct).  Above them sit the term languages (codes, formulas, terms,
+ordering specs): each is a `Sort` with a shape table, read from those lists
+by `read` and written straight to text by `write`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -30,66 +32,21 @@ class Str:
     value: str
 
 
-_DELIMS = set(' \t\n\r()";')
-
-
-def tokenize(text: str):
-    line, col = 1, 0
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 0
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start_line, start_col = line, col + 1
-        if c in "()":
-            yield (c, None, start_line, start_col)
-            i += 1
-            col += 1
-            continue
-        if c == '"':
-            i += 1
-            col += 1
-            buf = []
-            while True:
-                if i >= n:
-                    raise SexprError("unterminated string", start_line, start_col)
-                c = text[i]
-                if c == "\\":
-                    if i + 1 >= n:
-                        raise SexprError("dangling escape", line, col + 1)
-                    buf.append(text[i + 1])
-                    i += 2
-                    col += 2
-                elif c == '"':
-                    i += 1
-                    col += 1
-                    break
-                elif c == "\n":
-                    raise SexprError("newline in string", line, col + 1)
-                else:
-                    buf.append(c)
-                    i += 1
-                    col += 1
-            yield ("str", "".join(buf), start_line, start_col)
-            continue
-        j = i
-        while j < n and text[j] not in _DELIMS:
-            j += 1
-        word = text[i:j]
-        col += j - i
-        i = j
-        yield ("atom", word, start_line, start_col)
+_ATOM_CHAR = r'[^ \t\n\r()";]'  # any character but a delimiter
+_VALID_SYMBOL = re.compile(f"{_ATOM_CHAR}+")
+_STRING_BODY = re.compile(r'(?:[^"\\\n]|\\[\s\S])*')
+# One token per match, told apart by the group that matched.  A comment
+# matches with no group, and blanks match nothing.
+_OPEN, _CLOSE, _SYMBOL, _ATOM, _STRING, _BAD_QUOTE = range(1, 7)
+_TOKEN = re.compile(
+    r'(\()|(\))'
+    rf'|([^ \t\n\r()";\d]+)(?!{_ATOM_CHAR})'  # an atom with no digit: a symbol, as int() cannot read it
+    rf'|({_ATOM_CHAR}+)'
+    rf'|"({_STRING_BODY.pattern})"'
+    r'|(")'  # a quote that opens no well-formed string
+    r'|;.*'
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
 
 
 def _atom(word: str):
@@ -110,32 +67,44 @@ def parse(text: str):
 def parse_many(text: str):
     stack: list[list] = []
     top: list = []
-    last_line, last_col = 1, 1
-    for kind, value, line, col in tokenize(text):
-        last_line, last_col = line, col
-        if kind == "(":
+    for m in _TOKEN.finditer(text):
+        kind = m.lastindex
+        if kind == _OPEN:
             stack.append(top)
             top = []
-        elif kind == ")":
+        elif kind == _SYMBOL:
+            top.append(m[kind])
+        elif kind == _CLOSE:
             if not stack:
-                raise SexprError("unbalanced ')'", line, col)
+                raise _fault(text, m.start(), "unbalanced ')'")
             done = top
             top = stack.pop()
             top.append(done)
-        elif kind == "str":
-            top.append(Str(value))
-        else:
-            top.append(_atom(value))
+        elif kind == _ATOM:
+            top.append(_atom(m[kind]))
+        elif kind == _STRING:
+            top.append(Str(_ESCAPE.sub(r"\1", m[kind])))
+        elif kind == _BAD_QUOTE:
+            end = _STRING_BODY.match(text, m.end()).end()
+            if end == len(text):
+                raise _fault(text, m.start(), "unterminated string")
+            raise _fault(text, end, "dangling escape" if text[end] == "\\" else "newline in string")
     if stack:
-        raise SexprError("unbalanced '('", last_line, last_col)
+        last = max(m.start() for m in _TOKEN.finditer(text) if m.lastindex)
+        raise _fault(text, last, "unbalanced '('")
     return top
+
+
+def _fault(text: str, at: int, message: str) -> SexprError:
+    """The error at offset `at`; only here are line and column worked out."""
+    return SexprError(message, text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at))
 
 
 def describe(value) -> str:
     """Name a value's head and arity for an error message.
 
     A list is never printed whole: malformed input can nest far deeper than
-    `repr` or `dump` can recurse.
+    `repr` can recurse.
     """
     if not isinstance(value, list):
         return repr(value)
@@ -145,21 +114,16 @@ def describe(value) -> str:
     return f"({head} ...) with {len(value) - 1} argument(s)"
 
 
-def dump(value) -> str:
-    if isinstance(value, list):
-        return "(" + " ".join(dump(v) for v in value) + ")"
-    if isinstance(value, Str):
-        escaped = value.value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, bool):
-        raise TypeError("booleans have no S-expression form")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        if not value or not _DELIMS.isdisjoint(value):
-            raise TypeError(f"not a valid symbol: {value!r}")
-        return value
-    raise TypeError(f"cannot dump {type(value).__name__}")
+def quote(s: str) -> str:
+    """The text of a string atom."""
+    escaped = s.replace("\\", "\\\\").replace('"', '\\"')
+    return f'"{escaped}"'
+
+
+def _symbol_text(s: str) -> str:
+    if type(s) is not str or not _VALID_SYMBOL.fullmatch(s):
+        raise TypeError(f"not a valid symbol: {s!r}")
+    return s
 
 
 # --- term languages ----------------------------------------------------------------
@@ -177,11 +141,11 @@ ENTRIES = "entries"  # the field is one list of (index node) entries, a tuple of
 class Role(NamedTuple):
     """How a field is written and read.
 
-    A leaf role converts the field; `decode` returns None for an
-    S-expression that does not fit.  A node role names the sort of the term
-    it holds instead.  `many` (REST or ENTRIES) makes the field a collection
-    of such leaves or nodes; REST collections are written in order, leaves
-    by value and nodes by text.
+    A leaf role converts the field: `encode` gives its text, and `decode`
+    returns None for an S-expression that does not fit.  A node role names
+    the sort of the term it holds instead.  `many` (REST or ENTRIES) makes
+    the field a collection of such leaves or nodes; REST collections are
+    written in order, leaves by value and nodes by text.
     """
 
     encode: Callable | None = None
@@ -220,35 +184,69 @@ def _symbol(x):
     return x if type(x) is str else None
 
 
-INT = Role(int, _int)
-NATURAL = Role(int, _nat)
-SYMBOL = Role(str, _symbol)
+# int.__repr__ writes a bool as 1 or 0 and refuses any other non-int
+INT = Role(int.__repr__, _int)
+NATURAL = Role(int.__repr__, _nat)
+SYMBOL = Role(_symbol_text, _symbol)
 
 
-def write(sort: Sort, value):
-    """The S-expression of a term of `sort`."""
-    shape = sort.shapes.get(type(value))
-    if shape is None:
-        raise sort.error(f"not {sort.name}: a {type(value).__name__}")
-    head, roles = shape
-    # a sequent, a frozenset, is its own one field
-    fields = (value,) if type(value) is frozenset else value.__dict__.values()
-    if type(head) is type:
-        return roles[0].encode(*fields)
-    out = [head]
-    i = 0  # a counter, as zip() and enumerate() made this loop slower
-    for field in fields:
-        role = roles[i]
-        i += 1
-        if role.many is None:
-            out.append(role.encode(field) if role.sort is None else write(role.sort, field))
-        elif role.many is ENTRIES:
-            out.append([[j, write(role.sort, c)] for j, c in field])
-        elif role.sort is None:
-            out.extend(map(role.encode, sorted(field)))
-        else:
-            out.extend(sorted((write(role.sort, v) for v in field), key=dump))
-    return out
+def write(sort: Sort, value) -> str:
+    """The text of a term of `sort`.
+
+    Written off an explicit stack, as `read` reads, so codes of any depth
+    write without recursion.  A list pushes a build step under its subterms:
+    once they have put their texts into its parts, the step joins them and
+    puts the list's text in its slot.  A REST field of nodes pushes a step
+    that sorts their texts onto its list's parts.  So each subterm's text is
+    built once.
+    """
+    out = [None]
+    todo = [(value, sort, out, 0)]
+    while todo:
+        value, sort, dest, slot = todo.pop()
+        if sort is None:  # a build step: value holds a list's parts
+            dest[slot] = "(" + " ".join(value) + ")"
+            continue
+        if sort is REST:  # value holds the texts of a REST field, dest its list's parts
+            dest.extend(sorted(value))
+            continue
+        shape = sort.shapes.get(type(value))
+        if shape is None:
+            raise sort.error(f"not {sort.name}: a {type(value).__name__}")
+        head, roles = shape
+        # a sequent, a frozenset, is its own one field
+        fields = (value,) if type(value) is frozenset else value.__dict__.values()
+        if type(head) is type:
+            dest[slot] = roles[0].encode(*fields)
+            continue
+        parts = [head]
+        todo.append((parts, None, dest, slot))
+        i = 0  # a counter, as zip() and enumerate() made this loop slower
+        for field in fields:
+            role = roles[i]
+            i += 1
+            if role.many is None:
+                if role.sort is None:
+                    parts.append(role.encode(field))
+                else:
+                    parts.append(None)
+                    todo.append((field, role.sort, parts, i))
+            elif role.many is ENTRIES:
+                entries = [None] * len(field)
+                parts.append(None)
+                todo.append((entries, None, parts, i))
+                for j, (index, node) in enumerate(field):
+                    pair = [int.__repr__(index), None]
+                    todo.append((pair, None, entries, j))
+                    todo.append((node, role.sort, pair, 1))
+            elif role.sort is None:
+                parts.extend(map(role.encode, sorted(field)))
+            else:
+                texts = [None] * len(field)
+                todo.append((texts, REST, parts, None))
+                for j, item in enumerate(field):
+                    todo.append((item, role.sort, texts, j))
+    return out[0]
 
 
 def _read_atom(sort: Sort, x):
