@@ -691,10 +691,25 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
 
 _DECODE_ERRORS = (DerivationError, FormulaError, NotationError, UnsupportedRankError)
 
-# The codes whose passed subtrees check_local reuses.  A builder's fields are
-# a spec and an int, so it hashes cheaply; an explicit node's hash walks its
-# whole subtree again on every call.
+# The builders, whose passed subtrees check_local reuses by value: their
+# fields are a spec and an int, so they hash cheaply.  An explicit node's
+# hash walks its whole subtree, so explicit nodes are reused by identity.
 _REUSED = (TiProg, TiRoot)
+
+
+def _shared_nodes(code: Code) -> set[int]:
+    """The ids of the explicit nodes under `code` with two or more parents,
+    counted over `premises`."""
+    seen, shared = set(), set()
+    todo = [code]
+    while todo:
+        for kid in premises(todo.pop()).values():
+            if id(kid) in seen:
+                shared.add(id(kid))
+            else:
+                seen.add(id(kid))
+                todo.append(kid)
+    return shared
 
 
 def check_local(
@@ -710,19 +725,24 @@ def check_local(
     flag (a failure when require_cut_free).  All nodes contribute children
     0..width_budget-1; skipped branches set `truncated`, never a silent pass.
 
-    The report is that of walking the whole tree, but each builder subtree
-    (TiProg, TiRoot) is checked once per remaining depth: the budgets are
-    fixed for the call, so the pair fixes the subtree, and a copy met again
-    adds the counts of the first.  Only subtrees that passed are kept, and
+    The report is that of walking the whole tree, but each shared subtree
+    is checked once per remaining depth: the budgets are fixed for the call,
+    so the pair fixes the subtree, and a copy met again adds the counts of
+    the first.  A builder (TiProg, TiRoot) is keyed by its value.  An
+    explicit node is keyed by its identity, and only when it has two or more
+    parents in the input (a DAG, as `parse_code` and `expand` give); the
+    input holds those nodes, so no id is reused during the call, and a tree
+    with no sharing opens no frame.  Only subtrees that passed are kept, and
     only for this call.  `nodes_checked` counts the clauses evaluated.
     """
     nodes = checked = max_depth = 0
     cut_free, truncated = True, False
-    # (builder, remaining depth) -> (nodes, height, cut_free, truncated)
-    passed: dict[tuple[Code, int], tuple[int, int, bool, bool]] = {}
-    # open builder subtrees: key, depth, nodes before, and the outer
+    shared = _shared_nodes(code)
+    # (builder or id of a shared node, remaining depth) -> (nodes, height, cut_free, truncated)
+    passed: dict[tuple[Code | int, int], tuple[int, int, bool, bool]] = {}
+    # open shared subtrees: key, depth, nodes before, and the outer
     # max_depth, cut_free and truncated; the counters restart inside
-    frames: list[tuple[tuple[Code, int], int, int, int, bool, bool]] = []
+    frames: list[tuple[tuple[Code | int, int], int, int, int, bool, bool]] = []
     # (code, its step, depth, path); only the root comes unstepped, and a
     # None code closes the innermost frame
     stack: list[tuple[Code | None, Step | None, int, tuple[int, ...]]] = [(code, None, 0, ())]
@@ -743,6 +763,11 @@ def check_local(
             continue
         if type(node) in _REUSED:
             key = (node, depth_budget - depth)
+        elif id(node) in shared:
+            key = (id(node), depth_budget - depth)
+        else:
+            key = None
+        if key is not None:
             seen = passed.get(key)
             if seen is not None:
                 nodes += seen[0]
@@ -802,23 +827,35 @@ def expand(code: Code) -> Code:
     Only possible when every All family has finite support: finite fields
     for the TI root, finite-rank elements for predecessor quantifiers.
     Transformed codes (Mono over such a tree) expand by relabelling.
+
+    The result is a DAG: a table local to the call maps each TiProg code to
+    its expansion, so the canonical sub-derivation of an element is built
+    once however many elements above it use it.
     """
+    return _expand(code, {})
+
+
+def _expand(code: Code, done: dict[TiProg, Code]) -> Code:
     cls = type(code)
     if cls is AllNode and type(code.family) is not FiniteSupport:
         code = AllNode(code.sequent, code.tag, _finite_support(code.family))
     if cls in _RULES:
         kids = premises(code)
         for i, c in kids.items():
-            kids[i] = expand(c)
+            kids[i] = _expand(c, done)
         return with_premises(code, kids) if kids else code
     if cls is TiRoot:
         tag = add(mul(OMEGA, otyp(code.spec)), ONE)
-        return expand(AllNode(ti_sequent(code.spec), tag, TiKids(code.spec)))
+        return _expand(AllNode(ti_sequent(code.spec), tag, TiKids(code.spec)), done)
     if cls is TiProg:
-        s = step(code)
-        return ExNode(s.label.sequent, s.label.tag, code.element, expand(_ti_body(code.spec, code.element)))
+        tree = done.get(code)
+        if tree is None:
+            s = step(code)
+            body = _expand(_ti_body(code.spec, code.element), done)
+            tree = done[code] = ExNode(s.label.sequent, s.label.tag, code.element, body)
+        return tree
     if cls is Mono:
-        return dataclasses.replace(expand(code.child), sequent=code.sequent, tag=code.tag)
+        return dataclasses.replace(_expand(code.child, done), sequent=code.sequent, tag=code.tag)
     raise DerivationError(f"cannot expand {cls.__name__} terms")
 
 

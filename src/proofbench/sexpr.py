@@ -49,13 +49,6 @@ _TOKEN = re.compile(
 _ESCAPE = re.compile(r"\\([\s\S])")
 
 
-def _atom(word: str):
-    try:
-        return int(word)
-    except ValueError:
-        return word
-
-
 def parse(text: str):
     """Parse exactly one S-expression; trailing garbage is an error."""
     items = parse_many(text)
@@ -81,7 +74,17 @@ def parse_many(text: str):
             top = stack.pop()
             top.append(done)
         elif kind == _ATOM:
-            top.append(_atom(m[kind]))
+            word = m[kind]
+            try:
+                n = int(word)
+            except ValueError:
+                top.append(word)
+                continue
+            # int() also reads signs, underscores, other scripts' digits and
+            # blanks; a numeral has the one spelling the writer gives it
+            if repr(n) != word:
+                raise _fault(text, m.start(), f"not a canonical numeral: {word!r}")
+            top.append(n)
         elif kind == _STRING:
             top.append(Str(_ESCAPE.sub(r"\1", m[kind])))
         elif kind == _BAD_QUOTE:
@@ -169,7 +172,9 @@ class Sort:
         """Add classes with their (head, roles)."""
         for cls, (head, roles) in shapes.items():
             self.shapes[cls] = (head, roles)
-            self.by_head[head] = (cls, roles, roles[-1].many is REST)
+            # which arguments are subterms, which `read` keys by identity
+            nodes = tuple(role.sort is not None for role in roles)
+            self.by_head[head] = (cls, roles, roles[-1].many is REST, nodes)
 
 
 def _int(x):
@@ -197,15 +202,21 @@ def write(sort: Sort, value) -> str:
     write without recursion.  A list pushes a build step under its subterms:
     once they have put their texts into its parts, the step joins them and
     puts the list's text in its slot.  A REST field of nodes pushes a step
-    that sorts their texts onto its list's parts.  So each subterm's text is
-    built once.
+    that sorts their texts onto its list's parts.  A term met again, as the
+    same object in the same sort, takes the text built the first time, so a
+    term shared in a DAG is written once.
     """
+    # (id(term), sort) -> (its text, the term, held so that the id stays valid)
+    memo: dict[tuple[int, Sort], tuple[str, object]] = {}
     out = [None]
     todo = [(value, sort, out, 0)]
     while todo:
         value, sort, dest, slot = todo.pop()
-        if sort is None:  # a build step: value holds a list's parts
-            dest[slot] = "(" + " ".join(value) + ")"
+        if sort is None:  # a build step: value holds a list's parts, and the memo key and term it writes
+            parts, key, term = value
+            dest[slot] = text = "(" + " ".join(parts) + ")"
+            if key is not None:
+                memo[key] = (text, term)
             continue
         if sort is REST:  # value holds the texts of a REST field, dest its list's parts
             dest.extend(sorted(value))
@@ -219,8 +230,13 @@ def write(sort: Sort, value) -> str:
         if type(head) is type:
             dest[slot] = roles[0].encode(*fields)
             continue
+        key = (id(value), sort)
+        done = memo.get(key)
+        if done is not None:
+            dest[slot] = done[0]
+            continue
         parts = [head]
-        todo.append((parts, None, dest, slot))
+        todo.append(((parts, key, value), None, dest, slot))
         i = 0  # a counter, as zip() and enumerate() made this loop slower
         for field in fields:
             role = roles[i]
@@ -234,10 +250,10 @@ def write(sort: Sort, value) -> str:
             elif role.many is ENTRIES:
                 entries = [None] * len(field)
                 parts.append(None)
-                todo.append((entries, None, parts, i))
+                todo.append(((entries, None, None), None, parts, i))
                 for j, (index, node) in enumerate(field):
                     pair = [int.__repr__(index), None]
-                    todo.append((pair, None, entries, j))
+                    todo.append(((pair, None, None), None, entries, j))
                     todo.append((node, role.sort, pair, 1))
             elif role.sort is None:
                 parts.extend(map(role.encode, sorted(field)))
@@ -249,12 +265,16 @@ def write(sort: Sort, value) -> str:
     return out[0]
 
 
-def _read_atom(sort: Sort, x):
+def _read_atom(sort: Sort, x, shared: dict):
     shape = sort.by_head.get(type(x))
     value = None if shape is None else shape[1][0].decode(x)
     if value is None:
         raise sort.error(f"not {sort.name}: {describe(x)}")
-    return shape[0](value)
+    key = (shape[0], value)
+    atom = shared.get(key)
+    if atom is None:
+        atom = shared[key] = shape[0](value)
+    return atom
 
 
 def read(sort: Sort, x):
@@ -264,18 +284,42 @@ def read(sort: Sort, x):
     may nest as deep as memory allows; a term of a bounded sort, with the
     terms of other bounded sorts inside it, more than `MAX_NESTING`
     parentheses deep is rejected with its sort's error.  Each list pushes a
-    build step (argument list, constructor, and the slot its value goes to)
-    under its subterms, so it is built as soon as they are.
+    build step (its parts, how to build them, and the slot its value goes
+    to) under its subterms, so it is built as soon as they are.
+
+    Equal subterms are read as one object (hash-consing), so a certificate
+    that repeats a sub-derivation reads as a DAG.  A table local to the call
+    maps each build step's key to the one value built for it: the
+    constructor, the leaf values and the identities of the subterms.  The
+    subterms are values of the same table, so nothing is hashed recursively,
+    and the table keeps them alive, so no identity in a key is reused.
     """
+    shared: dict[tuple, object] = {}
     out = [None]
     todo = [(x, sort, out, 0, 0)]
     while todo:
         x, sort, dest, slot, depth = todo.pop()
-        if depth is None:  # a build step: x holds the arguments, sort the constructor
-            dest[slot] = sort(*x)
+        if depth is None:  # a build step: x holds the parts, built already
+            if sort is REST:  # the subterms of a REST field
+                key = (REST, frozenset(map(id, x)))
+            elif sort is ENTRIES:  # the [index, subterm] pairs of an ENTRIES field
+                key = (ENTRIES, *[(i, id(node)) for i, node in x])
+            else:  # a class and which of its arguments are subterms
+                cls, nodes = sort
+                key = (cls, *[id(a) if node else a for a, node in zip(x, nodes)])
+            value = shared.get(key)
+            if value is None:
+                if sort is REST:
+                    value = frozenset(x)
+                elif sort is ENTRIES:
+                    value = tuple(map(tuple, x))
+                else:
+                    value = cls(*x)
+                shared[key] = value
+            dest[slot] = value
             continue
         if type(x) is not list:
-            dest[slot] = _read_atom(sort, x)
+            dest[slot] = _read_atom(sort, x, shared)
             continue
         if sort.bounded:
             depth += 1
@@ -285,12 +329,12 @@ def read(sort: Sort, x):
         # a REST field takes any number of arguments, none included
         if shape is None or len(x) - 1 != len(shape[1]) and not (shape[2] and len(x) >= len(shape[1])):
             raise sort.error(f"not {sort.name}: {describe(x)}")
-        cls, roles, rest = shape
+        cls, roles, rest, nodes = shape
         args = x[1:]
         if rest:
             i = len(roles) - 1
             args[i:] = [args[i:]]
-        todo.append((args, cls, dest, slot, None))
+        todo.append((args, (cls, nodes), dest, slot, None))
         i = 0
         for _, decode, sub, many in roles:
             arg = args[i]
@@ -302,13 +346,12 @@ def read(sort: Sort, x):
                 elif type(arg) is list:
                     todo.append((arg, sub, args, i, depth))
                 else:  # an atom needs no trip through the stack
-                    args[i] = _read_atom(sub, arg)
+                    args[i] = _read_atom(sub, arg, shared)
             elif many is ENTRIES:
                 if type(arg) is not list:
                     raise sort.error(f"not {sort.name}: {describe(x)}, bad entries {describe(arg)}")
                 pairs = []
-                # map() is lazy, so each pair is frozen after its node is built
-                todo.append(([map(tuple, pairs)], tuple, args, i, None))
+                todo.append((pairs, ENTRIES, args, i, None))
                 for e in arg:
                     if not (type(e) is list and len(e) == 2 and type(e[0]) is int):
                         raise sort.error(f"not {sort.name}: {describe(x)}, bad entry {describe(e)}")
@@ -320,7 +363,7 @@ def read(sort: Sort, x):
                     raise sort.error(f"not {sort.name}: {describe(x)}, bad argument {describe(arg[values.index(None)])}")
                 args[i] = frozenset(values)
             else:
-                todo.append(([arg], frozenset, args, i, None))
+                todo.append((arg, REST, args, i, None))
                 j = 0
                 for item in arg:
                     todo.append((item, sub, arg, j, depth))

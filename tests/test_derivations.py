@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import random
 import re
@@ -298,29 +299,68 @@ def test_checker_matches_tree_walk_on_written_out_trees_and_mutants():
             mutant = (regress._principal_delete if kind == 1 else regress._retag_rule)(node)
         if mutant is None:
             continue
-        report = assert_same_as_tree_walk(regress._rebuild(tree, path, mutant), 400, 7, True)
+        mutant = regress._rebuild(tree, path, mutant)
+        report = assert_same_as_tree_walk(mutant, 400, 7, True)
         caught += not report.passed
+        # read back from text, the mutant is a DAG that shares all but the changed path
+        assert_same_as_tree_walk(parse_code(code_text(mutant)), 400, 7, True)
     assert caught == 30
 
 
+@pytest.mark.parametrize("k", range(3, 8))
+def test_checker_matches_tree_walk_on_written_out_text(k):
+    # read from text, a written-out certificate is a DAG: each repeated
+    # sub-derivation is one object, met under many parents
+    code = parse_code(code_text(expand(derive_ti(FinOrd(k)))))
+    for depth in (7, 400):
+        for cut_free in (False, True):
+            report = assert_same_as_tree_walk(code, depth, k + 2, cut_free)
+            assert report.passed
+    assert report.nodes_checked < report.nodes_visited
+
+
+def _bad_tag_deep_inside(x):
+    """x with the first of its deepest nodes retagged at its parent's tag,
+    which fails to descend."""
+    nodes = list(regress._tree_nodes(x))
+    path, leaf = max(nodes, key=lambda pn: len(pn[0]))
+    parent = next(n for p, n in nodes if p == path[:-1])
+    return regress._rebuild(x, path, dataclasses.replace(leaf, tag=parent.tag))
+
+
 @pytest.mark.parametrize(
-    "spec, n", [(FinOrd(3), 2), (FinOrd(5), 4), (BelowOrd(P("w^2")), None)], ids=["fin3", "fin5", "w^2"]
+    "spec, n, form",
+    [(FinOrd(3), 2, "builder"), (FinOrd(5), 4, "builder"), (BelowOrd(P("w^2")), None, "builder"),
+     (FinOrd(3), 2, "written-out"), (FinOrd(5), 4, "written-out"),
+     (FinOrd(3), 2, "failing"), (FinOrd(5), 4, "failing")],
+    ids=["fin3", "fin5", "w^2", "fin3-written-out", "fin5-written-out", "fin3-written-out-failing",
+         "fin5-written-out-failing"],
 )
-def test_checker_matches_tree_walk_on_a_builder_at_two_depths(spec, n):
+def test_checker_matches_tree_walk_on_a_builder_at_two_depths(spec, n, form):
     # the same tiprog one level below an and/cut node and two levels below
     # it (under a rep); a budget of its height + 1 cuts the deeper copy
-    # and not the shallower one
+    # and not the shallower one.  A tiprog is memoized by value; written
+    # out, it is one explicit object with two parents, memoized by
+    # identity.  When it fails, the first copy met on the walk gives the
+    # fail_path.
     x = TiProg(spec, field_elements(spec, 3)[-1] if n is None else n)
+    height = check_local(x, 400, 4).max_depth
+    if form != "builder":
+        x = expand(x)
+    if form == "failing":
+        x = _bad_tag_deep_inside(x)
     lab = root_label(x)
     rep = RepNode(lab.sequent, succ(lab.tag), x)
     conj = Conj(Eq(num(1), num(1)), Eq(num(2), num(2)))
     tag = succ(succ(lab.tag))
-    height = check_local(x, 400, 4).max_depth
     for top in (AndNode(lab.sequent | {conj}, tag, x, rep), AndNode(lab.sequent | {conj}, tag, rep, x),
                 CutNode(lab.sequent, tag, x, rep), CutNode(lab.sequent, tag, rep, x)):
+        assert id(x) in derivations._shared_nodes(top)
         for depth in (1, 2, 3, *range(height - 2, height + 4)):
             for cut_free in (False, True):
-                assert_same_as_tree_walk(top, depth, 4, cut_free)
+                report = assert_same_as_tree_walk(top, depth, 4, cut_free)
+                if depth > height + 1 and not (cut_free and type(top) is CutNode):
+                    assert report.passed is (form != "failing")
 
 
 def test_checker_matches_tree_walk_on_random_codes():
@@ -339,23 +379,105 @@ for k in (10, 12):
 """
 
 
+# written out, as `ti (fin 9)` writes it, and read back
+DAG_WORK_SCRIPT = """
+from proofbench.derivations import check_local, code_text, derive_ti, expand, parse_code
+from proofbench.orderings import FinOrd
+r = check_local(parse_code(code_text(expand(derive_ti(FinOrd(9))))), 400, 11, True)
+print(r.passed, r.nodes_visited, r.nodes_checked)
+"""
+
+
+def output_under_hash_seeds(script: str) -> str:
+    """The script's output, the same under PYTHONHASHSEED 1, 2 and 3."""
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    outputs = set()
+    for seed in ("1", "2", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             timeout=120)
+        assert out.returncode == 0, out.stderr
+        outputs.add(out.stdout)
+    (text,) = outputs
+    return text
+
+
 def test_builder_subtrees_are_checked_once():
     # the tree walk evaluates a clause at each of its nodes; reusing the
     # passed builder subtrees leaves a small share, the same under any
     # hash seed
-    src = os.path.dirname(os.path.dirname(proofbench.__file__))
-    counts = set()
-    for seed in ("1", "2", "3"):
-        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
-        out = subprocess.run([sys.executable, "-c", WORK_SCRIPT], env=env, capture_output=True, text=True,
-                             timeout=120)
-        assert out.returncode == 0, out.stderr
-        counts.add(out.stdout)
-    (text,) = counts
+    text = output_under_hash_seeds(WORK_SCRIPT)
     (ok10, visited10, checked10), (ok12, visited12, checked12) = (line.split() for line in text.splitlines())
     assert ok10 == ok12 == "True"
     assert int(visited10) == 29_692 and int(checked10) <= 2_000
     assert int(visited12) == 135_164 and int(checked12) <= 3_000
+
+
+def test_shared_explicit_subtrees_are_checked_once():
+    # the written-out Fin(9) repeats each element's sub-derivation under
+    # every element above it; read back, each is one object, checked once
+    ok, visited, checked = output_under_hash_seeds(DAG_WORK_SCRIPT).split()
+    assert ok == "True"
+    assert int(visited) == 13_820 and int(checked) <= 1_500
+
+
+def distinct_codes(code) -> int:
+    """How many code objects, by identity, are reachable over `premises`."""
+    seen, todo = set(), [code]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(premises(node).values())
+    return len(seen)
+
+
+def test_read_and_expand_share_equal_subterms():
+    # the written-out Fin(9) holds 3,578 explicit nodes
+    tree = expand(derive_ti(FinOrd(9)))
+    assert distinct_codes(tree) <= 200
+    assert distinct_codes(parse_code(code_text(tree))) <= 200
+    for k in range(1, 7):
+        tree = expand(derive_ti(FinOrd(k)))
+        assert parse_code(code_text(tree)) == tree
+
+
+THREADS_SCRIPT = """
+import json, sys, threading
+from proofbench.derivations import check_local, code_text, derive_ti, expand, parse_code
+from proofbench.orderings import FinOrd
+text = code_text(expand(derive_ti(FinOrd(7))))
+def run():
+    code = parse_code(text)
+    r = check_local(code, 400, 9, True)
+    return [r.passed, r.nodes_visited, r.max_depth, r.truncated, r.nodes_checked, code_text(code) == text]
+single = run()
+results = [None] * 4
+def take(i):
+    results[i] = run()
+threads = [threading.Thread(target=take, args=(i,)) for i in range(4)]
+sys.setswitchinterval(1e-6)
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(120)
+finally:
+    sys.setswitchinterval(0.005)
+assert not any(t.is_alive() for t in threads)
+print(json.dumps({"single": single, "threads": results}))
+"""
+
+
+def test_reading_checking_and_writing_agree_across_threads():
+    # every table is local to one call, so threads share none
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=300)
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["single"][0] and out["single"][-1]
+    assert out["threads"] == [out["single"]] * 4
 
 
 # --- transformations

@@ -158,6 +158,22 @@ def test_over_nested_notation_is_bad_input(tmp_path):
     assert code == EXIT_PARSE and "nest" in err
 
 
+# spellings that int() reads as a number but the writer never produces
+NON_CANONICAL = ["+3", "-0", "1_0", "\x0c5", "٣", "03"]
+
+
+@pytest.mark.parametrize("numeral", NON_CANONICAL, ids=["plus", "minus-zero", "underscore", "form-feed",
+                                                         "arabic-indic", "leading-zero"])
+def test_non_canonical_numerals_are_bad_input(tmp_path, numeral):
+    for text, col in ((f"(tiroot (fin {numeral}))", 14), (f'(axm (seq (= {numeral} 3)) "0")', 14)):
+        path = tmp_path / "cert.sx"
+        path.write_text(text)
+        code, _, err = run(["check", str(path), "--json"])
+        assert code == EXIT_PARSE and f"1:{col}: not a canonical numeral: {numeral!r}" in err, text
+    code, out, err = run(["ti", f"(fin {numeral})", "--compact"])
+    assert code == EXIT_PARSE and not out and "not a canonical numeral" in err
+
+
 DEEP_VALUES = {
     "formula": f'(axm (seq {nest("(and (= 1 1) ", "(= 1 1)", 3000)}) "0")',
     "term": f'(axm (seq (= {nest("(+ 0 ", "1", 3000)} 1)) "0")',

@@ -26,6 +26,10 @@ TI_WRITTEN_OUT = {
     "(fin 7)": "5e81b281582fbf1138f449f891b73dc95aeabde1a175d368e5f3b1f44785b35e",
     "(fin 8)": "a77de2426c308646aa9dcab96e837e1fde235875ee5de6ae8fb06f2adaa1d106",
     "(fin 9)": "9bb74b02fbe08376312eee89789df66d7ee31cd2a250dfc48669c9498ca59721",
+    # written by the direct writer, before it wrote a shared subterm once
+    "(fin 10)": "f304f508f7055ea7fc79712980c15aa71c64a2174316f0d9134a0f59f4ff83de",
+    "(fin 11)": "321db4ffa8e886afc93f4fa2b9d949f62d46f67cd187f1723864198c687cdeaf",
+    "(fin 12)": "b8bff719c1dc00308905a5ee5f056161d3b14ad6c1856abcadc18282a1525d6a",
 }
 
 TI_COMPACT = {

@@ -35,8 +35,12 @@ def test_basic_forms():
 
 
 def test_atoms_escapes_and_comments():
-    # atoms are read with int(): signs, underscores and other digits included
-    assert parse("(+7 -0 1_0 x1 + - -x \x0c5 ٣)") == [7, 0, 10, "x1", "+", "-", "-x", 5, 3]
+    # a numeral has one spelling, the one the writer gives it
+    assert parse("(7 -7 0 x1 + - -x 1x)") == [7, -7, 0, "x1", "+", "-", "-x", "1x"]
+    for atom in ("+7", "-0", "1_0", "\x0c5", "٣", "07"):
+        with pytest.raises(SexprError) as e:
+            parse(f"(a\n b {atom})")
+        assert str(e.value) == f"2:4: not a canonical numeral: {atom!r}"
     assert parse('("" "\\\\" "a\\nb" "\\\nc" "a;b")') == [Str(""), Str("\\"), Str("anb"), Str("\nc"), Str("a;b")]
     assert parse("(a;(b\n c ; d)\n)") == ["a", "c"]
     assert parse('(a"b"c)') == ["a", Str("b"), "c"]
