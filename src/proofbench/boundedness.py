@@ -35,8 +35,7 @@ from .formulas import (
     eval_term,
     is_atom,
     is_x_positive,
-    negate,
-    prog_formula,
+    negated_prog,
     prog_witness_instance,
     segment_template,
     set_vars,
@@ -130,7 +129,7 @@ def eval_claim(delta: Sequent, budget: int) -> Verdict:
 
 def _partition(spec: OrderingSpec, sequent: Sequent, var: str = "X"):
     """Split a sequent into (not-Prog, witness atoms, positive Delta)."""
-    negp = negate(prog_formula(spec, var))
+    negp = negated_prog(spec, var)
     if negp not in sequent:
         raise BoundednessError("root sequent lacks the progressiveness refutation")
     witness_atoms = []

@@ -19,7 +19,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Callable, NamedTuple, Union, get_args
 
 from . import sexpr
@@ -40,7 +39,7 @@ from .formulas import (
     eval_term,
     field_statement,
     negate,
-    prog_formula,
+    negated_prog,
     prog_witness_instance,
     seq,
     subst_num,
@@ -163,8 +162,8 @@ class TiKids:
 
     spec: OrderingSpec
 
-    def child(self, i: int) -> "Code":
-        return _root_child(self.spec, i)
+    def children(self) -> Callable[[int], "Code"]:
+        return _root_children(self.spec, vacuous=False)
 
 
 @dataclass(frozen=True)
@@ -174,8 +173,8 @@ class PredKids:
     spec: OrderingSpec
     element: int
 
-    def child(self, i: int) -> "Code":
-        return _pred_child(self.spec, self.element, i)
+    def children(self) -> Callable[[int], "Code"]:
+        return _pred_children(self.spec, self.element, vacuous=False)
 
 
 @dataclass(frozen=True)
@@ -184,8 +183,8 @@ class TiVac:
 
     spec: OrderingSpec
 
-    def child(self, i: int) -> "Code":
-        return _vacuous_root_child(self.spec, i)
+    def children(self) -> Callable[[int], "Code"]:
+        return _root_children(self.spec, vacuous=True)
 
 
 @dataclass(frozen=True)
@@ -195,8 +194,8 @@ class PredVac:
     spec: OrderingSpec
     element: int
 
-    def child(self, i: int) -> "Code":
-        return _vacuous_pred_child(self.spec, self.element, i)
+    def children(self) -> Callable[[int], "Code"]:
+        return _pred_children(self.spec, self.element, vacuous=True)
 
 
 @dataclass(frozen=True)
@@ -206,11 +205,17 @@ class FiniteSupport:
     entries: tuple[tuple[int, "Code"], ...]
     default: "Default"
 
-    def child(self, i: int) -> "Code":
-        for j, c in self.entries:
-            if j == i:
-                return c
-        return self.default.child(i)
+    def children(self) -> Callable[[int], "Code"]:
+        kids = None
+        default = self.default.children()
+
+        def child(i: int) -> "Code":
+            nonlocal kids
+            if kids is None:
+                kids = premises(self)
+            return kids[i] if i in kids else default(i)
+
+        return child
 
 
 Family = Union[TiKids, PredKids, FiniteSupport]
@@ -362,13 +367,8 @@ def with_premises(code, kids: dict[int, "Code"]):
 # --- canonical TI builders ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _negprog(spec: OrderingSpec) -> Formula:
-    return negate(prog_formula(spec))
-
-
 def _delta_n(spec: OrderingSpec, n: int) -> Sequent:
-    return seq(_negprog(spec), Member(Num(n)))
+    return seq(negated_prog(spec), Member(Num(n)))
 
 
 def _instance_parts(spec: OrderingSpec, n: int):
@@ -390,44 +390,54 @@ def _ti_body(spec: OrderingSpec, n: int) -> Code:
     return AndNode(delta | {inst}, add(base, from_int(4)), n2a, n2b)
 
 
-def _pred_child(spec: OrderingSpec, n: int, i: int) -> Code:
-    if less(spec, i, n):
-        rho = rank(spec, n)
-        _, _, _, allpred, _ = _instance_parts(spec, n)
+# A family's child function builds the parts that every child shares at the
+# first child asked for, not when the family is stepped: a malformed family
+# then fails where its children are decoded, and a caller that reads only
+# the label pays nothing.  The parts live as long as the function.  Two
+# threads racing on the first child each build them, and one rebinding wins.
+
+
+def _pred_children(spec: OrderingSpec, n: int, vacuous: bool) -> Callable[[int], Code]:
+    """Child i proves `i is not below n, or i is in X` under Delta_n: by the
+    sub-derivation at i when i is below n (never when vacuous), else by the
+    true atom `i is not below n`."""
+    parts = None
+
+    def child(i: int) -> Code:
+        nonlocal parts
+        below = not vacuous and less(spec, i, n)
+        if parts is None:
+            rho = rank(spec, n)
+            _, _, _, allpred, _ = _instance_parts(spec, n)
+            parts = (allpred, _delta_n(spec, n), add(mul(OMEGA, rho), ONE))
+        allpred, delta, tag = parts
         inst_i = subst_num(allpred.body, allpred.var, i)
-        or_seq = _delta_n(spec, n) | {inst_i}
-        return OrNode(or_seq, add(mul(OMEGA, rho), ONE), 2, TiProg(spec, i))
-    return _vacuous_pred_child(spec, n, i)
+        if below:
+            return OrNode(delta | {inst_i}, tag, 2, TiProg(spec, i))
+        return OrNode(delta | {inst_i}, tag, 1, AxMNode(delta | {inst_i.left}, ZERO))
+
+    return child
 
 
-def _vacuous_pred_child(spec: OrderingSpec, n: int, i: int) -> Code:
-    rho = rank(spec, n)
-    _, _, _, allpred, _ = _instance_parts(spec, n)
-    inst_i = subst_num(allpred.body, allpred.var, i)
-    not_less = inst_i.left
-    or_seq = _delta_n(spec, n) | {inst_i}
-    leaf = AxMNode(_delta_n(spec, n) | {not_less}, ZERO)
-    return OrNode(or_seq, add(mul(OMEGA, rho), ONE), 1, leaf)
+def _root_children(spec: OrderingSpec, vacuous: bool) -> Callable[[int], Code]:
+    """Child i proves `i is not in the field, or i is in X` under not-Prog:
+    by refuting Prog at i when i is in the field (never when vacuous), else
+    by the true atom `i is not in the field`."""
+    parts = None
 
+    def child(i: int) -> Code:
+        nonlocal parts
+        rho = rank(spec, i) if not vacuous and in_field(spec, i) else None
+        if parts is None:
+            parts = (seq(negated_prog(spec)), field_statement(spec))
+        negprog, fld = parts
+        inst = subst_num(fld.body, fld.var, i)
+        if rho is not None:
+            core = ExNode(_delta_n(spec, i), add(mul(OMEGA, rho), from_int(5)), i, _ti_body(spec, i))
+            return OrNode(negprog | {inst}, mul(OMEGA, succ(rho)), 2, core)
+        return OrNode(negprog | {inst}, ONE, 1, AxMNode(negprog | {inst.left}, ZERO))
 
-def _field_instance(spec: OrderingSpec, i: int) -> Formula:
-    fld = field_statement(spec)
-    return subst_num(fld.body, fld.var, i)
-
-
-def _root_child(spec: OrderingSpec, i: int) -> Code:
-    if not in_field(spec, i):
-        return _vacuous_root_child(spec, i)
-    rho = rank(spec, i)
-    or_seq = seq(_negprog(spec), _field_instance(spec, i))
-    core = ExNode(_delta_n(spec, i), add(mul(OMEGA, rho), from_int(5)), i, _ti_body(spec, i))
-    return OrNode(or_seq, mul(OMEGA, succ(rho)), 2, core)
-
-
-def _vacuous_root_child(spec: OrderingSpec, i: int) -> Code:
-    inst = _field_instance(spec, i)
-    leaf = AxMNode(seq(_negprog(spec), inst.left), ZERO)
-    return OrNode(seq(_negprog(spec), inst), ONE, 1, leaf)
+    return child
 
 
 def derive_ti(spec: OrderingSpec) -> Code:
@@ -448,7 +458,7 @@ def step(code: Code) -> Step:
     rule = _RULES.get(cls)
     if rule is not None:
         if cls is AllNode:
-            return Step(NodeLabel(code.sequent, rule, code.tag), NAT, code.family.child)
+            return Step(NodeLabel(code.sequent, rule, code.tag), NAT, code.family.children())
         if cls is OrNode and code.branch not in (1, 2):
             raise DerivationError("Or branch index must be 1 or 2")
         if cls is ExNode and code.witness < 0:
@@ -466,7 +476,7 @@ def step(code: Code) -> Step:
     if cls is TiRoot:
         spec = code.spec
         tag = add(mul(OMEGA, otyp(spec)), ONE)
-        return Step(NodeLabel(ti_sequent(spec), RuleTag.ALL, tag), NAT, TiKids(spec).child)
+        return Step(NodeLabel(ti_sequent(spec), RuleTag.ALL, tag), NAT, TiKids(spec).children())
     if cls is Mono or cls is Inv:
         return _step_chain(code)
     raise DerivationError(f"not a derivation code: a {cls.__name__}")
@@ -871,4 +881,5 @@ def _finite_support(fam: Family) -> FiniteSupport:
         raise DerivationError(f"unknown family: a {cls.__name__}")
     if support is None:
         raise DerivationError(f"cannot expand: {why}")
-    return FiniteSupport(tuple((i, fam.child(i)) for i in sorted(support)), default)
+    kids = fam.children()
+    return FiniteSupport(tuple((i, kids(i)) for i in sorted(support)), default)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Union
 
 from . import sexpr
@@ -516,11 +517,16 @@ def field_statement(spec: OrderingSpec, var: str = "X") -> Formula:
     return ForAll("y", Disj(NotFieldMember(spec, y), Member(y, var)))
 
 
+@lru_cache(maxsize=None)
+def negated_prog(spec: OrderingSpec, var: str = "X") -> Formula:
+    """negate(prog_formula(spec, var)), built once per spec and variable."""
+    return negate(prog_formula(spec, var))
+
+
 def ti_sequent(spec: OrderingSpec, var: str = "X") -> Sequent:
-    return seq(negate(prog_formula(spec, var)), field_statement(spec, var))
+    return seq(negated_prog(spec, var), field_statement(spec, var))
 
 
 def prog_witness_instance(spec: OrderingSpec, n: int, var: str = "X") -> Formula:
     """The instance picked when refuting progressiveness at element n."""
-    body = negate(prog_formula(spec, var)).body
-    return subst_num(body, "x", n)
+    return subst_num(negated_prog(spec, var).body, "x", n)

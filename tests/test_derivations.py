@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -12,14 +13,23 @@ import proofbench
 from proofbench import derivations, gens, regress
 from proofbench.derivations import (
     NAT,
+    AllNode,
     AndNode,
     AxMNode,
+    CheckReport,
     CutNode,
     DerivationError,
+    ExNode,
+    FiniteSupport,
+    OrNode,
+    PredKids,
+    PredVac,
     RepNode,
     RuleTag,
+    TiKids,
     TiProg,
     TiRoot,
+    TiVac,
     and_invert,
     check_local,
     code_text,
@@ -40,12 +50,25 @@ from proofbench.formulas import (
     NotMember,
     Num,
     Plus,
+    field_statement,
     negate,
+    prog_formula,
     seq,
+    subst_num,
     ti_sequent,
 )
-from proofbench.orderings import BelowOrd, FinOrd, LexOrd, RevOrd, SumOrd, field_elements
-from proofbench.ordinals import ZERO, Cmp, add, compare, from_int, le, parse, succ
+from proofbench.orderings import (
+    BelowOrd,
+    FinOrd,
+    LexOrd,
+    RevOrd,
+    SumOrd,
+    field_elements,
+    in_field,
+    less,
+    rank,
+)
+from proofbench.ordinals import OMEGA, ONE, ZERO, Cmp, add, compare, from_int, le, mul, parse, succ
 
 P = parse
 num = Num
@@ -478,6 +501,173 @@ def test_reading_checking_and_writing_agree_across_threads():
     out = json.loads(done.stdout)
     assert out["single"][0] and out["single"][-1]
     assert out["threads"] == [out["single"]] * 4
+
+
+
+# --- builder families
+
+
+# A family's child builders as they were when every child rebuilt the parts
+# that depend only on the spec and the element; kept as the reference.
+
+
+def ref_negprog(spec):
+    return negate(prog_formula(spec))
+
+
+def ref_delta_n(spec, n):
+    return seq(ref_negprog(spec), Member(Num(n)))
+
+
+def ref_allpred(spec, n):
+    return subst_num(ref_negprog(spec).body, "x", n).left.right
+
+
+def ref_pred_child(spec, n, i):
+    if less(spec, i, n):
+        rho = rank(spec, n)
+        allpred = ref_allpred(spec, n)
+        inst_i = subst_num(allpred.body, allpred.var, i)
+        or_seq = ref_delta_n(spec, n) | {inst_i}
+        return OrNode(or_seq, add(mul(OMEGA, rho), ONE), 2, TiProg(spec, i))
+    return ref_vacuous_pred_child(spec, n, i)
+
+
+def ref_vacuous_pred_child(spec, n, i):
+    rho = rank(spec, n)
+    allpred = ref_allpred(spec, n)
+    inst_i = subst_num(allpred.body, allpred.var, i)
+    not_less = inst_i.left
+    or_seq = ref_delta_n(spec, n) | {inst_i}
+    leaf = AxMNode(ref_delta_n(spec, n) | {not_less}, ZERO)
+    return OrNode(or_seq, add(mul(OMEGA, rho), ONE), 1, leaf)
+
+
+def ref_field_instance(spec, i):
+    fld = field_statement(spec)
+    return subst_num(fld.body, fld.var, i)
+
+
+def ref_root_child(spec, i):
+    if not in_field(spec, i):
+        return ref_vacuous_root_child(spec, i)
+    rho = rank(spec, i)
+    or_seq = seq(ref_negprog(spec), ref_field_instance(spec, i))
+    core = ExNode(ref_delta_n(spec, i), add(mul(OMEGA, rho), from_int(5)), i, derivations._ti_body(spec, i))
+    return OrNode(or_seq, mul(OMEGA, succ(rho)), 2, core)
+
+
+def ref_vacuous_root_child(spec, i):
+    inst = ref_field_instance(spec, i)
+    leaf = AxMNode(seq(ref_negprog(spec), inst.left), ZERO)
+    return OrNode(seq(ref_negprog(spec), inst), ONE, 1, leaf)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [FinOrd(k) for k in range(1, 7)]
+    + [BelowOrd(P("w")), BelowOrd(P("w^2")), BelowOrd(P("w^w")),
+       SumOrd(FinOrd(3), BelowOrd(P("w"))), LexOrd(FinOrd(2), BelowOrd(P("w")))],
+    ids=lambda spec: code_text(TiRoot(spec)),
+)
+def test_family_children_match_the_per_child_builders(spec):
+    elements = field_elements(spec, 8)
+    # the naturals 0..15 and the field elements, so in-support children
+    # are met on every spec
+    indices = sorted(set(range(16)) | set(elements))
+    for fam, ref in ((TiKids(spec), ref_root_child), (TiVac(spec), ref_vacuous_root_child)):
+        kids = fam.children()
+        assert [kids(i) for i in indices] == [ref(spec, i) for i in indices]
+    for n in elements:
+        for fam, ref in ((PredKids(spec, n), ref_pred_child), (PredVac(spec, n), ref_vacuous_pred_child)):
+            kids = fam.children()
+            assert [kids(i) for i in indices] == [ref(spec, n, i) for i in indices]
+    assert step(TiRoot(spec)).child(elements[-1]) == ref_root_child(spec, elements[-1])
+
+
+def test_finite_support_gives_the_first_entry_for_an_index():
+    first, second = tiny_axm(), AxMNode(seq(Eq(num(1), num(1))), ZERO)
+    node = AllNode(seq(), P("w"), FiniteSupport(((0, first), (2, second), (0, second)), PredVac(FinOrd(3), 2)))
+    kids = step(node).child
+    assert kids(0) is first and kids(2) is second
+    assert premises(node) == {0: first, 2: second}
+    assert [kids(i) for i in (1, 3)] == [ref_vacuous_pred_child(FinOrd(3), 2, i) for i in (1, 3)]
+
+
+@pytest.mark.parametrize(
+    "text, report",
+    [
+        # a family's shared parts are built at its first child, so a bad
+        # element fails where the children are decoded, not in the All step
+        ('(all (seq) "w" (predkids (fin 3) 7))',
+         CheckReport(False, (), "decode error in a premise: 7 is not in the field", 1, 0, True, True, 0)),
+        ('(all (seq) "w" (fs ((0 (axm (seq (= 1 1)) "0"))) (predvac (fin 3) 9)))',
+         CheckReport(False, (), "decode error in a premise: 9 is not in the field", 1, 0, True, True, 0)),
+        ('(all (seq) "w" (tikids (rev (fin 3))))',
+         CheckReport(False, (), "decode error in a premise: no rank on RevOrd(inner=FinOrd(size=3))",
+                     1, 0, True, True, 0)),
+        # the All premise steps to its label without building anything
+        ('(and (seq) "w" (axm (seq (= 1 1)) "0") (all (seq) "3" (predkids (rev (fin 3)) 1)))',
+         CheckReport(False, (), "no conjunction in the sequent matches the premises", 1, 0, True, False, 1)),
+    ],
+)
+def test_malformed_families_fail_where_their_children_are_decoded(text, report):
+    assert check_local(parse_code(text), 5, 7) == report
+
+
+PROG_INSTANCES_SCRIPT = """
+from proofbench import derivations
+from proofbench.orderings import BelowOrd, FinOrd
+from proofbench.ordinals import parse
+calls = 0
+instance = derivations.prog_witness_instance
+def counted(*args):
+    global calls
+    calls += 1
+    return instance(*args)
+derivations.prog_witness_instance = counted
+for spec, width in ((BelowOrd(parse("w^2")), 55), (FinOrd(10), 12)):
+    calls = 0
+    r = derivations.check_local(derivations.derive_ti(spec), 400, width, True)
+    print(r.passed, r.nodes_visited, calls)
+"""
+
+
+def test_prog_instances_are_built_once_per_family():
+    # each sampled child of a predecessor quantifier used to build the
+    # Prog instance of its element again: 1,568 and 715 calls
+    text = output_under_hash_seeds(PROG_INSTANCES_SCRIPT)
+    (ok_w2, visited_w2, calls_w2), (ok10, visited10, calls10) = (line.split() for line in text.splitlines())
+    assert ok_w2 == ok10 == "True"
+    assert int(visited_w2) == 14_716 and int(calls_w2) <= 100
+    assert int(visited10) == 29_692 and int(calls10) <= 150
+
+
+def test_a_child_function_is_shared_safely_across_threads():
+    # the threads race to build the shared parts at their first child
+    spec = BelowOrd(P("w^2"))
+    n = field_elements(spec, 12)[-1]
+    family = step(TiProg(spec, n)).child(n).left.right
+    single = [ref_pred_child(spec, n, i) for i in range(64)]
+    kids = step(family).child
+    results = [None] * 4
+
+    def take(t):
+        results[t] = [kids(i) for i in range(64)]
+
+    threads = [threading.Thread(target=take, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sum(type(c.child) is TiProg for c in single) == 10
+    assert results == [single] * 4
 
 
 # --- transformations
