@@ -33,9 +33,9 @@ from .formulas import (
     atom_true,
     eval_closed,
     eval_term,
-    is_atom,
     is_x_positive,
     negated_prog,
+    operands,
     prog_witness_instance,
     segment_template,
     set_vars,
@@ -98,14 +98,7 @@ def _segment_universal_verdict(f: Formula) -> Verdict | None:
     """
     if not isinstance(f, ForAll):
         return None
-    disjuncts = []
-    stack = [f.body]
-    while stack:
-        g = stack.pop()
-        if isinstance(g, Disj):
-            stack.extend((g.left, g.right))
-        else:
-            disjuncts.append(g)
+    disjuncts = list(operands(f.body, Disj))
     outside = [g for g in disjuncts if isinstance(g, NotFieldMember) and g.term == Var(f.var)]
     inside = [g for g in disjuncts if isinstance(g, SegMember) and g.term == Var(f.var)]
     for o in outside:
@@ -200,7 +193,7 @@ class _Walker:
             raise BoundednessError("cut encountered in a cut-free walk")
         if rule is RuleTag.AXM:
             for f in delta:
-                if is_atom(f) and atom_true(f):
+                if atom_true(f):
                     return Verdict.TRUE
             return Verdict.UNKNOWN
         if rule is RuleTag.AXL:

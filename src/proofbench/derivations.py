@@ -627,6 +627,27 @@ def _axl_holds(delta: Sequent) -> bool:
     return False
 
 
+# Each introduction rule: its connective, a test of its premise indices, and
+# its reasons for failing on wrong indices and on no matching formula.
+INTRODUCTIONS = {
+    RuleTag.AND: (Conj, lambda ix: ix == (1, 2), "And wants premise indices {1,2}",
+                  "no conjunction in the sequent matches the premises"),
+    RuleTag.OR: (Disj, lambda ix: len(ix) == 1 and ix[0] in (1, 2), "Or wants a single premise indexed 1 or 2",
+                 "no disjunction in the sequent matches the premise"),
+    RuleTag.ALL: (ForAll, lambda ix: ix is NAT, "All wants premises for every natural",
+                  "no universal formula matches the sampled premises"),
+    RuleTag.EX: (Exists, lambda ix: len(ix) == 1 and ix[0] >= 0, "Ex wants a single premise indexed by its witness",
+                 "no existential formula matches the premise"),
+}
+
+
+def _premise_formula(f: Formula, i: int) -> Formula:
+    """The formula that premise `i` of the introduction of `f` adds."""
+    if type(f) in (ForAll, Exists):
+        return subst_num(f.body, f.var, i)
+    return f.left if i == 1 else f.right
+
+
 def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | None:
     """None when the node's local condition holds, else a reason."""
     delta, rule = label.sequent, label.rule
@@ -642,44 +663,19 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
         if not _axl_holds(delta):
             return "no matching membership pair for AxL"
         return None
-    if rule is RuleTag.AND:
-        if indices != (1, 2):
-            return "And wants premise indices {1,2}"
+    intro = INTRODUCTIONS.get(rule)
+    if intro is not None:
+        connective, indices_ok, bad_indices, no_match = intro
+        if not indices_ok(indices):
+            return bad_indices
         for f in delta:
-            if isinstance(f, Conj):
-                if kids[1].sequent <= delta | {f.left} and kids[2].sequent <= delta | {f.right}:
+            if type(f) is connective:
+                for i, kid in kids.items():
+                    if not kid.sequent <= delta | {_premise_formula(f, i)}:
+                        break
+                else:
                     return None
-        return "no conjunction in the sequent matches the premises"
-    if rule is RuleTag.OR:
-        if len(indices) != 1 or indices[0] not in (1, 2):
-            return "Or wants a single premise indexed 1 or 2"
-        i = indices[0]
-        for f in delta:
-            if isinstance(f, Disj):
-                side = f.left if i == 1 else f.right
-                if kids[i].sequent <= delta | {side}:
-                    return None
-        return "no disjunction in the sequent matches the premise"
-    if rule is RuleTag.ALL:
-        if indices is not NAT:
-            return "All wants premises for every natural"
-        for f in delta:
-            if isinstance(f, ForAll):
-                if all(
-                    kid.sequent <= delta | {subst_num(f.body, f.var, i)}
-                    for i, kid in kids.items()
-                ):
-                    return None
-        return "no universal formula matches the sampled premises"
-    if rule is RuleTag.EX:
-        if len(indices) != 1 or indices[0] < 0:
-            return "Ex wants a single premise indexed by its witness"
-        n = indices[0]
-        for f in delta:
-            if isinstance(f, Exists):
-                if kids[n].sequent <= delta | {subst_num(f.body, f.var, n)}:
-                    return None
-        return "no existential formula matches the premise"
+        return no_match
     if rule is RuleTag.CUT:
         if indices != (1, 2):
             return "Cut wants premise indices {1,2}"

@@ -387,11 +387,11 @@ def segment_template(spec: OrderingSpec, bound: Ordinal) -> Callable[[Term], For
 # --- budgeted evaluation ---------------------------------------------------------
 
 
-def _operands(f: Formula, connective: type):
+def operands(f: Formula, connective: type):
     """The operands of a nest of one binary connective (Conj or Disj)."""
     if type(f) is connective:
-        yield from _operands(f.left, connective)
-        yield from _operands(f.right, connective)
+        yield from operands(f.left, connective)
+        yield from operands(f.right, connective)
     else:
         yield f
 
@@ -404,7 +404,7 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
     predecessor guard below an element of finite rank, or field membership
     in an order of finite type.
     """
-    guards = _operands(body, Conj if existential else Disj)
+    guards = operands(body, Conj if existential else Disj)
     want_less, want_field = (OrdLess, FieldMember) if existential else (NotOrdLess, NotFieldMember)
     for g in guards:
         if isinstance(g, want_less) and g.left == Var(var) and not term_vars(g.right):

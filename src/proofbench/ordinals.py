@@ -7,14 +7,17 @@ exponents strictly decrease left to right, and all coefficients are >= 1.
 The empty sum is 0.  Every representable value is below epsilon_0 * omega,
 which leaves room for values such as E+1 produced by the bound machinery.
 
-Text grammar (round-trips exactly on canonical forms):
+Text grammar:
 
-    notation  = "0" | term ("+" term)*
-    term      = nat | eterm | wterm
-    eterm     = "E" ["*" coeff]
-    wterm     = "w" ["^" exp] ["*" coeff]
-    exp       = nat | "w" | "(" notation ")"     -- nat >= 2 bare
-    coeff     = nat >= 2                          -- coefficient 1 is implicit
+    notation  = term ("+" term)*
+    term      = nat | "E" ["*" nat] | "w" ["^" exp] ["*" nat]
+    exp       = nat | "w" | "(" notation ")"
+    nat       = one or more of the ASCII digits 0-9
+
+A text is read by this grammar alone and accepted only when `text` writes
+its value back unchanged.  So a notation has one spelling: no leading
+zeros, no coefficient or exponent 0 or 1 written out, no parentheses around
+a numeral or w, E first, no zero term, and exponents in decreasing order.
 
 Examples: ``w^2*3+w+5``, ``E+1``, ``w^(w+1)*2``.
 """
@@ -22,6 +25,8 @@ Examples: ``w^2*3+w+5``, ``E+1``, ``w^(w+1)*2``.
 from __future__ import annotations
 
 import itertools
+import math
+import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, lru_cache
@@ -32,7 +37,8 @@ class NotationError(ValueError):
 
 
 class CapExceededError(ArithmeticError):
-    """Operation result would reach or exceed epsilon_0 * omega."""
+    """Operation result would reach or exceed epsilon_0 * omega, or has a
+    coefficient too long to write."""
 
 
 class Cmp(Enum):
@@ -252,30 +258,43 @@ def div(a: Ordinal, b: Ordinal) -> tuple[Ordinal, Ordinal]:
 # --- text form -------------------------------------------------------------
 
 
+def _decimal(n: int) -> str:
+    try:
+        return str(n)
+    except ValueError:  # more digits than str() writes
+        k = int(math.log10(n))  # the exact floor, or one off it
+        k += (10 ** (k + 1) <= n) - (10**k > n)
+        raise CapExceededError(f"a {k + 1}-digit coefficient is too long to write") from None
+
+
 def _exp_text(e: Ordinal) -> str:
     if e.is_finite():
-        return str(e.nat_value())
+        return _decimal(e.nat_value())
     if e == OMEGA:
         return "w"
     return f"({text(e)})"
 
 
 def text(a: Ordinal) -> str:
-    """Canonical text; parse(text(a)) == a."""
+    """Canonical text; parse(text(a)) == a.
+
+    Raises CapExceededError when a coefficient has more digits than the
+    interpreter converts to text.
+    """
     if a.is_zero():
         return "0"
     parts = []
     if a.eterm:
-        parts.append("E" if a.eterm == 1 else f"E*{a.eterm}")
+        parts.append("E" if a.eterm == 1 else f"E*{_decimal(a.eterm)}")
     for exp, coeff in a.wterms:
         if exp.is_zero():
-            parts.append(str(coeff))
+            parts.append(_decimal(coeff))
             continue
         if exp == ONE:
             base = "w"
         else:
             base = f"w^{_exp_text(exp)}"
-        parts.append(base if coeff == 1 else f"{base}*{coeff}")
+        parts.append(base if coeff == 1 else f"{base}*{_decimal(coeff)}")
     return "+".join(parts)
 
 
@@ -283,112 +302,81 @@ def text(a: Ordinal) -> str:
 # level, so deeper input is rejected rather than left to exhaust the stack.
 MAX_NESTING = 100
 
+# a run of ASCII digits, or any other single character
+_TOKEN = re.compile(r"[0-9]+|.", re.DOTALL)
 
-class _Reader:
-    def __init__(self, s: str):
-        self.s = s
-        self.i = 0
-        self.depth = 0
 
-    def peek(self) -> str:
-        return self.s[self.i] if self.i < len(self.s) else ""
+def _unexpected(tokens: list[str], i: int) -> NotationError:
+    found = repr(tokens[i]) if tokens[i] else "end of input"
+    return NotationError(f"unexpected {found} at offset {sum(map(len, tokens[:i]))} in {''.join(tokens)!r}")
 
-    def take(self) -> str:
-        c = self.peek()
-        self.i += 1
-        return c
 
-    def expect(self, c: str):
-        if self.take() != c:
-            raise NotationError(f"expected {c!r} at position {self.i} in {self.s!r}")
+def _read_nat(tokens: list[str], i: int) -> tuple[int, int]:
+    if not "0" <= tokens[i][:1] <= "9":
+        raise _unexpected(tokens, i)
+    try:
+        return int(tokens[i]), i + 1
+    except ValueError:  # more digits than int() reads
+        at = sum(map(len, tokens[:i]))
+        raise NotationError(f"the {len(tokens[i])}-digit numeral at offset {at} is too long to read") from None
 
-    def nat(self) -> int:
-        start = self.i
-        while self.peek().isdigit():
-            self.i += 1
-        if start == self.i:
-            raise NotationError(f"expected a number at position {start} in {self.s!r}")
-        word = self.s[start : self.i]
-        if word[0] == "0" and len(word) > 1:
-            raise NotationError(f"leading zero in {word!r}")
-        return int(word)
 
-    def coeff(self) -> int:
-        if self.peek() != "*":
-            return 1
-        self.take()
-        c = self.nat()
-        if c < 2:
-            raise NotationError("explicit coefficient must be >= 2")
-        return c
+def _read_coeff(tokens: list[str], i: int) -> tuple[int, int]:
+    return _read_nat(tokens, i + 1) if tokens[i] == "*" else (1, i)
 
-    def exponent(self) -> Ordinal:
-        c = self.peek()
-        if c == "(":
-            self.take()
-            self.depth += 1
-            if self.depth > MAX_NESTING:
-                raise NotationError(f"exponents nest deeper than {MAX_NESTING} levels")
-            e = self.sum()
-            self.expect(")")
-            self.depth -= 1
-            if e.is_finite() or e == OMEGA:
-                raise NotationError("redundant parentheses in exponent")
-            return e
-        if c == "w":
-            self.take()
-            return OMEGA
-        n = self.nat()
-        if n < 2:
-            raise NotationError("exponent 0/1 must be written implicitly")
-        return from_int(n)
 
-    def term(self):
-        c = self.peek()
-        if c == "E":
-            self.take()
-            return ("E", None, self.coeff())
-        if c == "w":
-            self.take()
-            if self.peek() == "^":
-                self.take()
-                exp = self.exponent()
-            else:
-                exp = ONE
-            return ("w", exp, self.coeff())
-        n = self.nat()
-        return ("n", None, n)
+def _read_exp(tokens: list[str], i: int, depth: int) -> tuple[Ordinal, int]:
+    if tokens[i] == "w":
+        return OMEGA, i + 1
+    if tokens[i] != "(":
+        n, i = _read_nat(tokens, i)
+        return from_int(n), i
+    if depth >= MAX_NESTING:
+        raise NotationError(f"exponents nest deeper than {MAX_NESTING} levels")
+    e, i = _read_sum(tokens, i + 1, depth + 1)
+    if tokens[i] != ")":
+        raise _unexpected(tokens, i)
+    return e, i + 1
 
-    def sum(self) -> Ordinal:
-        terms = [self.term()]
-        while self.peek() == "+":
-            self.take()
-            terms.append(self.term())
-        if len(terms) == 1 and terms[0] == ("n", None, 0):
-            return ZERO
-        eterm = 0
-        wterms: list[tuple[Ordinal, int]] = []
-        for pos, (kind, exp, coeff) in enumerate(terms):
-            if kind == "E":
-                if pos != 0:
-                    raise NotationError("E term must come first")
-                eterm = coeff
-            elif kind == "w":
+
+def _read_sum(tokens: list[str], i: int, depth: int) -> tuple[Ordinal, int]:
+    """The sum from token i on, built in one pass: the coefficient of its
+    last E term and its nonzero w-terms in the order written.  `parse`
+    rejects every text whose terms are not as canonical form has them."""
+    eterm, wterms = 0, []
+    while True:
+        if tokens[i] == "E":
+            eterm, i = _read_coeff(tokens, i + 1)
+        elif tokens[i] == "w":
+            exp, i = _read_exp(tokens, i + 2, depth) if tokens[i + 1] == "^" else (ONE, i + 1)
+            coeff, i = _read_coeff(tokens, i)
+            if coeff:
                 wterms.append((exp, coeff))
-            else:
-                if coeff == 0:
-                    raise NotationError("zero term in a sum")
-                wterms.append((ZERO, coeff))
-        return Ordinal(eterm, tuple(wterms))
+        else:
+            n, i = _read_nat(tokens, i)
+            if n:
+                wterms.append((ZERO, n))
+        if tokens[i] != "+":
+            return Ordinal(eterm, tuple(wterms)), i
+        i += 1
 
 
 @lru_cache(maxsize=65536)
 def parse(s: str) -> Ordinal:
-    """Strict parse; rejects anything print would not emit."""
-    r = _Reader(s)
-    value = r.sum()
-    if r.i != len(s):
-        raise NotationError(f"trailing input at position {r.i} in {s!r}")
+    """The notation whose canonical text is `s`.
+
+    `s` is read by the grammar above alone, and its value is returned only
+    when `text` writes it back as `s`; every other spelling, and any digit
+    outside ASCII 0-9, raises NotationError.
+    """
+    tokens = _TOKEN.findall(s)
+    tokens.append("")  # end of input
+    value, i = _read_sum(tokens, 0, 0)
+    if tokens[i]:
+        raise _unexpected(tokens, i)
+    canonical = text(value)
+    if canonical != s:
+        raise NotationError(f"{s!r} is not canonical: it is written {canonical!r}")
     return value
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import cnforacle as oracle
 from .boundedness import bounded_truth, otyp_bound
 from .derivations import (
+    INTRODUCTIONS,
     AllNode,
     AndNode,
     AxLNode,
@@ -24,6 +25,7 @@ from .derivations import (
     ExNode,
     OrNode,
     RepNode,
+    RuleTag,
     and_invert,
     check_local,
     code_text,
@@ -40,7 +42,6 @@ from .formulas import (
     Disj,
     Eq,
     Exists,
-    ForAll,
     Member,
     NotMember,
     Num,
@@ -49,7 +50,6 @@ from .formulas import (
     Var,
     atom_true,
     formula_text,
-    is_atom,
     parse_formula,
     parse_sequent,
     sequent_text,
@@ -168,21 +168,22 @@ def _rebuild(code: Code, path, replacement: Code) -> Code:
 
 
 def _principal_delete(node: Code):
-    delta = node.sequent
-    if isinstance(node, AxMNode):
-        for f in delta:
-            if is_atom(f) and atom_true(f):
-                return dataclasses.replace(node, sequent=delta - {f})
-    if isinstance(node, AxLNode):
-        for f in delta:
-            if isinstance(f, (Member, NotMember)):
-                return dataclasses.replace(node, sequent=delta - {f})
-    wanted = {AndNode: Conj, OrNode: Disj, AllNode: ForAll, ExNode: Exists}.get(type(node))
-    if wanted is not None:
-        for f in delta:
-            if isinstance(f, wanted):
-                return dataclasses.replace(node, sequent=delta - {f})
-    return None
+    """The explicit node with one principal formula deleted: the least by
+    text, so that every process deletes the same one."""
+    rule = root_label(node).rule
+    if rule is RuleTag.AXM:
+        principal = atom_true
+    elif rule is RuleTag.AXL:
+        principal = lambda f: isinstance(f, (Member, NotMember))
+    elif rule in INTRODUCTIONS:
+        connective = INTRODUCTIONS[rule][0]
+        principal = lambda f: type(f) is connective
+    else:
+        return None
+    candidates = [f for f in node.sequent if principal(f)]
+    if not candidates:
+        return None
+    return dataclasses.replace(node, sequent=node.sequent - {min(candidates, key=formula_text)})
 
 
 def _retag_rule(node: Code):

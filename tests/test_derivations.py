@@ -21,6 +21,7 @@ from proofbench.derivations import (
     DerivationError,
     ExNode,
     FiniteSupport,
+    NodeLabel,
     OrNode,
     PredKids,
     PredVac,
@@ -45,11 +46,15 @@ from proofbench.derivations import (
 )
 from proofbench.formulas import (
     Conj,
+    Disj,
     Eq,
+    Exists,
+    ForAll,
     Member,
     NotMember,
     Num,
     Plus,
+    Var,
     field_statement,
     negate,
     prog_formula,
@@ -219,6 +224,34 @@ def test_checker_rejects_wrong_rep():
     rep = RepNode(seq(Eq(num(5), num(5))), succ(ZERO), base)
     report = check_local(rep)
     assert not report.passed
+
+
+A, B, C = (Eq(num(k), num(k)) for k in (1, 2, 3))
+SOME = ForAll("x", Eq(Var("x"), Var("x")))  # instance k is (= k k)
+ONE_OF = Exists("x", Eq(Var("x"), num(3)))  # instance k is (= k 3)
+
+
+# each introduction rule's sequent, premise indices and premise sequents
+@pytest.mark.parametrize(
+    "rule, delta, indices, kids, reason",
+    [
+        (RuleTag.AND, Conj(A, B), (1,), {1: A}, "And wants premise indices {1,2}"),
+        (RuleTag.AND, Conj(A, B), (1, 2), {1: A, 2: C}, "no conjunction in the sequent matches the premises"),
+        (RuleTag.AND, Conj(A, B), (1, 2), {1: A, 2: B}, None),
+        (RuleTag.OR, Disj(A, B), (3,), {3: A}, "Or wants a single premise indexed 1 or 2"),
+        (RuleTag.OR, Disj(A, B), (1,), {1: B}, "no disjunction in the sequent matches the premise"),
+        (RuleTag.OR, Disj(A, B), (2,), {2: B}, None),
+        (RuleTag.ALL, SOME, (1,), {1: A}, "All wants premises for every natural"),
+        (RuleTag.ALL, SOME, NAT, {1: A, 2: C}, "no universal formula matches the sampled premises"),
+        (RuleTag.ALL, SOME, NAT, {1: A, 2: B}, None),
+        (RuleTag.EX, ONE_OF, (-1,), {-1: A}, "Ex wants a single premise indexed by its witness"),
+        (RuleTag.EX, ONE_OF, (3,), {3: A}, "no existential formula matches the premise"),
+        (RuleTag.EX, ONE_OF, (3,), {3: C}, None),
+    ],
+)
+def test_introduction_clauses_give_their_reasons(rule, delta, indices, kids, reason):
+    labels = {i: NodeLabel(seq(delta, f), RuleTag.AXM, ZERO) for i, f in kids.items()}
+    assert derivations._clause_ok(NodeLabel(seq(delta), rule, ONE), labels, indices) == reason
 
 
 # --- the checker against the plain tree walk
@@ -442,6 +475,28 @@ def test_shared_explicit_subtrees_are_checked_once():
     ok, visited, checked = output_under_hash_seeds(DAG_WORK_SCRIPT).split()
     assert ok == "True"
     assert int(visited) == 13_820 and int(checked) <= 1_500
+
+
+# the formulas criterion 3 deletes from principal positions, as regress --seed 0 runs it
+PRINCIPAL_DELETE_SCRIPT = """
+import hashlib, random
+from proofbench import regress
+deleted = []
+delete = regress._principal_delete
+def spy(node):
+    mutant = delete(node)
+    if mutant is not None:
+        deleted.extend(regress.formula_text(f) for f in node.sequent - mutant.sequent)
+    return mutant
+regress._principal_delete = spy
+result = regress.criterion_3(random.Random(3))
+print(len(deleted), hashlib.sha256("\\n".join(deleted).encode()).hexdigest(), result.details)
+"""
+
+
+def test_criterion_3_deletes_the_same_formulas_in_every_process():
+    count, _, details = output_under_hash_seeds(PRINCIPAL_DELETE_SCRIPT).split(" ", 2)
+    assert count == "38" and details == "Fin(1..8) pass, 100 mutations all caught\n"
 
 
 def distinct_codes(code) -> int:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proofbench.boundedness import bounded_truth
-from proofbench.cli import EXIT_OK, EXIT_PARSE, main
+from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
 from proofbench.derivations import code_text, derive_ti, expand, parse_code
 from proofbench.formulas import FormulaError, parse_formula, parse_sequent, sequent_text, ti_sequent
 from proofbench.orderings import FinOrd, SpecError, parse_spec
@@ -156,6 +156,35 @@ def test_over_nested_notation_is_bad_input(tmp_path):
     path.write_text(f'(axm (seq (= 1 1)) "{tower(400)}")')
     code, _, err = run(["check", str(path), "--json"])
     assert code == EXIT_PARSE and "nest" in err
+
+
+# notations with a digit outside ASCII 0-9, or more digits than int() reads;
+# a certificate is written to a file and checked
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ord", "succ", "٣"],
+        ["ord", "succ", "²"],
+        ["ord", "succ", "7" * 5000],
+        ["ti", '(below "٣")', "--compact"],
+        ["check", '(tiroot (below "w^٢"))'],
+        ["check", '(axm (seq (= 1 1)) "w^٢")'],
+    ],
+    ids=["arabic-indic", "superscript", "5000-digits", "ti-below", "check-below", "check-tag"],
+)
+def test_notations_outside_the_grammar_are_bad_input(tmp_path, argv):
+    if argv[0] == "check":
+        path = tmp_path / "cert.sx"
+        path.write_text(argv[1])
+        argv = ["check", str(path), "--json"]
+    code, out, err = run(argv)
+    assert code == EXIT_PARSE and not out and "parse error" in err and "Traceback" not in err
+
+
+def test_a_result_too_long_to_write_is_a_failed_precondition():
+    # 2^20000 has 6,021 digits, more than str() writes
+    code, out, err = run(["ord", "pow2", "20000"])
+    assert code == EXIT_PRECONDITION and not out and "6021-digit" in err
 
 
 # spellings that int() reads as a number but the writer never produces

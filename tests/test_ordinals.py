@@ -1,4 +1,7 @@
+import hashlib
+import itertools
 import random
+import time
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -8,6 +11,7 @@ from proofbench import cnforacle as oracle
 from proofbench.gens import random_ordinal, random_vec_below_w3
 from proofbench.ordinals import (
     EPSILON,
+    MAX_NESTING,
     OMEGA,
     ONE,
     ZERO,
@@ -201,11 +205,56 @@ def test_examples_print_as_expected():
         "w^(E)",
         "w+",
         "(w)",
+        "٣",
+        "²",
+        "w^٢",
     ],
 )
 def test_strict_parser_rejects_noncanonical(bad):
     with pytest.raises(NotationError):
         parse(bad)
+
+
+# the strings of each length over the grammar's characters that parse
+# accepts: how many, and the sha256 of their sorted list, one per line
+ACCEPTED = {
+    1: (12, "d864e85eb3c7a68a4f54701ba37a779ef85488c560791402edddc2bcd7368245"),
+    2: (90, "63b5837099ddede7b94adcd0762b7896d060aed5dd3ebf46cba218a1fe6dbf9d"),
+    3: (944, "bacc896fb6e32111f046aeea244bfe349dc3c42f416b40047c6e7f7fa5498530"),
+    4: (9450, "88e4be32b3fe464beb5de213982a157e6968fc442cf7a6d5b5d720834a1ab271"),
+}
+
+
+@pytest.mark.parametrize("length", ACCEPTED)
+def test_accepted_strings_by_length(length):
+    accepted = []
+    for chars in itertools.product("0123456789wE^*+()", repeat=length):
+        s = "".join(chars)
+        try:
+            parse(s)
+        except NotationError:
+            continue
+        accepted.append(s)
+    count, digest = ACCEPTED[length]
+    assert len(accepted) == count
+    assert hashlib.sha256("\n".join(sorted(accepted)).encode()).hexdigest() == digest
+
+
+def test_a_long_sum_reads_in_one_pass():
+    s = "+".join([f"w^{k}" for k in range(3999, 1, -1)] + ["w", "1"])
+    started = time.perf_counter()
+    value = parse(s)
+    assert time.perf_counter() - started < 0.5
+    assert len(value.wterms) == 4000
+
+
+def test_notations_nest_up_to_the_bound():
+    def tower(n):
+        return "w^(" * n + "w+1" + ")" * n
+
+    assert text(parse(tower(MAX_NESTING))) == tower(MAX_NESTING)
+    with pytest.raises(NotationError, match="nest"):
+        parse(tower(MAX_NESTING + 1))
 
 
 @given(st.integers(min_value=0, max_value=10**6))
