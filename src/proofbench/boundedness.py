@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivations import Code, RuleTag, and_invert, check_local, derive_ti, root_label, step
+from .derivations import (Code, RuleTag, and_invert, check_local, derive_ti, root_label, step,
+                          ti_certificate_fault)
 from .formulas import (
     Disj,
     ForAll,
@@ -42,7 +43,6 @@ from .formulas import (
     subst_num,
     substitute_sequent,
     term_vars,
-    ti_sequent,
 )
 from .orderings import OrderingSpec, field_elements, in_field, otyp, rank, rankable
 from .ordinals import ZERO, Cmp, Ordinal, add, compare, le, lt, max_ord, pow2
@@ -323,15 +323,12 @@ def otyp_bound(
     width_budget: int = 8,
 ) -> BoundCertificate:
     """Certify otyp(spec) <= 2^alpha from a TI derivation with root tag alpha."""
-    gate = check_local(code, depth_budget, width_budget, require_cut_free=True)
-    if not gate.passed:
-        raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
-    root = root_label(code)
-    if root.sequent != ti_sequent(spec):
-        raise BoundednessError("certificate root is not the TI sequent of the ordering")
+    fault = ti_certificate_fault(code, spec, depth_budget, width_budget)
+    if fault is not None:
+        raise BoundednessError(fault)
     if not rankable(spec):
         raise BoundednessError("order-type bounds need a well-founded ordering")
-    alpha = root.tag
+    alpha = root_label(code).tag
     bound = pow2(alpha)
     value = otyp(spec)
     comparison = compare(value, bound)

@@ -92,23 +92,12 @@ class RunConfig:
     json: bool
 
 
-def _env_default(name: str, fallback: int) -> int:
-    raw = os.environ.get(f"PROOFBENCH_{name}")
-    if raw is None:
-        return fallback
-    try:
-        value = int(raw)
-    except ValueError:
-        raise SystemExit(f"PROOFBENCH_{name} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise SystemExit(f"PROOFBENCH_{name} must be positive")
-    return value
-
-
 def _add_budget_flags(p: argparse.ArgumentParser):
+    # argparse reads a string default (the environment's) with `type`, so a
+    # bad value exits 2 like a bad flag
     for field in fields(Budgets):
         p.add_argument(_BUDGET_FLAGS[field.name], type=int, dest=field.name,
-                       default=_env_default(field.name.upper(), field.default))
+                       default=os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default))
     p.add_argument("--json", action="store_true", help="line-delimited records")
 
 
@@ -357,7 +346,7 @@ def _cmd_lab(cfg: RunConfig) -> int:
     ok = True
     human = []
     for store in stores:
-        prec = build_precT(store, base, b.embed, b.eval, b.depth, b.width)
+        prec = build_precT(store, base, b.embed, b.depth, b.width)
         if args.verb == "build":
             record = {
                 "name": store.name,
@@ -455,7 +444,8 @@ def main(argv: list[str] | None = None) -> int:
     budgets = Budgets(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
     for name, value in vars(budgets).items():
         if value <= 0:
-            print(f"budget --{name} must be positive", file=sys.stderr)
+            flag = _BUDGET_FLAGS[name]
+            print(f"budget {flag} (PROOFBENCH_{name.upper()}) must be positive", file=sys.stderr)
             return EXIT_PARSE
     return run(RunConfig(args.command, args, budgets, args.json))
 

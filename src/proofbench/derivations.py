@@ -824,6 +824,17 @@ def check_local(
     return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated, checked)
 
 
+def ti_certificate_fault(code: Code, spec: OrderingSpec, depth_budget: int, width_budget: int) -> str | None:
+    """Why `code` is not a TI certificate of `spec`, or None when it is: its
+    root must be ti_sequent(spec), and a cut-free check_local must pass."""
+    if root_label(code).sequent != ti_sequent(spec):
+        return "certificate root is not the TI sequent of the ordering"
+    report = check_local(code, depth_budget, width_budget, require_cut_free=True)
+    if not report.passed:
+        return f"certificate fails local checks at {report.fail_path}: {report.fail_reason}"
+    return None
+
+
 # --- full expansion (finite builders only) ----------------------------------------------
 
 

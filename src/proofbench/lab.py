@@ -4,11 +4,14 @@ A theory at desk scale is a named store of claims, each pairing an ordering
 with either a checked TI certificate or a bare assertion of
 well-foundedness.  The induced relation restricts a well-founded base: a
 pair holds when some linear store claim admits an embedding of the base
-restricted below the pair's upper element.  Checked-only stores have a
-computable order type (the certified supremum capped by the base); stores
-with false assertions are caught by hunting constructive descent inside the
-claimed orderings themselves, since the induced relation, being a
-subrelation of the base, never descends unboundedly on its own.
+restricted below the pair's upper element.  Linearity is decided exactly
+from the claim's spec kinds (`orderings.linear`), with no budget; a claim
+that is not linear is inert: it bounds no pair and is never searched.
+Checked-only stores have a computable order type (the certified supremum
+capped by the base); stores with false assertions are caught by hunting
+constructive descent inside the claimed orderings themselves, since the
+induced relation, being a subrelation of the base, never descends
+unboundedly on its own.
 """
 
 from __future__ import annotations
@@ -18,15 +21,14 @@ from enum import Enum
 from typing import Callable, Union
 
 from . import sexpr
-from .derivations import Code, check_local, parse_code, root_label
-from .formulas import ti_sequent
+from .derivations import Code, parse_code, ti_certificate_fault
 from .orderings import (
     SPECS,
     OrderingSpec,
-    check_lo,
     embed_search,
     field_elements,
     less,
+    linear,
     otyp,
     rankable,
     restriction_embeds,
@@ -34,7 +36,6 @@ from .orderings import (
 )
 from .ordinals import ZERO, Cmp, Ordinal, compare, max_ord
 from .sexpr import Str
-from .verdict import Verdict
 
 
 class LabError(ValueError):
@@ -94,7 +95,7 @@ class PrecT:
     base: OrderingSpec
     store: TheoryStore
     embed_budget: int
-    usable: tuple[int, ...]  # indices of claims that passed the linearity check
+    usable: tuple[int, ...]  # indices of the claims whose orderings are linear
     ranked: frozenset[int]  # usable claims whose orderings have ranks
 
     def less(self, a: int, b: int) -> bool:
@@ -114,27 +115,24 @@ def build_precT(
     store: TheoryStore,
     base: OrderingSpec,
     embed_budget: int = 200,
-    lo_budget: int = 200,
     depth_budget: int = 64,
     width_budget: int = 8,
 ) -> PrecT:
-    """Validate the store and assemble the induced relation."""
+    """Validate the store and assemble the induced relation.
+
+    Every checked claim's certificate must be a cut-free TI certificate of
+    its ordering at the depth and width budgets, or LabError is raised.  The
+    usable claims are the linear ones, whatever the budgets."""
     if not rankable(base):
         raise LabError("the base presentation must be a well-founded combinator")
-    usable = []
     for i, claim in enumerate(store.claims):
         if claim.evidence is Evidence.CHECKED:
             if claim.certificate is None:
                 raise LabError(f"claim {i}: checked evidence needs a certificate")
-            if root_label(claim.certificate).sequent != ti_sequent(claim.ordering):
-                raise LabError(f"claim {i}: certificate proves the wrong sequent")
-            report = check_local(
-                claim.certificate, depth_budget, width_budget, require_cut_free=True
-            )
-            if not report.passed:
-                raise LabError(f"claim {i}: certificate fails local checks: {report.fail_reason}")
-        if check_lo(claim.ordering, lo_budget).verdict is Verdict.TRUE:
-            usable.append(i)
+            fault = ti_certificate_fault(claim.certificate, claim.ordering, depth_budget, width_budget)
+            if fault is not None:
+                raise LabError(f"claim {i}: {fault}")
+    usable = [i for i, claim in enumerate(store.claims) if linear(claim.ordering)]
     ranked = frozenset(i for i in usable if rankable(store.claims[i].ordering))
     return PrecT(base, store, embed_budget, tuple(usable), ranked)
 

@@ -27,7 +27,6 @@ from . import sexpr
 from .ordinals import (NotationError, Ordinal, add, canonical_texts, div, from_int, le, left_diff, lt, mul, parse,
                        succ, text)
 from .sexpr import NATURAL, REST, Role, Str
-from .verdict import Verdict
 
 
 class SpecError(ValueError):
@@ -39,9 +38,12 @@ class UnsupportedRankError(ValueError):
 
 
 class OrderingSpec:
-    """A spec kind's defaults: well-founded, with no order type.  The kinds'
-    methods recurse through the module functions below, so their caches
-    see every call."""
+    """A spec kind's defaults: linear and well-founded, with no order type.
+    The kinds' methods recurse through the module functions below, so
+    their caches see every call."""
+
+    def linear(self) -> bool:
+        return True
 
     def rankable(self) -> bool:
         return True
@@ -120,6 +122,9 @@ class SumOrd(OrderingSpec):
             return m % 2 == 1
         return less(self.second if n % 2 else self.first, n // 2, m // 2)
 
+    def linear(self) -> bool:
+        return linear(self.first) and linear(self.second)
+
     def rankable(self) -> bool:
         return rankable(self.first) and rankable(self.second)
 
@@ -158,6 +163,11 @@ class LexOrd(OrderingSpec):
         na, nb = unpair_code(n)
         ma, mb = unpair_code(m)
         return less(self.major, na, ma) if na != ma else less(self.minor, nb, mb)
+
+    def linear(self) -> bool:
+        # a product with an empty side has no elements
+        return (linear(self.major) and linear(self.minor)) or not (
+            field_elements(self.major, 1) and field_elements(self.minor, 1))
 
     def rankable(self) -> bool:
         return rankable(self.major) and rankable(self.minor)
@@ -210,6 +220,9 @@ class RevOrd(OrderingSpec):
     def less(self, n: int, m: int) -> bool:
         return n != m and less(self.inner, m, n)
 
+    def linear(self) -> bool:
+        return linear(self.inner)
+
     def rankable(self) -> bool:
         return False
 
@@ -238,6 +251,8 @@ class TableOrd(OrderingSpec):
     def rankable(self) -> bool:
         ordered = self.ordered()
         return self.pairs == {(x, y) for i, x in enumerate(ordered) for y in ordered[i + 1:]}
+
+    linear = rankable  # a finite strict total order is well-founded
 
     def otyp(self) -> Ordinal:
         if not self.rankable():
@@ -296,6 +311,16 @@ def in_field(spec: OrderingSpec, n: int) -> bool:
 
 def less(spec: OrderingSpec, n: int, m: int) -> bool:
     return spec.less(n, m)
+
+
+def linear(spec: OrderingSpec) -> bool:
+    """True when the combinator is a strict linear order on its field.
+
+    Decided from the spec's structure, with no budget: a table must be a
+    strict total order itself, and so must every part of a sum, a reversal
+    or a product with two nonempty sides.  A table with a self-pair is not
+    linear even where a reversal or a product's major side hides it."""
+    return spec.linear()
 
 
 def rankable(spec: OrderingSpec) -> bool:
@@ -362,35 +387,6 @@ def iter_field(spec: OrderingSpec):
 def field_elements(spec: OrderingSpec, k: int) -> list[int]:
     """First k field elements by code."""
     return list(itertools.islice(iter_field(spec), k))
-
-
-# --- linearity check ----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LoReport:
-    verdict: Verdict
-    violation: tuple[int, ...] | None
-    clause: str | None
-    checked: int
-
-
-def check_lo(spec: OrderingSpec, budget: int) -> LoReport:
-    """Test irreflexivity, trichotomy and transitivity on codes below budget."""
-    elems = [n for n in range(budget) if in_field(spec, n)]
-    for x in elems:
-        if less(spec, x, x):
-            return LoReport(Verdict.FALSE, (x,), "irreflexivity", len(elems))
-    for x, y in itertools.combinations(elems, 2):
-        if not (less(spec, x, y) or less(spec, y, x)):
-            return LoReport(Verdict.FALSE, (x, y), "trichotomy", len(elems))
-    for x in elems:
-        for y in elems:
-            if x != y and less(spec, x, y):
-                for z in elems:
-                    if z != y and less(spec, y, z) and not less(spec, x, z):
-                        return LoReport(Verdict.FALSE, (x, y, z), "transitivity", len(elems))
-    return LoReport(Verdict.TRUE, None, None, len(elems))
 
 
 # --- descending-chain search ---------------------------------------------------

@@ -357,8 +357,12 @@ def _read_sum(tokens: list[str], i: int, depth: int) -> tuple[Ordinal, int]:
             if n:
                 wterms.append((ZERO, n))
         if tokens[i] != "+":
-            return Ordinal(eterm, tuple(wterms)), i
+            break
         i += 1
+    try:
+        return Ordinal(eterm, tuple(wterms)), i
+    except NotationError as e:  # the terms are out of order
+        raise NotationError(f"{e} in {''.join(tokens)!r}") from None
 
 
 @lru_cache(maxsize=65536)

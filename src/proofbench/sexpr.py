@@ -47,6 +47,7 @@ _TOKEN = re.compile(
     r'|;.*'
 )
 _ESCAPE = re.compile(r"\\([\s\S])")
+_NUMERAL = re.compile(r"-?[0-9]+")  # an atom that int() refuses only for its length
 
 
 def parse(text: str):
@@ -78,6 +79,9 @@ def parse_many(text: str):
             try:
                 n = int(word)
             except ValueError:
+                if _NUMERAL.fullmatch(word):
+                    digits = len(word.lstrip("-"))
+                    raise _fault(text, m.start(), f"a {digits}-digit numeral is too long to read") from None
                 top.append(word)
                 continue
             # int() also reads signs, underscores, other scripts' digits and

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import sexpr
-from .derivations import Code, check_local, derive_ti, parse_code, root_label
-from .formulas import ti_sequent
+from .derivations import Code, derive_ti, parse_code, root_label, ti_certificate_fault
 from .orderings import (
     SPECS,
     BelowOrd,
@@ -87,12 +86,9 @@ def validate_entries(
         if e.index in seen:
             raise SpectorError("duplicate index", e.index)
         seen.add(e.index)
-        root = root_label(e.certificate)
-        if root.sequent != ti_sequent(e.ordering):
-            raise SpectorError("certificate root is not the TI sequent", e.index)
-        report = check_local(e.certificate, depth_budget, width_budget, require_cut_free=True)
-        if not report.passed:
-            raise SpectorError(f"certificate fails local checks: {report.fail_reason}", e.index)
+        fault = ti_certificate_fault(e.certificate, e.ordering, depth_budget, width_budget)
+        if fault is not None:
+            raise SpectorError(fault, e.index)
 
 
 def sup_tag(entries, depth_budget: int = 64, width_budget: int = 8) -> Ordinal:

@@ -141,6 +141,23 @@ def test_lab_flow(tmp_path, capsys):
     assert code == EXIT_OK
 
 
+# two claims that are not linear orders: the table's pairs lie above code
+# 200, and the product's first trichotomy failure is at codes 1224 and 2394
+@pytest.mark.parametrize("spec", [
+    "(table (300 301) (301 300))",
+    '(lex (lex (rev (fin 5)) (table (1 0) (1 3) (3 0) (5 1))) (below "w^2"))',
+], ids=["table", "lex"])
+def test_lab_usable_claims_do_not_depend_on_the_eval_budget(tmp_path, capsys, spec):
+    path = tmp_path / "store.sx"
+    path.write_text(f'(theory "t" (claim {spec} asserted))')
+    for verb, key, want in (("build", "usable", []), ("reflect", "verdict", "well-founded-up-to-budget")):
+        runs = {run_cli(capsys, "lab", verb, str(path), "--base", '(below "w")', "--eval-budget", budget, "--json")
+                for budget in ("200", "400", "20000")}
+        assert len(runs) == 1, verb
+        code, out, _ = runs.pop()
+        assert code == EXIT_OK and json.loads(out.splitlines()[0])[key] == want
+
+
 def test_lab_chain(tmp_path, capsys):
     run_cli(capsys, "ti", "(fin 3)", "-o", str(tmp_path / "f3.sx"))
     run_cli(capsys, "ti", "(fin 2)", "-o", str(tmp_path / "f2.sx"))

@@ -52,7 +52,10 @@ def rep_tower(levels: int) -> str:
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:  # argparse refused an argument
+            code = e.code
     return code, out.getvalue(), err.getvalue()
 
 
@@ -185,6 +188,35 @@ def test_a_result_too_long_to_write_is_a_failed_precondition():
     # 2^20000 has 6,021 digits, more than str() writes
     code, out, err = run(["ord", "pow2", "20000"])
     assert code == EXIT_PRECONDITION and not out and "6021-digit" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_a_bad_budget_in_the_environment_is_bad_input(monkeypatch, value):
+    monkeypatch.setenv("PROOFBENCH_DEPTH", value)
+    code, out, err = run(["ord", "succ", "0"])
+    assert code == EXIT_PARSE and not out and "--depth" in err
+    code, out, err = run(["ord", "succ", "0", "--depth", "5"])
+    assert code == EXIT_OK and out == "1\n"
+
+
+def test_a_bad_budget_flag_is_named():
+    code, out, err = run(["ord", "succ", "0", "--eval-budget", "0"])
+    assert code == EXIT_PARSE and not out and "--eval-budget" in err
+
+
+def test_a_numeral_too_long_to_read_is_bad_input(tmp_path):
+    path = tmp_path / "cert.sx"
+    n = "7" * 5000
+    path.write_text(f'(axm (seq (= {n} {n})) "0")')
+    code, out, err = run(["check", str(path), "--json"])
+    assert code == EXIT_PARSE and not out and "1:14: a 5000-digit numeral is too long to read" in err
+
+
+def test_a_tag_out_of_canonical_order_is_named(tmp_path):
+    path = tmp_path / "cert.sx"
+    path.write_text('(axm (seq (= 1 1)) "w+w")')
+    code, out, err = run(["check", str(path), "--json"])
+    assert code == EXIT_PARSE and not out and "exponents must strictly decrease in 'w+w'" in err
 
 
 # spellings that int() reads as a number but the writer never produces

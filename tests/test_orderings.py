@@ -17,13 +17,13 @@ from proofbench.orderings import (
     SumOrd,
     TableOrd,
     UnsupportedRankError,
-    check_lo,
     element_of_rank,
     embed_search,
     field_elements,
     in_field,
     iter_field,
     less,
+    linear,
     ord_code,
     ord_decode,
     otyp,
@@ -37,7 +37,6 @@ from proofbench.orderings import (
     unpair_code,
 )
 from proofbench.ordinals import NotationError, canonical_texts, compare, from_int, lt, parse
-from proofbench.verdict import Verdict
 
 P = parse
 W = P("w")
@@ -182,14 +181,63 @@ def test_element_of_rank_inverts_rank():
     assert element_of_rank(lex, P("w*2+1000")) == pair_code(2, code("1000"))
 
 
-def test_check_lo():
-    assert check_lo(FinOrd(5), 10).verdict is Verdict.TRUE
-    bad = check_lo(TableOrd(frozenset({(0, 1), (1, 2), (2, 0)})), 10)
-    assert bad.verdict is Verdict.FALSE
-    assert bad.violation is not None
-    assert check_lo(RevOrd(BelowOrd(W)), 50).verdict is Verdict.TRUE
-    for spec in [FinOrd(4), BelowOrd(W2), SumOrd(FinOrd(2), FinOrd(2)), LexOrd(FinOrd(2), FinOrd(2))]:
-        assert check_lo(spec, 60).verdict is Verdict.TRUE
+# non-linear specs with no fault below code 200: the table's pairs lie
+# above it, and the product's first trichotomy failure is at (1224, 2394)
+HIDDEN_CYCLES = [
+    "(table (300 301) (301 300))",
+    '(lex (lex (rev (fin 5)) (table (1 0) (1 3) (3 0) (5 1))) (below "w^2"))',
+]
+
+
+def test_linear_by_spec_kind():
+    cyc = TableOrd(frozenset({(0, 1), (1, 2), (2, 0)}))
+    assert linear(FinOrd(5)) and not linear(cyc)
+    assert linear(RevOrd(BelowOrd(W))) and not linear(RevOrd(cyc))
+    for spec in [FinOrd(4), BelowOrd(W2), SumOrd(FinOrd(2), FinOrd(2)), LexOrd(FinOrd(2), FinOrd(2)),
+                 TableOrd(frozenset({(5, 3), (5, 9), (3, 9)}))]:
+        assert linear(spec)
+    assert not linear(SumOrd(FinOrd(2), cyc)) and not linear(LexOrd(BelowOrd(W), cyc))
+    for text in HIDDEN_CYCLES:
+        assert not linear(parse_spec(text))
+
+
+def test_a_product_with_an_empty_side_is_linear():
+    cyc = TableOrd(frozenset({(0, 1), (1, 2), (2, 0)}))
+    empty = RevOrd(BelowOrd(P("0")))
+    assert linear(LexOrd(cyc, empty)) and linear(LexOrd(empty, cyc))
+    assert field_elements(LexOrd(cyc, empty), 1) == []
+    assert not linear(LexOrd(cyc, FinOrd(1))) and not linear(LexOrd(FinOrd(1), cyc))
+
+
+def linear_on(spec, elems) -> bool:
+    """Brute force: `less` is a strict linear order on elems.
+
+    Irreflexive, with exactly one of x<y and y<x for each pair, the relation
+    is a tournament, which is transitive iff no two elements have the same
+    number of predecessors."""
+    if any(less(spec, x, x) for x in elems):
+        return False
+    preds = {x: 0 for x in elems}
+    for x, y in itertools.combinations(elems, 2):
+        xy = less(spec, x, y)
+        if xy == less(spec, y, x):
+            return False
+        preds[y if xy else x] += 1
+    return len(set(preds.values())) == len(elems)
+
+
+@pytest.mark.parametrize("depth, seeds", [(2, range(300)), (3, range(300))])
+def test_linear_agrees_with_brute_force(depth, seeds):
+    small = 0
+    for seed in seeds:
+        spec = random_spec(random.Random(seed), depth)
+        elems = field_elements(spec, 200)
+        if len(elems) < 200:  # the whole field
+            small += 1
+            assert linear(spec) == linear_on(spec, elems), (seed, spec_text(spec))
+        elif linear(spec):
+            assert linear_on(spec, elems[:40]), (seed, spec_text(spec))
+    assert small > 100
 
 
 def test_search_descending():

@@ -215,6 +215,14 @@ def test_strict_parser_rejects_noncanonical(bad):
         parse(bad)
 
 
+def test_terms_out_of_order_name_the_notation():
+    for bad, reason in (("w+w", "exponents must strictly decrease"), ("w^(1+w)", "exponents must strictly decrease"),
+                        ("w^(E)", "E may not appear in an exponent")):
+        with pytest.raises(NotationError) as e:
+            parse(bad)
+        assert str(e.value) == f"{reason} in {bad!r}"
+
+
 # the strings of each length over the grammar's characters that parse
 # accepts: how many, and the sha256 of their sorted list, one per line
 ACCEPTED = {

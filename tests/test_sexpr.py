@@ -47,6 +47,15 @@ def test_atoms_escapes_and_comments():
     assert parse_many("; only a comment") == []
 
 
+def test_a_numeral_too_long_to_read_is_an_error():
+    # int() reads at most 4,300 digits; a longer numeral is no symbol
+    for atom in ("7" * 5000, "-" + "7" * 5000):
+        with pytest.raises(SexprError) as e:
+            parse(f"(a\n b {atom})")
+        assert str(e.value) == "2:4: a 5000-digit numeral is too long to read"
+    assert parse(f"(a {'7' * 4300})") == ["a", int("7" * 4300)]
+
+
 def test_errors_carry_positions():
     for text, message in ERRORS:
         with pytest.raises(SexprError) as e:
