@@ -145,9 +145,27 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _read_input(path: Path) -> str:
+    """The text of an input file, read as UTF-8 with universal newlines."""
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise _ParseFailure(f"{path}: not UTF-8 at byte {e.start}") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _write_output(path: Path, text: str):
+    """Write an output file as UTF-8; a path that cannot be written is bad input."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as e:
+        raise _ParseFailure(f"cannot write {path}: {e.strerror or e}") from None
+
+
 def _loader_for(path: Path):
     def load(rel: str) -> str:
-        return (path.parent / rel).read_text()
+        return _read_input(path.parent / rel)
 
     return load
 
@@ -195,7 +213,7 @@ def _cmd_ord(cfg: RunConfig) -> int:
 def _cmd_check(cfg: RunConfig) -> int:
     args, b = cfg.args, cfg.budgets
     try:
-        code = parse_code(Path(args.file).read_text())
+        code = parse_code(_read_input(Path(args.file)))
     except (OSError, DerivationError, *_PARSE_ERRORS) as e:
         raise _ParseFailure(str(e))
     report = check_local(code, b.depth, b.width, require_cut_free=args.cut_free)
@@ -218,7 +236,7 @@ def _cmd_ti(cfg: RunConfig) -> int:
         code = expand(code)
     payload = code_text(code)
     if args.output:
-        Path(args.output).write_text(payload + "\n")
+        _write_output(Path(args.output), payload + "\n")
         _emit(
             [{"written": args.output, "root_tag": ord_text(root_label(code).tag)}],
             True,
@@ -238,7 +256,7 @@ def _cmd_bound(cfg: RunConfig) -> int:
     args, b = cfg.args, cfg.budgets
     try:
         spec = parse_spec(args.ordering)
-        code = parse_code(Path(args.cert).read_text())
+        code = parse_code(_read_input(Path(args.cert)))
     except (OSError, DerivationError, *_PARSE_ERRORS) as e:
         raise _ParseFailure(str(e))
     if args.truth:
@@ -282,13 +300,13 @@ def _cmd_spector(cfg: RunConfig) -> int:
     args, b = cfg.args, cfg.budgets
     path = Path(args.file)
     try:
-        entries = parse_enumeration(path.read_text(), _loader_for(path))
+        entries = parse_enumeration(_read_input(path), _loader_for(path))
     except (OSError, DerivationError, SpectorError, *_PARSE_ERRORS) as e:
         raise _ParseFailure(str(e))
     w = witness(entries, b.depth, b.width)
     report = verify_domination(entries, w, sample=50)
     if args.emit_cert and w.certificate is not None:
-        Path(args.emit_cert).write_text(code_text(w.certificate) + "\n")
+        _write_output(Path(args.emit_cert), code_text(w.certificate) + "\n")
     record = {
         "alpha": ord_text(w.alpha),
         "witness_index": w.index,
@@ -318,7 +336,7 @@ def _cmd_lab(cfg: RunConfig) -> int:
     for fname in args.stores:
         path = Path(fname)
         try:
-            stores.append(parse_store(path.read_text(), _loader_for(path)))
+            stores.append(parse_store(_read_input(path), _loader_for(path)))
         except (OSError, DerivationError, LabError, *_PARSE_ERRORS) as e:
             raise _ParseFailure(f"{fname}: {e}")
 

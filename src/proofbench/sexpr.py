@@ -2,9 +2,12 @@
 
 `parse` reads text into nested Python lists whose atoms are ints, symbols
 (plain str) and quoted strings (wrapped in Str so that `foo` and `"foo"` stay
-distinct).  Above them sit the term languages (codes, formulas, terms,
-ordering specs): each is a `Sort` with a shape table, read from those lists
-by `read` and written straight to text by `write`.
+distinct).  The lists are shared and read-only: equal atoms and equal lists
+are one object, so a text that repeats a subterm reads as a DAG, and no
+caller may change a list it is given.  Above them sit the term languages
+(codes, formulas, terms, ordering specs): each is a `Sort` with a shape
+table, read from those lists by `read` and written straight to text by
+`write`.
 """
 
 from __future__ import annotations
@@ -58,48 +61,117 @@ def parse(text: str):
     return items[0]
 
 
+# A list closed at least _KEY characters long is filed under its first _KEY
+# characters, to be found again at a `(` whose text starts the same way.
+_KEY = 32
+_SPAN = 4096  # the most characters copied to compare a repeated text
+
+
 def parse_many(text: str):
-    stack: list[list] = []
+    """The S-expressions of `text`, as shared, read-only lists.
+
+    Equal atoms are one object, and so are equal lists: a list is shared as
+    it is closed, keyed by the identities of its elements, which are shared
+    already.  Text already read is not read again: at each `(`, a list
+    closed earlier whose text starts the same way is looked up, and if the
+    text here starts with that list's whole text, the list is taken and its
+    text jumped over.  A list's text is balanced and ends in a delimiter,
+    with its strings and comments wholly inside, so equal text reads as the
+    same list, and a fault is found where a scan of every token finds it.
+
+    Scanning stays linear in the text.  A repeat is looked for only while
+    the characters spent comparing texts that did not repeat are no more
+    than the offset reached, so that near-copies nested in one another (two
+    deep chains that differ only at the bottom) are not compared again at
+    every level.  Every table lives for the one call.
+    """
+    atoms: dict[str, object] = {}  # token text -> its atom
+    lists: dict[tuple, list] = {}  # identities of the elements -> the one list of them
+    closed: dict[str, tuple] = {}  # first _KEY characters -> (a list, where its text starts, its length)
+    stack: list[tuple[list, int]] = []
     top: list = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastindex
-        if kind == _OPEN:
-            stack.append(top)
-            top = []
-        elif kind == _SYMBOL:
-            top.append(m[kind])
-        elif kind == _CLOSE:
-            if not stack:
-                raise _fault(text, m.start(), "unbalanced ')'")
-            done = top
-            top = stack.pop()
-            top.append(done)
-        elif kind == _ATOM:
-            word = m[kind]
-            try:
-                n = int(word)
-            except ValueError:
-                if _NUMERAL.fullmatch(word):
-                    digits = len(word.lstrip("-"))
-                    raise _fault(text, m.start(), f"a {digits}-digit numeral is too long to read") from None
-                top.append(word)
-                continue
-            # int() also reads signs, underscores, other scripts' digits and
-            # blanks; a numeral has the one spelling the writer gives it
-            if repr(n) != word:
-                raise _fault(text, m.start(), f"not a canonical numeral: {word!r}")
-            top.append(n)
-        elif kind == _STRING:
-            top.append(Str(_ESCAPE.sub(r"\1", m[kind])))
-        elif kind == _BAD_QUOTE:
-            end = _STRING_BODY.match(text, m.end()).end()
-            if end == len(text):
-                raise _fault(text, m.start(), "unterminated string")
-            raise _fault(text, end, "dangling escape" if text[end] == "\\" else "newline in string")
+    pos = 0
+    spent = 0  # characters compared with lists whose text did not repeat
+    while True:
+        for m in _TOKEN.finditer(text, pos):
+            kind = m.lastindex
+            if kind == _OPEN:
+                at = m.start()
+                seen = closed.get(text[at:at + _KEY]) if spent <= at else None
+                if seen is not None:
+                    done, start, length = seen
+                    agreed = _agree(text, at, start, length)
+                    if agreed == length:
+                        top.append(done)
+                        pos = at + length
+                        break
+                    spent += agreed
+                stack.append((top, at))
+                top = []
+            elif kind == _CLOSE:
+                if not stack:
+                    raise _fault(text, m.start(), "unbalanced ')'")
+                done = lists.setdefault(tuple(map(id, top)), top)
+                top, start = stack.pop()
+                top.append(done)
+                length = m.end() - start
+                if length >= _KEY:
+                    closed[text[start:start + _KEY]] = (done, start, length)
+            elif kind is not None:  # an atom; a comment matches no group
+                word = m[0]
+                atom = atoms.get(word)
+                if atom is None:
+                    atom = atoms[word] = _atom(text, m, kind)
+                top.append(atom)
+        else:
+            break
     if stack:
         last = max(m.start() for m in _TOKEN.finditer(text) if m.lastindex)
         raise _fault(text, last, "unbalanced '('")
     return top
+
+
+def _agree(text: str, at: int, start: int, length: int) -> int:
+    """How many of the `length` characters at `at` are seen to repeat those
+    at `start`: all of them, or those before the slice that differs.
+
+    The first _KEY characters are the key, equal already.  The slices grow
+    from _KEY to _SPAN characters, so a text that differs early costs little
+    and none copies more than _SPAN characters.
+    """
+    done, span = _KEY, _KEY
+    while done < length:
+        end = min(done + span, length)
+        if not text.startswith(text[start + done:start + end], at + done):
+            return done
+        done, span = end, min(2 * span, _SPAN)
+    return length
+
+
+def _atom(text: str, m: re.Match, kind: int):
+    """The atom that the token `m` of kind `kind` writes."""
+    if kind == _SYMBOL:
+        return m[kind]
+    if kind == _STRING:
+        return Str(_ESCAPE.sub(r"\1", m[kind]))
+    if kind == _BAD_QUOTE:
+        end = _STRING_BODY.match(text, m.end()).end()
+        if end == len(text):
+            raise _fault(text, m.start(), "unterminated string")
+        raise _fault(text, end, "dangling escape" if text[end] == "\\" else "newline in string")
+    word = m[kind]
+    try:
+        n = int(word)
+    except ValueError:
+        if _NUMERAL.fullmatch(word):
+            digits = len(word.lstrip("-"))
+            raise _fault(text, m.start(), f"a {digits}-digit numeral is too long to read") from None
+        return word
+    # int() also reads signs, underscores, other scripts' digits and blanks;
+    # a numeral has the one spelling the writer gives it
+    if repr(n) != word:
+        raise _fault(text, m.start(), f"not a canonical numeral: {word!r}")
+    return n
 
 
 def _fault(text: str, at: int, message: str) -> SexprError:
@@ -299,17 +371,23 @@ def read(sort: Sort, x):
     and the table keeps them alive, so no identity in a key is reused.
     """
     shared: dict[tuple, object] = {}
+    # (id(list), sort, depth) -> the term read from the list: `parse` shares
+    # equal lists, so each is read once per sort and depth; the depth is in
+    # the key as the MAX_NESTING check depends on it, and x keeps every list
+    # alive, so no identity in a key is reused
+    done: dict[tuple, object] = {}
     out = [None]
     todo = [(x, sort, out, 0, 0)]
     while todo:
         x, sort, dest, slot, depth = todo.pop()
         if depth is None:  # a build step: x holds the parts, built already
+            read_key = None
             if sort is REST:  # the subterms of a REST field
                 key = (REST, frozenset(map(id, x)))
             elif sort is ENTRIES:  # the [index, subterm] pairs of an ENTRIES field
                 key = (ENTRIES, *[(i, id(node)) for i, node in x])
-            else:  # a class and which of its arguments are subterms
-                cls, nodes = sort
+            else:  # a class, which of its arguments are subterms, and the key of the list read
+                cls, nodes, read_key = sort
                 key = (cls, *[id(a) if node else a for a, node in zip(x, nodes)])
             value = shared.get(key)
             if value is None:
@@ -320,10 +398,17 @@ def read(sort: Sort, x):
                 else:
                     value = cls(*x)
                 shared[key] = value
+            if read_key is not None:
+                done[read_key] = value
             dest[slot] = value
             continue
         if type(x) is not list:
             dest[slot] = _read_atom(sort, x, shared)
+            continue
+        read_key = (id(x), sort, depth)
+        value = done.get(read_key)
+        if value is not None:
+            dest[slot] = value
             continue
         if sort.bounded:
             depth += 1
@@ -338,7 +423,7 @@ def read(sort: Sort, x):
         if rest:
             i = len(roles) - 1
             args[i:] = [args[i:]]
-        todo.append((args, (cls, nodes), dest, slot, None))
+        todo.append((args, (cls, nodes, read_key), dest, slot, None))
         i = 0
         for _, decode, sub, many in roles:
             arg = args[i]

@@ -524,11 +524,24 @@ THREADS_SCRIPT = """
 import json, sys, threading
 from proofbench.derivations import check_local, code_text, derive_ti, expand, parse_code
 from proofbench.orderings import FinOrd
-text = code_text(expand(derive_ti(FinOrd(7))))
+from proofbench.sexpr import parse
+texts = {k: code_text(expand(derive_ti(FinOrd(k)))) for k in (7, 9)}
+def distinct_lists(x):
+    seen, todo = set(), [x]
+    while todo:
+        y = todo.pop()
+        if type(y) is list and id(y) not in seen:
+            seen.add(id(y))
+            todo.extend(y)
+    return len(seen)
 def run():
-    code = parse_code(text)
-    r = check_local(code, 400, 9, True)
-    return [r.passed, r.nodes_visited, r.max_depth, r.truncated, r.nodes_checked, code_text(code) == text]
+    out = []
+    for k, text in texts.items():
+        code = parse_code(text)
+        r = check_local(code, 400, k + 2, True)
+        out.append([r.passed, r.nodes_visited, r.max_depth, r.truncated, r.nodes_checked,
+                    code_text(code) == text, distinct_lists(parse(text))])
+    return out
 single = run()
 results = [None] * 4
 def take(i):
@@ -548,14 +561,45 @@ print(json.dumps({"single": single, "threads": results}))
 
 
 def test_reading_checking_and_writing_agree_across_threads():
-    # every table is local to one call, so threads share none
+    # every table is local to one call, so four threads reading the same
+    # texts share none
     src = os.path.dirname(os.path.dirname(proofbench.__file__))
     done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    assert out["single"][0] and out["single"][-1]
+    for report in out["single"]:
+        assert report[0] and report[5] and report[6] <= 500
     assert out["threads"] == [out["single"]] * 4
+
+
+# `check` on written-out Fin(7) and Fin(9), as `ti` writes them
+CHECK_SCRIPT = """
+import contextlib, io, os, sys, tempfile
+from proofbench.cli import main
+from proofbench.derivations import code_text, derive_ti, expand
+from proofbench.orderings import FinOrd
+with tempfile.TemporaryDirectory() as d:
+    for k in (7, 9):
+        path = os.path.join(d, f"fin{k}.sx")
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(code_text(expand(derive_ti(FinOrd(k)))) + "\\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["check", path, "--depth", "400", "--width", str(k + 2), "--json"])
+        sys.stdout.write(f"{code} {out.getvalue()}")
+"""
+
+
+def test_check_prints_the_same_bytes_under_every_hash_seed():
+    text = output_under_hash_seeds(CHECK_SCRIPT)
+    verdict = '{"schema": "proofbench/1", "verdict": "pass"}\n'
+    assert text == (
+        '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 37, "nodes_checked": 628,'
+        ' "nodes_visited": 2940, "passed": true, "truncated": true}\n' + verdict
+        + '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 47, "nodes_checked": 1154,'
+        ' "nodes_visited": 13820, "passed": true, "truncated": true}\n' + verdict
+    )
 
 
 

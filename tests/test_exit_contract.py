@@ -303,3 +303,60 @@ def test_deep_transformer_chains(tmp_path, text, nodes):
     assert_contract(code, out, err)
     if nodes is not None:
         assert code == EXIT_OK and json.loads(out.splitlines()[0])["nodes_visited"] == nodes
+
+
+# every input file is read as UTF-8; byte 0xff never occurs in UTF-8.  Each
+# case names the file that holds the bad byte, and the argv that reads it.
+NOT_UTF8 = {
+    "check": ("cert.sx", ["check", "cert.sx"]),
+    "bound": ("cert.sx", ["bound", "--ordering", "(fin 2)", "--cert", "cert.sx"]),
+    "lab-store": ("store.sx", ["lab", "build", "store.sx", "--base", "(fin 3)"]),
+    "lab-cert": ("cert.sx", ["lab", "build", "store.sx", "--base", "(fin 3)"]),
+    "spector-enumeration": ("entries.sx", ["spector", "entries.sx"]),
+    "spector-cert": ("cert.sx", ["spector", "entries.sx"]),
+}
+
+
+@pytest.mark.parametrize("case", NOT_UTF8)
+def test_an_input_that_is_not_utf8_is_bad_input(tmp_path, case):
+    bad, argv = NOT_UTF8[case]
+    files = {
+        "cert.sx": BASE.encode(),
+        "store.sx": b'(theory "t" (claim (fin 2) (cert "cert.sx")))',
+        "entries.sx": b'(entries (0 (fin 2) "cert.sx"))',
+    }
+    # the bad byte sits after a two-byte character, at byte 3
+    files[bad] = b"(\xc3\xa9\xff" + files[bad][1:]
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    code, out, err = run([str(tmp_path / a) if a in files else a for a in argv] + ["--json"])
+    assert code == EXIT_PARSE and not out
+    assert err == f"parse error: {tmp_path / bad}: not UTF-8 at byte 3\n"
+
+
+def test_inputs_are_read_as_utf8_with_universal_newlines(tmp_path):
+    # a non-ASCII character is read as one character, and a line ends at
+    # \n, \r\n or \r, so a fault's line:col is the same under each
+    for newline in ("\n", "\r\n", "\r"):
+        path = tmp_path / "cert.sx"
+        path.write_bytes(f'(axm (seq (= 1 1)){newline}"é" +3)'.encode())
+        code, out, err = run(["check", str(path), "--json"])
+        assert code == EXIT_PARSE and "2:5: not a canonical numeral: '+3'" in err, newline
+
+
+@pytest.mark.parametrize(
+    "argv, target",
+    [
+        (["ti", "(fin 3)", "-o", "{dir}"], "{dir}"),
+        (["ti", "(fin 3)", "-o", "{dir}/missing/t.sx"], "{dir}/missing/t.sx"),
+        (["spector", "{entries}", "--emit-cert", "{dir}/missing/w.sx"], "{dir}/missing/w.sx"),
+    ],
+    ids=["ti-directory", "ti-missing-directory", "spector-missing-directory"],
+)
+def test_an_output_path_that_cannot_be_written_is_bad_input(tmp_path, argv, target):
+    (tmp_path / "cert.sx").write_text(BASE)
+    (tmp_path / "entries.sx").write_text('(entries (0 (fin 2) "cert.sx"))')
+    names = {"dir": tmp_path, "entries": tmp_path / "entries.sx"}
+    code, out, err = run([a.format_map(names) for a in argv] + ["--json"])
+    assert code == EXIT_PARSE and not out and "Traceback" not in err
+    assert err.startswith(f"parse error: cannot write {target.format_map(names)}: ")

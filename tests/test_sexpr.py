@@ -2,10 +2,21 @@ import random
 
 import pytest
 
-from proofbench import gens
-from proofbench.derivations import code_text, parse_code
-from proofbench.formulas import Eq, Member, Num, Var, formula_text, parse_formula, parse_sequent, sequent_text
-from proofbench.orderings import parse_spec, spec_text
+from proofbench import gens, sexpr
+from proofbench.derivations import CODES, code_text, derive_ti, expand, parse_code
+from proofbench.formulas import (
+    FormulaError,
+    Eq,
+    Member,
+    Num,
+    Var,
+    formula_text,
+    parse_formula,
+    parse_sequent,
+    sequent_text,
+)
+from proofbench.orderings import FinOrd, parse_spec, spec_text
+from proofbench.ordinals import MAX_NESTING
 from proofbench.sexpr import SexprError, Str, parse, parse_many, quote
 
 # each malformed input with the error it raises
@@ -90,7 +101,160 @@ def test_writer_rejects_non_symbols():
 def test_deep_code_writes_back():
     # written without recursion, at the default recursion limit; compare the
     # texts, as == on a 3,000-level code recurses
-    levels = 3000
-    head = "".join(f'(rep (seq (= 1 1)) "{i}" ' for i in range(levels, 0, -1))
-    text = head + '(axm (seq (= 1 1)) "0")' + ")" * levels
+    text = rep_tower(3000)
     assert code_text(parse_code(text)) == text
+
+
+def distinct_lists(x) -> int:
+    """How many list objects, by identity, x holds, itself included."""
+    seen, todo = set(), [x]
+    while todo:
+        y = todo.pop()
+        if type(y) is list and id(y) not in seen:
+            seen.add(id(y))
+            todo.extend(y)
+    return len(seen)
+
+
+def test_parse_shares_equal_lists():
+    # written out, Fin(9) is 566 KB of text and 67,976 lists, but only a few
+    # hundred of them differ
+    text = code_text(expand(derive_ti(FinOrd(9))))
+    assert len(text) > 500_000
+    assert distinct_lists(parse(text)) <= 500
+    x = parse('(a (b "s" 1) (b "s" 1) ((b "s" 1)) (b "s" 2))')
+    assert x[1] is x[2] is x[3][0] and x[4] is not x[1]
+    assert x == ["a", ["b", Str("s"), 1], ["b", Str("s"), 1], [["b", Str("s"), 1]], ["b", Str("s"), 2]]
+
+
+def test_read_leaves_the_parsed_lists_as_they_are():
+    text = code_text(expand(derive_ti(FinOrd(5))))
+    x = parse(text)
+    before = repr(x)
+    first, second = sexpr.read(CODES, x), sexpr.read(CODES, x)
+    assert first == second == parse_code(text)
+    assert repr(x) == before
+
+
+def test_a_shared_list_is_bounded_at_each_depth_it_is_read():
+    # the same formula, once at the nesting bound and once one level past it;
+    # parsed, the two are one list, read at two depths
+    inner = "(and (= 1 1) " * (MAX_NESTING - 2) + "(= 1 1)" + ")" * (MAX_NESTING - 2)
+    deeper = f"(and (= 1 1) {inner})"
+    x = parse(f"(seq {deeper} {inner})")
+    assert x[1][2] is x[2]
+    hash(parse_sequent(f"(seq {inner})"))
+    for text in (f"(seq {deeper} {inner})", f"(seq {inner} {deeper})", f"(seq {deeper})"):
+        with pytest.raises(FormulaError) as e:
+            parse_sequent(text)
+        assert str(e.value) == f"a formula nests deeper than {MAX_NESTING} levels"
+
+
+# a list of more than 32 characters over three lines, two near-copies of it,
+# and a list holding a comment and escaped strings
+LONG = '(all (seq (= 1 1)\n  (in 2 X)) "w+1"\n (axm (seq (= 1 1)) "0"))'
+NEAR_NUMERAL = LONG.replace('"0"', '+3 "0"')
+NEAR_PAREN = LONG.replace("(in 2 X))", "(in 2 X)))")
+QUOTED = '(all (seq (= 1 1)) ; a comment ( with ) "parens\n "a\\"b)" (x "(;" \\\n))'
+
+# each fault after a copy of a list, or inside a near-copy, with the error it
+# raises (the same as a scan of every token gives)
+REPEAT_ERRORS = [
+    (f"(a {LONG}\n {LONG} +3)", "6:27: not a canonical numeral: '+3'"),
+    (f"(a {LONG}\n {NEAR_NUMERAL})", "6:21: not a canonical numeral: '+3'"),
+    (f'(a {LONG}\n {LONG} "abc', "6:27: unterminated string"),
+    (f"(a {LONG}\n {LONG[:-4]}", "6:21: unterminated string"),
+    (f"(a {LONG}\n {LONG}))", "6:27: unbalanced ')'"),
+    (f"(a {LONG}\n {NEAR_PAREN})", "6:26: unbalanced ')'"),
+    (f"(a {LONG}\n {LONG}", "6:25: unbalanced '('"),
+    (f"(a {QUOTED}\n {QUOTED} +3)", "6:4: not a canonical numeral: '+3'"),
+    (f'(a {QUOTED}\n {QUOTED} "x\\', "6:6: dangling escape"),
+]
+
+
+class CountingPattern:
+    """Stands in for the scanner's token pattern and counts the tokens matched."""
+
+    def __init__(self, pattern):
+        self.pattern = pattern
+        self.tokens = 0
+
+    def finditer(self, text, pos=0):
+        for m in self.pattern.finditer(text, pos):
+            self.tokens += 1
+            yield m
+
+
+class CountingText(str):
+    """A text that counts the characters compared by its `startswith`."""
+
+    compared = 0
+
+    def startswith(self, prefix, *bounds):
+        self.compared += len(prefix)
+        return str.startswith(self, prefix, *bounds)
+
+
+def scan_work(monkeypatch, text: str) -> tuple[int, int]:
+    """Tokens scanned and characters compared while `text` is parsed."""
+    pattern = CountingPattern(sexpr._TOKEN)
+    text = CountingText(text)
+    with monkeypatch.context() as patch:
+        patch.setattr(sexpr, "_TOKEN", pattern)
+        parse_many(text)
+    return pattern.tokens, text.compared
+
+
+def test_faults_near_repeated_text_keep_their_positions(monkeypatch):
+    for text, message in REPEAT_ERRORS:
+        with pytest.raises(SexprError) as e:
+            parse(text)
+        assert str(e.value) == message, text
+    for copied in (LONG, QUOTED):
+        text = f"(a {copied}\n {copied})"
+        x = parse(text)
+        assert x[1] is x[2] and x[1] == parse(copied)
+        # the copy's text is jumped over, not scanned
+        tokens, _ = scan_work(monkeypatch, text)
+        assert tokens < len([m for m in sexpr._TOKEN.finditer(text) if m.lastindex])
+    assert parse(QUOTED) == ["all", ["seq", ["=", 1, 1]], Str('a"b)'), ["x", Str("(;"), "\\"]]
+
+
+def chains(levels: int) -> str:
+    """Two chains of `levels` lists that differ only at the bottom."""
+    return f"(a {'(x ' * levels}y{')' * levels} {'(x ' * levels}z{')' * levels})"
+
+
+def staircase(height: int) -> str:
+    """Chains of every depth from 1 to `height`, each holding the one before."""
+    return "(s " + " ".join("(x " * k + "y" + ")" * k for k in range(1, height + 1)) + ")"
+
+
+def rep_tower(levels: int, tag: str = "0") -> str:
+    """`levels` repetitions over an axiom tagged `tag`; tags count down to it."""
+    head = "".join(f'(rep (seq (= 1 1)) "{i}" ' for i in range(levels, 0, -1))
+    return head + f'(axm (seq (= 1 1)) "{tag}")' + ")" * levels
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [
+        (chains, 20_000),
+        # 566 is 400 times the square root of 2: the text doubles
+        (staircase, (400, 566)),
+        (lambda n: "(" * n + ")" * n, 100_000),
+        (rep_tower, 3_000),
+        # near-copies whose every level has its own head: each level's lookup
+        # finds the other tower's list, whose text agrees down to the bottom
+        (lambda n: f"(a {rep_tower(n)} {rep_tower(n, '1')})", 3_000),
+    ],
+    ids=["chains", "staircase", "parentheses", "rep-tower", "rep-towers"],
+)
+def test_scanning_work_is_linear_in_the_text(monkeypatch, make, n):
+    # counted, not timed: tokens scanned plus characters compared while
+    # looking for repeated text
+    small, large = (make(k) for k in (n if type(n) is tuple else (n, 2 * n)))
+    assert 1.95 * len(small) <= len(large) <= 2.05 * len(small)
+    works = [sum(scan_work(monkeypatch, text)) for text in (small, large)]
+    assert works[1] <= 2.2 * works[0]
+    assert all(work <= 4 * len(text) for work, text in zip(works, (small, large)))
