@@ -731,58 +731,70 @@ def check_local(
     flag (a failure when require_cut_free).  All nodes contribute children
     0..width_budget-1; skipped branches set `truncated`, never a silent pass.
 
-    The report is that of walking the whole tree, but each shared subtree
-    is checked once per remaining depth: the budgets are fixed for the call,
-    so the pair fixes the subtree, and a copy met again adds the counts of
-    the first.  A builder (TiProg, TiRoot) is keyed by its value.  An
-    explicit node is keyed by its identity, and only when it has two or more
-    parents in the input (a DAG, as `parse_code` and `expand` give); the
-    input holds those nodes, so no id is reused during the call, and a tree
-    with no sharing opens no frame.  Only subtrees that passed are kept, and
-    only for this call.  `nodes_checked` counts the clauses evaluated.
+    The report is that of walking the whole tree, but a shared subtree that
+    passed is not walked again: a copy met later adds the counts of the
+    first.  A builder (TiProg, TiRoot) is keyed by its value.  An explicit
+    node is keyed by its identity, and only when it has two or more parents
+    in the input (a DAG, as `parse_code` and `expand` give); the input holds
+    those nodes, so no id is reused during the call, and a tree with no
+    sharing opens no frame.  The width budget and require_cut_free are fixed
+    for the call, so only the remaining depth can change a subtree's walk.
+    When no node of the subtree had its children cut by the depth budget,
+    its deepest nodes are leaves, and the walk is the same at every
+    remaining depth of at least its height: the entry is keyed by the key
+    alone and reused wherever the subtree fits.  A subtree that was cut,
+    itself or in a copy it reused, is keyed by the key and the remaining
+    depth, so a copy met higher up is walked again.  Only subtrees that
+    passed are kept, and only for this call.  `nodes_checked` counts the
+    clauses evaluated.
     """
     nodes = checked = max_depth = 0
-    cut_free, truncated = True, False
+    # cut: a node's children were skipped for the depth budget
+    cut_free, truncated, cut = True, False, False
     shared = _shared_nodes(code)
-    # (builder or id of a shared node, remaining depth) -> (nodes, height, cut_free, truncated)
-    passed: dict[tuple[Code | int, int], tuple[int, int, bool, bool]] = {}
+    # builder or id of a shared node, or (that, remaining depth) when the
+    # subtree was cut -> (nodes, height, cut_free, truncated, cut)
+    passed: dict[Code | int | tuple[Code | int, int], tuple[int, int, bool, bool, bool]] = {}
     # open shared subtrees: key, depth, nodes before, and the outer
-    # max_depth, cut_free and truncated; the counters restart inside
-    frames: list[tuple[tuple[Code | int, int], int, int, int, bool, bool]] = []
+    # max_depth, cut_free, truncated and cut; the counters restart inside
+    frames: list[tuple[Code | int, int, int, int, bool, bool, bool]] = []
     # (code, its step, depth, path); only the root comes unstepped, and a
     # None code closes the innermost frame
     stack: list[tuple[Code | None, Step | None, int, tuple[int, ...]]] = [(code, None, 0, ())]
 
     def fail(path, reason):
         md, cf, tr = max_depth, cut_free, truncated
-        for *_, outer_md, outer_cf, outer_tr in frames:
+        for *_, outer_md, outer_cf, outer_tr, _ in frames:
             md, cf, tr = max(md, outer_md), cf and outer_cf, tr or outer_tr
         return CheckReport(False, path, reason, nodes, md, cf, tr, checked)
 
     while stack:
         node, s, depth, path = stack.pop()
         if node is None:
-            key, top, before, outer_md, outer_cf, outer_tr = frames.pop()
-            passed[key] = (nodes - before, max_depth - top, cut_free, truncated)
+            key, top, before, outer_md, outer_cf, outer_tr, outer_cut = frames.pop()
+            passed[(key, depth_budget - top) if cut else key] = (
+                nodes - before, max_depth - top, cut_free, truncated, cut)
             max_depth = max(max_depth, outer_md)
-            cut_free, truncated = cut_free and outer_cf, truncated or outer_tr
+            cut_free, truncated, cut = cut_free and outer_cf, truncated or outer_tr, cut or outer_cut
             continue
         if type(node) in _REUSED:
-            key = (node, depth_budget - depth)
+            key = node
         elif id(node) in shared:
-            key = (id(node), depth_budget - depth)
+            key = id(node)
         else:
             key = None
         if key is not None:
             seen = passed.get(key)
+            if seen is None or seen[1] > depth_budget - depth:
+                seen = passed.get((key, depth_budget - depth))
             if seen is not None:
                 nodes += seen[0]
                 max_depth = max(max_depth, depth + seen[1])
-                cut_free, truncated = cut_free and seen[2], truncated or seen[3]
+                cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
                 continue
-            frames.append((key, depth, nodes, max_depth, cut_free, truncated))
+            frames.append((key, depth, nodes, max_depth, cut_free, truncated, cut))
             stack.append((None, None, depth, path))
-            max_depth, cut_free, truncated = depth, True, False
+            max_depth, cut_free, truncated, cut = depth, True, False, False
         nodes += 1
         max_depth = max(max_depth, depth)
         if s is None:
@@ -820,7 +832,7 @@ def check_local(
             for i, c, cs in reversed(children):
                 stack.append((c, cs, depth + 1, path + (i,)))
         elif children:
-            truncated = True
+            truncated = cut = True
     return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated, checked)
 
 

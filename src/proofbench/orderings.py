@@ -285,6 +285,8 @@ def ord_decode(n: int) -> Ordinal | None:
     if n <= 0:
         return None
     raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
+    if raw[0] not in b"0123456789Ew":  # no notation starts otherwise
+        return None
     try:
         return parse(raw.decode("ascii"))
     except (UnicodeDecodeError, NotationError):

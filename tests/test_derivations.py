@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import os
 import random
@@ -71,6 +72,7 @@ from proofbench.orderings import (
     field_elements,
     in_field,
     less,
+    ord_code,
     rank,
 )
 from proofbench.ordinals import OMEGA, ONE, ZERO, Cmp, add, compare, from_int, le, mul, parse, succ
@@ -336,16 +338,11 @@ def test_checker_matches_tree_walk_on_infinite_fields(spec):
                 assert_same_as_tree_walk(TiProg(spec, n), depth, width)
 
 
-def test_checker_matches_tree_walk_on_written_out_trees_and_mutants():
-    for k in range(3, 7):
-        tree = expand(derive_ti(FinOrd(k)))
-        for depth in (7, 400):
-            assert_same_as_tree_walk(tree, depth, k + 2, True)
-    rng = random.Random(5)
-    tree = expand(derive_ti(FinOrd(5)))
+def mutants(tree, rng):
+    """Seeded mutants of an explicit tree without end: a child retagged at
+    its parent's tag, a principal formula deleted, or a rule swapped."""
     nodes = list(regress._tree_nodes(tree))
-    caught = 0
-    while caught < 30:
+    while True:
         path, node = nodes[rng.randrange(len(nodes))]
         kind = rng.randrange(3)
         if kind == 0 and path:
@@ -353,14 +350,23 @@ def test_checker_matches_tree_walk_on_written_out_trees_and_mutants():
             mutant = dataclasses.replace(node, tag=parent.tag)
         else:
             mutant = (regress._principal_delete if kind == 1 else regress._retag_rule)(node)
-        if mutant is None:
-            continue
-        mutant = regress._rebuild(tree, path, mutant)
+        if mutant is not None:
+            yield regress._rebuild(tree, path, mutant)
+
+
+def test_checker_matches_tree_walk_on_written_out_trees_and_mutants():
+    for k in range(3, 7):
+        tree = expand(derive_ti(FinOrd(k)))
+        for depth in (7, 400):
+            assert_same_as_tree_walk(tree, depth, k + 2, True)
+    caught = 0
+    for mutant in mutants(expand(derive_ti(FinOrd(5))), random.Random(5)):
         report = assert_same_as_tree_walk(mutant, 400, 7, True)
         caught += not report.passed
         # read back from text, the mutant is a DAG that shares all but the changed path
         assert_same_as_tree_walk(parse_code(code_text(mutant)), 400, 7, True)
-    assert caught == 30
+        if caught == 30:
+            break
 
 
 @pytest.mark.parametrize("k", range(3, 8))
@@ -426,6 +432,199 @@ def test_checker_matches_tree_walk_on_random_codes():
         assert_same_as_tree_walk(code, rng.randint(1, 8), rng.randint(1, 6), rng.random() < 0.5)
 
 
+# --- the checker against its memo keyed by remaining depth
+
+
+def per_depth_check(code, depth_budget, width_budget, require_cut_free):
+    """check_local as it was when every passed subtree was keyed by the
+    remaining depth as well, so reused only at the depth it was walked at.
+    Returns the seven fields of its CheckReport."""
+    nodes = max_depth = 0
+    cut_free, truncated = True, False
+    shared = derivations._shared_nodes(code)
+    passed, frames = {}, []
+    stack = [(code, None, 0, ())]
+
+    def fail(path, reason):
+        md, cf, tr = max_depth, cut_free, truncated
+        for *_, outer_md, outer_cf, outer_tr in frames:
+            md, cf, tr = max(md, outer_md), cf and outer_cf, tr or outer_tr
+        return (False, path, reason, nodes, md, cf, tr)
+
+    while stack:
+        node, s, depth, path = stack.pop()
+        if node is None:
+            key, top, before, outer_md, outer_cf, outer_tr = frames.pop()
+            passed[key] = (nodes - before, max_depth - top, cut_free, truncated)
+            max_depth = max(max_depth, outer_md)
+            cut_free, truncated = cut_free and outer_cf, truncated or outer_tr
+            continue
+        if type(node) in derivations._REUSED:
+            key = (node, depth_budget - depth)
+        elif id(node) in shared:
+            key = (id(node), depth_budget - depth)
+        else:
+            key = None
+        if key is not None:
+            seen = passed.get(key)
+            if seen is not None:
+                nodes += seen[0]
+                max_depth = max(max_depth, depth + seen[1])
+                cut_free, truncated = cut_free and seen[2], truncated or seen[3]
+                continue
+            frames.append((key, depth, nodes, max_depth, cut_free, truncated))
+            stack.append((None, None, depth, path))
+            max_depth, cut_free, truncated = depth, True, False
+        nodes += 1
+        max_depth = max(max_depth, depth)
+        if s is None:
+            try:
+                s = step(node)
+            except derivations._DECODE_ERRORS as e:
+                return fail(path, f"decode error: {e}")
+        if s.label.rule is RuleTag.CUT:
+            cut_free = False
+            if require_cut_free:
+                return fail(path, "cut rule used in a cut-free check")
+        if s.indices is NAT:
+            idxs = list(range(width_budget))
+            truncated = True
+        else:
+            idxs = list(s.indices)
+        kids, children = {}, []
+        try:
+            for i in idxs:
+                c = s.child(i)
+                cs = step(c)
+                kids[i] = cs.label
+                children.append((i, c, cs))
+        except derivations._DECODE_ERRORS as e:
+            return fail(path, f"decode error in a premise: {e}")
+        reason = derivations._clause_ok(s.label, kids, s.indices if s.indices is NAT else tuple(idxs))
+        if reason is not None:
+            return fail(path, reason)
+        for i, lab in kids.items():
+            if compare(lab.tag, s.label.tag) is not Cmp.LT:
+                return fail(path + (i,), "ordinal tag fails to descend")
+        if depth + 1 <= depth_budget:
+            for i, c, cs in reversed(children):
+                stack.append((c, cs, depth + 1, path + (i,)))
+        elif children:
+            truncated = True
+    return (True, None, None, nodes, max_depth, cut_free, truncated)
+
+
+def assert_same_as_per_depth(code, depth_budget, width_budget, require_cut_free=False):
+    report = check_local(code, depth_budget, width_budget, require_cut_free)
+    seven = dataclasses.astuple(report)[:7]
+    assert seven == per_depth_check(code, depth_budget, width_budget, require_cut_free), (
+        code_text(code), depth_budget, width_budget, require_cut_free)
+    return report
+
+
+DEPTHS = [*range(41), 400]
+
+
+@pytest.mark.parametrize(
+    "spec, compact, written",
+    [(FinOrd(4), 3, 3), (BelowOrd(P("w")), ord_code(P("4")), ord_code(P("4"))),
+     (BelowOrd(P("w^2")), ord_code(P("w+1")), ord_code(P("3"))),
+     (BelowOrd(P("w^w")), ord_code(P("w^2")), ord_code(P("2"))), (SumOrd(FinOrd(2), BelowOrd(P("w"))), 2, 2)],
+    ids=["fin", "w", "w^2", "w^w", "sum"],
+)
+def test_checker_matches_the_per_depth_memo(spec, compact, written):
+    # compact codes, a written-out sub-derivation read back from text, and
+    # seeded mutants of it.  Between them the codes meet every width 1..54
+    # and every depth budget 0..40 and 400, with cut-free on and off; the
+    # field shows in the raw window at widths 49..54 on `below` specs.
+    tree = expand(TiProg(spec, written))
+    rng = random.Random(code_text(TiRoot(spec)))
+    codes = [TiRoot(spec), TiProg(spec, compact), parse_code(code_text(tree)), *(parse_code(code_text(m)) for m in itertools.islice(mutants(tree, rng), 3))]
+    if type(spec) is FinOrd:
+        codes.append(parse_code(code_text(expand(TiRoot(spec)))))
+    for c, code in enumerate(codes):
+        points = [(rng.choice(DEPTHS), w) for w in range(1 + c, 55, len(codes))]
+        points += [(d, rng.randint(48, 54)) for d in DEPTHS[c::len(codes)]] + [(400, 54)]
+        for depth, width in points:
+            assert_same_as_per_depth(code, depth, width, rng.random() < 0.5)
+
+
+def _shared_at_two_depths(x):
+    """An And node over `rep x` and `x`: the walk meets x first two levels
+    down, then one level down."""
+    lab = root_label(x)
+    conj = Conj(Eq(num(1), num(1)), Eq(num(2), num(2)))
+    return AndNode(lab.sequent | {conj}, succ(succ(lab.tag)), RepNode(lab.sequent, succ(lab.tag), x), x)
+
+
+def test_a_shared_node_cut_where_first_met_is_walked_again_higher_up():
+    x = expand(TiProg(FinOrd(4), 3))
+    height = check_local(x, 400, 6).max_depth
+    top = _shared_at_two_depths(x)
+    assert id(x) in derivations._shared_nodes(top)
+    # at a budget of height + 1 the first copy is cut one level short of
+    # its leaves, and the second has room for all of it
+    report = assert_same_as_per_depth(top, height + 1, 6, True)
+    assert report.passed and report.truncated
+    # reused, the second copy would evaluate no clause
+    cut = check_local(x, height - 1, 6)
+    assert report.nodes_checked > 2 + cut.nodes_checked
+    # with room for both copies, the second reuses the first
+    report = assert_same_as_per_depth(top, height + 2, 6, True)
+    assert report.nodes_checked == 2 + check_local(x, height, 6).nodes_checked
+
+
+def test_a_subtree_that_reuses_a_cut_copy_is_cut_itself():
+    # y = rep x is met two levels down, after x was cut three levels down
+    # under another rep; y reuses that cut x, so y is cut too, and its
+    # copy one level down, with room for all of x, is walked again
+    x = expand(TiProg(FinOrd(4), 3))
+    height = check_local(x, 400, 6).max_depth
+    lab = root_label(x)
+    y = RepNode(lab.sequent, succ(lab.tag), x)
+    conj = Conj(Eq(num(1), num(1)), Eq(num(2), num(2)))
+    tag = succ(succ(lab.tag))
+    middle = AndNode(lab.sequent | {conj}, tag, RepNode(lab.sequent, succ(lab.tag), x), y)
+    top = AndNode(lab.sequent | {conj}, succ(tag), middle, y)
+    assert {id(x), id(y)} <= derivations._shared_nodes(top)
+    report = assert_same_as_per_depth(top, height + 2, 6, True)
+    assert report.passed and report.max_depth == height + 2
+    assert dataclasses.astuple(report)[:7] == reference_check(top, height + 2, 6, True)
+
+
+def test_a_fault_the_cut_copy_cannot_reach_fails_in_the_copy_higher_up():
+    x = expand(TiProg(FinOrd(4), 3))
+    nodes = list(regress._tree_nodes(x))
+    path, leaf = max(nodes, key=lambda pn: len(pn[0]))
+    x = regress._rebuild(x, path, regress._principal_delete(leaf))
+    top = _shared_at_two_depths(x)
+    height = len(path)
+    report = assert_same_as_per_depth(top, height + 1, 6, True)
+    # the copy under `rep` does not reach the leaf, the one beside it does
+    assert not report.passed and report.fail_path == (2, *path)
+    assert report.fail_reason.startswith("no ")
+    assert assert_same_as_per_depth(top, height, 6, True).passed
+
+
+@pytest.mark.parametrize(
+    "k, visited", [(4, 268), (6, 1_340), (8, 6_396), (10, 29_692), (12, 135_164), (16, 2_686_972)],
+)
+def test_compact_fin_steps_all_nodes_linearly_often(k, visited, monkeypatch):
+    # each element's sub-derivation used to be walked again at every
+    # remaining depth it was met at: k(k+1)/2 All nodes stepped
+    all_steps = 0
+
+    def counted(code):
+        nonlocal all_steps
+        all_steps += type(code) is AllNode
+        return step(code)
+
+    monkeypatch.setattr(derivations, "step", counted)
+    report = check_local(TiRoot(FinOrd(k)), 400, k + 2, True)
+    assert report.passed and report.nodes_visited == visited
+    assert all_steps <= 2 * k - 1
+
+
 WORK_SCRIPT = """
 from proofbench.derivations import TiRoot, check_local
 from proofbench.orderings import FinOrd
@@ -465,8 +664,8 @@ def test_builder_subtrees_are_checked_once():
     text = output_under_hash_seeds(WORK_SCRIPT)
     (ok10, visited10, checked10), (ok12, visited12, checked12) = (line.split() for line in text.splitlines())
     assert ok10 == ok12 == "True"
-    assert int(visited10) == 29_692 and int(checked10) <= 2_000
-    assert int(visited12) == 135_164 and int(checked12) <= 3_000
+    assert int(visited10) == 29_692 and int(checked10) <= 600
+    assert int(visited12) == 135_164 and int(checked12) <= 800
 
 
 def test_shared_explicit_subtrees_are_checked_once():
@@ -474,7 +673,7 @@ def test_shared_explicit_subtrees_are_checked_once():
     # every element above it; read back, each is one object, checked once
     ok, visited, checked = output_under_hash_seeds(DAG_WORK_SCRIPT).split()
     assert ok == "True"
-    assert int(visited) == 13_820 and int(checked) <= 1_500
+    assert int(visited) == 13_820 and int(checked) <= 300
 
 
 # the formulas criterion 3 deletes from principal positions, as regress --seed 0 runs it
@@ -595,9 +794,9 @@ def test_check_prints_the_same_bytes_under_every_hash_seed():
     text = output_under_hash_seeds(CHECK_SCRIPT)
     verdict = '{"schema": "proofbench/1", "verdict": "pass"}\n'
     assert text == (
-        '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 37, "nodes_checked": 628,'
+        '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 37, "nodes_checked": 165,'
         ' "nodes_visited": 2940, "passed": true, "truncated": true}\n' + verdict
-        + '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 47, "nodes_checked": 1154,'
+        + '0 {"cut_free": true, "fail_path": null, "fail_reason": null, "max_depth": 47, "nodes_checked": 238,'
         ' "nodes_visited": 13820, "passed": true, "truncated": true}\n' + verdict
     )
 

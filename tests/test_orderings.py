@@ -56,6 +56,22 @@ def test_codes_round_trip_and_are_shortlex():
     assert ord_decode(int.from_bytes(b"w*1", "big")) is None
 
 
+def parsed_code(n: int):
+    """ord_decode as it was: every code's text handed to `parse`."""
+    if n <= 0:
+        return None
+    try:
+        return parse(n.to_bytes((n.bit_length() + 7) // 8, "big").decode("ascii"))
+    except (UnicodeDecodeError, NotationError):
+        return None
+
+
+def test_decoding_rejects_at_the_first_byte_what_parse_rejects():
+    texts = itertools.takewhile(lambda s: len(s) <= 5, canonical_texts())
+    for n in itertools.chain(range(-1, 2**16), map(code, texts)):
+        assert ord_decode(n) == parsed_code(n), n
+
+
 def test_less_and_in_field():
     assert less(FinOrd(5), 2, 4)
     assert not less(FinOrd(5), 4, 4)
