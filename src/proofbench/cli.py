@@ -6,7 +6,7 @@ semantic claims), `spector` (certified-sup witnesses), `lab` (certificate
 stores) and `regress` (the acceptance suite).
 
 Every semantic check is budgeted; the budget flags carry safe defaults and
-may also be set through PROOFBENCH_DEPTH / _WIDTH / _EVAL / _EMBED / _CHAIN.
+may also be set through PROOFBENCH_DEPTH / _WIDTH / _EVAL / _CHAIN.
 Exit status: 0 all verdicts pass, 1 a verdict failed, 2 unreadable or
 ill-formed input, 3 a precondition was violated.
 
@@ -75,13 +75,12 @@ class Budgets:
     depth: int = 64
     width: int = 8
     eval: int = 200
-    embed: int = 200
     chain: int = 50
 
 
 # the flag of each Budgets field; its environment default is PROOFBENCH_<FIELD>
 _BUDGET_FLAGS = {"depth": "--depth", "width": "--width", "eval": "--eval-budget",
-                 "embed": "--embed-budget", "chain": "--chain-budget"}
+                 "chain": "--chain-budget"}
 
 
 @dataclass(frozen=True)
@@ -341,7 +340,7 @@ def _cmd_lab(cfg: RunConfig) -> int:
             raise _ParseFailure(f"{fname}: {e}")
 
     if args.verb == "chain":
-        report = chain_check(stores, base, b.embed, b.chain)
+        report = chain_check(stores, base, b.depth, b.width)
         witnessed_ok = all(e.witnessed is not False for e in report.entries)
         ok = report.descent_ok and witnessed_ok
         record = {
@@ -364,7 +363,7 @@ def _cmd_lab(cfg: RunConfig) -> int:
     ok = True
     human = []
     for store in stores:
-        prec = build_precT(store, base, b.embed, b.depth, b.width)
+        prec = build_precT(store, base, b.depth, b.width)
         if args.verb == "build":
             record = {
                 "name": store.name,

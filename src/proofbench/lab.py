@@ -38,6 +38,10 @@ from .ordinals import ZERO, Cmp, Ordinal, compare, max_ord
 from .sexpr import Str
 
 
+# the candidate embeddings `PrecT.bounded` tries for a claim without ranks
+EMBED_BUDGET = 200
+
+
 class LabError(ValueError):
     pass
 
@@ -94,7 +98,6 @@ class PrecT:
 
     base: OrderingSpec
     store: TheoryStore
-    embed_budget: int
     usable: tuple[int, ...]  # indices of the claims whose orderings are linear
     ranked: frozenset[int]  # usable claims whose orderings have ranks
 
@@ -106,7 +109,7 @@ class PrecT:
         exactly on claims with ranks, searched for on the others."""
         return any(
             restriction_embeds(self.base, b, self.store.claims[i].ordering) if i in self.ranked
-            else embed_search(self.base, b, self.store.claims[i].ordering, self.embed_budget).ok
+            else embed_search(self.base, b, self.store.claims[i].ordering, EMBED_BUDGET).ok
             for i in self.usable
         )
 
@@ -114,7 +117,6 @@ class PrecT:
 def build_precT(
     store: TheoryStore,
     base: OrderingSpec,
-    embed_budget: int = 200,
     depth_budget: int = 64,
     width_budget: int = 8,
 ) -> PrecT:
@@ -134,7 +136,7 @@ def build_precT(
                 raise LabError(f"claim {i}: {fault}")
     usable = [i for i, claim in enumerate(store.claims) if linear(claim.ordering)]
     ranked = frozenset(i for i in usable if rankable(store.claims[i].ordering))
-    return PrecT(base, store, embed_budget, tuple(usable), ranked)
+    return PrecT(base, store, tuple(usable), ranked)
 
 
 def retype(prec: PrecT) -> Ordinal:
@@ -177,10 +179,13 @@ def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToB
 def chain_check(
     stores: list[TheoryStore] | tuple[TheoryStore, ...],
     base: OrderingSpec,
-    embed_budget: int = 200,
-    chain_budget: int = 50,
+    depth_budget: int = 64,
+    width_budget: int = 8,
 ) -> ChainReport:
     """Order types along a store sequence must strictly descend.
+
+    Each store is validated as `build_precT` does, at the depth and width
+    budgets.
 
     Each store must also witness its successor's type by a checked claim of
     at least that order type (the store-level reading of proving the next
@@ -188,7 +193,7 @@ def chain_check(
     """
     types = []
     for store in stores:
-        prec = build_precT(store, base, embed_budget)
+        prec = build_precT(store, base, depth_budget, width_budget)
         types.append(retype(prec))
     entries = []
     for n, store in enumerate(stores):

@@ -7,7 +7,9 @@ are one object, so a text that repeats a subterm reads as a DAG, and no
 caller may change a list it is given.  Above them sit the term languages
 (codes, formulas, terms, ordering specs): each is a `Sort` with a shape
 table, read from those lists by `read` and written straight to text by
-`write`.
+`write`.  `read` builds one term per list, sort and nesting depth, so equal
+code subterms are one object; equal formulas met at two depths are equal
+but distinct objects.
 """
 
 from __future__ import annotations
@@ -248,9 +250,7 @@ class Sort:
         """Add classes with their (head, roles)."""
         for cls, (head, roles) in shapes.items():
             self.shapes[cls] = (head, roles)
-            # which arguments are subterms, which `read` keys by identity
-            nodes = tuple(role.sort is not None for role in roles)
-            self.by_head[head] = (cls, roles, roles[-1].many is REST, nodes)
+            self.by_head[head] = (cls, roles, roles[-1].many is REST)
 
 
 def _int(x):
@@ -341,16 +341,12 @@ def write(sort: Sort, value) -> str:
     return out[0]
 
 
-def _read_atom(sort: Sort, x, shared: dict):
+def _read_atom(sort: Sort, x):
     shape = sort.by_head.get(type(x))
     value = None if shape is None else shape[1][0].decode(x)
     if value is None:
         raise sort.error(f"not {sort.name}: {describe(x)}")
-    key = (shape[0], value)
-    atom = shared.get(key)
-    if atom is None:
-        atom = shared[key] = shape[0](value)
-    return atom
+    return shape[0](value)
 
 
 def read(sort: Sort, x):
@@ -363,47 +359,32 @@ def read(sort: Sort, x):
     build step (its parts, how to build them, and the slot its value goes
     to) under its subterms, so it is built as soon as they are.
 
-    Equal subterms are read as one object (hash-consing), so a certificate
-    that repeats a sub-derivation reads as a DAG.  A table local to the call
-    maps each build step's key to the one value built for it: the
-    constructor, the leaf values and the identities of the subterms.  The
-    subterms are values of the same table, so nothing is hashed recursively,
-    and the table keeps them alive, so no identity in a key is reused.
+    `parse` gives equal texts one list, and each list is read once per sort
+    and depth: a table local to the call maps (id(list), sort, depth) to the
+    term built from it.  So a certificate that repeats a sub-derivation reads
+    as a DAG: codes are unbounded and always read at depth 0, so equal code
+    subterms are one object.  The depth is in the key as the MAX_NESTING
+    check depends on it, so equal formulas met at two depths are equal but
+    distinct objects.  x keeps every list alive, so no identity in a key is
+    reused.
     """
-    shared: dict[tuple, object] = {}
-    # (id(list), sort, depth) -> the term read from the list: `parse` shares
-    # equal lists, so each is read once per sort and depth; the depth is in
-    # the key as the MAX_NESTING check depends on it, and x keeps every list
-    # alive, so no identity in a key is reused
     done: dict[tuple, object] = {}
     out = [None]
     todo = [(x, sort, out, 0, 0)]
     while todo:
         x, sort, dest, slot, depth = todo.pop()
         if depth is None:  # a build step: x holds the parts, built already
-            read_key = None
             if sort is REST:  # the subterms of a REST field
-                key = (REST, frozenset(map(id, x)))
+                value = frozenset(x)
             elif sort is ENTRIES:  # the [index, subterm] pairs of an ENTRIES field
-                key = (ENTRIES, *[(i, id(node)) for i, node in x])
-            else:  # a class, which of its arguments are subterms, and the key of the list read
-                cls, nodes, read_key = sort
-                key = (cls, *[id(a) if node else a for a, node in zip(x, nodes)])
-            value = shared.get(key)
-            if value is None:
-                if sort is REST:
-                    value = frozenset(x)
-                elif sort is ENTRIES:
-                    value = tuple(map(tuple, x))
-                else:
-                    value = cls(*x)
-                shared[key] = value
-            if read_key is not None:
-                done[read_key] = value
+                value = tuple(map(tuple, x))
+            else:  # a class, and the key of the list read
+                cls, read_key = sort
+                value = done[read_key] = cls(*x)
             dest[slot] = value
             continue
         if type(x) is not list:
-            dest[slot] = _read_atom(sort, x, shared)
+            dest[slot] = _read_atom(sort, x)
             continue
         read_key = (id(x), sort, depth)
         value = done.get(read_key)
@@ -418,12 +399,12 @@ def read(sort: Sort, x):
         # a REST field takes any number of arguments, none included
         if shape is None or len(x) - 1 != len(shape[1]) and not (shape[2] and len(x) >= len(shape[1])):
             raise sort.error(f"not {sort.name}: {describe(x)}")
-        cls, roles, rest, nodes = shape
+        cls, roles, rest = shape
         args = x[1:]
         if rest:
             i = len(roles) - 1
             args[i:] = [args[i:]]
-        todo.append((args, (cls, nodes, read_key), dest, slot, None))
+        todo.append((args, (cls, read_key), dest, slot, None))
         i = 0
         for _, decode, sub, many in roles:
             arg = args[i]
@@ -435,7 +416,7 @@ def read(sort: Sort, x):
                 elif type(arg) is list:
                     todo.append((arg, sub, args, i, depth))
                 else:  # an atom needs no trip through the stack
-                    args[i] = _read_atom(sub, arg, shared)
+                    args[i] = _read_atom(sub, arg)
             elif many is ENTRIES:
                 if type(arg) is not list:
                     raise sort.error(f"not {sort.name}: {describe(x)}, bad entries {describe(arg)}")

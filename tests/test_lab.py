@@ -1,7 +1,12 @@
+import dataclasses
+import json
+
 import pytest
 
-from proofbench.derivations import derive_ti
+from proofbench.cli import EXIT_OK, EXIT_PRECONDITION, main
+from proofbench.derivations import code_text, derive_ti, expand, premises, with_premises
 from proofbench.lab import (
+    EMBED_BUDGET,
     Claim,
     CulpritReport,
     Evidence,
@@ -89,7 +94,7 @@ def test_bounded_matches_embed_search():
     elems = field_elements(base, 300)
 
     def reference(prec, b):
-        return any(embed_search(base, b, prec.store.claims[i].ordering, prec.embed_budget).ok for i in prec.usable)
+        return any(embed_search(base, b, prec.store.claims[i].ordering, EMBED_BUDGET).ok for i in prec.usable)
 
     for claim in claims:
         prec = build_precT(store("t", claim), base)
@@ -188,6 +193,36 @@ def test_chain_check_reports_missing_witness():
     stores = [store("t0", checked(FinOrd(2))), store("t1", checked(FinOrd(1)))]
     report = chain_check(stores, BelowOrd(W))
     assert report.descent_ok and report.entries[0].witnessed
+
+
+def fin9_with_a_bad_ninth_child():
+    """Written-out Fin(9) whose child 8 carries the root's tag: it fails
+    local checks at width 10, and passes at width 8, which never reaches it."""
+    root = expand(derive_ti(FinOrd(9)))
+    kids = premises(root)
+    kids[8] = dataclasses.replace(kids[8], tag=root.tag)
+    return with_premises(root, kids)
+
+
+def test_chain_check_validates_at_the_given_budgets():
+    stores = [store("s0", Claim(FinOrd(9), Evidence.CHECKED, fin9_with_a_bad_ninth_child())),
+              store("s1", checked(FinOrd(2)))]
+    assert chain_check(stores, BelowOrd(W)).descent_ok
+    with pytest.raises(LabError, match="ordinal tag fails to descend"):
+        chain_check(stores, BelowOrd(W), width_budget=10)
+
+
+def test_lab_chain_flags_set_the_budgets(tmp_path, capsys):
+    (tmp_path / "bad9.sx").write_text(code_text(fin9_with_a_bad_ninth_child()))
+    (tmp_path / "f2.sx").write_text(code_text(expand(derive_ti(FinOrd(2)))))
+    (tmp_path / "s0.sx").write_text('(theory "s0" (claim (fin 9) (cert "bad9.sx")))')
+    (tmp_path / "s1.sx").write_text('(theory "s1" (claim (fin 2) (cert "f2.sx")))')
+    stores = [str(tmp_path / "s0.sx"), str(tmp_path / "s1.sx")]
+    assert main(["lab", "chain", *stores, "--base", '(below "w")', "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["descent_ok"] is True
+    for verb in ("build", "chain"):
+        assert main(["lab", verb, *stores, "--base", '(below "w")', "--width", "10"]) == EXIT_PRECONDITION
+        assert "ordinal tag fails to descend" in capsys.readouterr().err
 
 
 def test_malformed_table_claims_are_inert():

@@ -5,6 +5,9 @@ import pytest
 from proofbench import gens, sexpr
 from proofbench.derivations import CODES, code_text, derive_ti, expand, parse_code
 from proofbench.formulas import (
+    SEQUENTS,
+    Conj,
+    Disj,
     FormulaError,
     Eq,
     Member,
@@ -133,6 +136,19 @@ def test_read_leaves_the_parsed_lists_as_they_are():
     before = repr(x)
     first, second = sexpr.read(CODES, x), sexpr.read(CODES, x)
     assert first == second == parse_code(text)
+    assert repr(x) == before
+
+
+def test_a_shared_list_read_at_two_depths_gives_equal_terms():
+    # parsed, the two copies of (and ...) are one list; read at depths 1 and
+    # 2 of the sequent, they give two terms that are equal
+    x = parse("(seq (and (= 1 1) (= 2 2)) (or (= 3 3) (and (= 1 1) (= 2 2))))")
+    assert x[1] is x[2][2]
+    before = repr(x)
+    seq = sexpr.read(SEQUENTS, x)
+    outer = next(f for f in seq if type(f) is Conj)
+    inner = next(f for f in seq if type(f) is Disj).right
+    assert outer == inner and hash(outer) == hash(inner)
     assert repr(x) == before
 
 
