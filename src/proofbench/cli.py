@@ -39,7 +39,6 @@ from .orderings import SpecError, UnsupportedRankError, otyp, parse_spec, rankab
 from .ordinals import CapExceededError, NotationError, compare, from_int, le
 from .ordinals import parse as ord_parse
 from .ordinals import text as ord_text
-from .regress import format_result, run_all
 from .sexpr import SexprError
 from .spector import SpectorError, parse_enumeration, verify_domination, witness
 from .verdict import Verdict
@@ -405,6 +404,9 @@ def _cmd_lab(cfg: RunConfig) -> int:
 
 
 def _cmd_regress(cfg: RunConfig) -> int:
+    # imported here, as no other verb needs the suite or the generators
+    from .regress import format_result, run_all
+
     args = cfg.args
     only = None
     if args.only:

@@ -60,7 +60,7 @@ from .orderings import (
     rankable,
 )
 from .ordinals import EPSILON, OMEGA, ONE, ZERO, Cmp, NotationError, Ordinal, add, compare, from_int, le, lt, mul, succ
-from .sexpr import ENTRIES, INT, Role
+from .sexpr import ENTRIES, INT, Role, term
 
 
 class DerivationError(ValueError):
@@ -105,19 +105,19 @@ class Step:
 # --- code terms -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@term
 class AxMNode:
     sequent: Sequent
     tag: Ordinal
 
 
-@dataclass(frozen=True)
+@term
 class AxLNode:
     sequent: Sequent
     tag: Ordinal
 
 
-@dataclass(frozen=True)
+@term
 class AndNode:
     sequent: Sequent
     tag: Ordinal
@@ -125,7 +125,7 @@ class AndNode:
     right: "Code"
 
 
-@dataclass(frozen=True)
+@term
 class OrNode:
     sequent: Sequent
     tag: Ordinal
@@ -133,7 +133,7 @@ class OrNode:
     child: "Code"
 
 
-@dataclass(frozen=True)
+@term
 class ExNode:
     sequent: Sequent
     tag: Ordinal
@@ -141,7 +141,7 @@ class ExNode:
     child: "Code"
 
 
-@dataclass(frozen=True)
+@term
 class CutNode:
     sequent: Sequent
     tag: Ordinal
@@ -149,14 +149,14 @@ class CutNode:
     right: "Code"
 
 
-@dataclass(frozen=True)
+@term
 class RepNode:
     sequent: Sequent
     tag: Ordinal
     child: "Code"
 
 
-@dataclass(frozen=True)
+@term
 class TiKids:
     """Children of the TI root: one sub-derivation per natural."""
 
@@ -166,7 +166,7 @@ class TiKids:
         return _root_children(self.spec, vacuous=False)
 
 
-@dataclass(frozen=True)
+@term
 class PredKids:
     """Children of the predecessor quantifier inside a TI sub-derivation."""
 
@@ -177,7 +177,7 @@ class PredKids:
         return _pred_children(self.spec, self.element, vacuous=False)
 
 
-@dataclass(frozen=True)
+@term
 class TiVac:
     """Default child family: vacuous field-membership axioms."""
 
@@ -187,7 +187,7 @@ class TiVac:
         return _root_children(self.spec, vacuous=True)
 
 
-@dataclass(frozen=True)
+@term
 class PredVac:
     """Default child family: vacuous non-predecessor axioms."""
 
@@ -198,7 +198,7 @@ class PredVac:
         return _pred_children(self.spec, self.element, vacuous=True)
 
 
-@dataclass(frozen=True)
+@term
 class FiniteSupport:
     """Explicit children at finitely many indices, a default family elsewhere."""
 
@@ -222,14 +222,14 @@ Family = Union[TiKids, PredKids, FiniteSupport]
 Default = Union[TiVac, PredVac]
 
 
-@dataclass(frozen=True)
+@term
 class AllNode:
     sequent: Sequent
     tag: Ordinal
     family: Family
 
 
-@dataclass(frozen=True)
+@term
 class TiProg:
     """Canonical derivation of {not-Prog(spec,X), n in X}, tag w*(rank(n)+1)."""
 
@@ -237,14 +237,14 @@ class TiProg:
     element: int
 
 
-@dataclass(frozen=True)
+@term
 class TiRoot:
     """Canonical derivation of the TI sequent, tag w*otyp(spec)+1."""
 
     spec: OrderingSpec
 
 
-@dataclass(frozen=True)
+@term
 class Mono:
     """Weakening by relabelling: same tree, root label (sequent, tag) replaced."""
 
@@ -253,7 +253,7 @@ class Mono:
     tag: Ordinal
 
 
-@dataclass(frozen=True)
+@term
 class Inv:
     """Conjunction inversion: derive (root - conj) + chosen conjunct."""
 
@@ -358,10 +358,8 @@ def with_premises(code, kids: dict[int, "Code"]):
         return AllNode(code.sequent, code.tag, with_premises(code.family, kids))
     if cls is FiniteSupport:
         return FiniteSupport(tuple(kids.items()), code.default)
-    fields = code.__dict__.copy()
-    for index, field in _PREMISES[cls]:
-        fields[field] = kids[index if type(index) is int else fields[index]]
-    return cls(**fields)
+    return dataclasses.replace(code, **{
+        field: kids[index if type(index) is int else getattr(code, index)] for index, field in _PREMISES[cls]})
 
 
 # --- canonical TI builders ---------------------------------------------------------
@@ -697,27 +695,6 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
 
 _DECODE_ERRORS = (DerivationError, FormulaError, NotationError, UnsupportedRankError)
 
-# The builders, whose passed subtrees check_local reuses by value: their
-# fields are a spec and an int, so they hash cheaply.  An explicit node's
-# hash walks its whole subtree, so explicit nodes are reused by identity.
-_REUSED = (TiProg, TiRoot)
-
-
-def _shared_nodes(code: Code) -> set[int]:
-    """The ids of the explicit nodes under `code` with two or more parents,
-    counted over `premises`."""
-    seen, shared = set(), set()
-    todo = [code]
-    while todo:
-        for kid in premises(todo.pop()).values():
-            if id(kid) in seen:
-                shared.add(id(kid))
-            else:
-                seen.add(id(kid))
-                todo.append(kid)
-    return shared
-
-
 def check_local(
     code: Code,
     depth_budget: int = 64,
@@ -731,33 +708,30 @@ def check_local(
     flag (a failure when require_cut_free).  All nodes contribute children
     0..width_budget-1; skipped branches set `truncated`, never a silent pass.
 
-    The report is that of walking the whole tree, but a shared subtree that
-    passed is not walked again: a copy met later adds the counts of the
-    first.  A builder (TiProg, TiRoot) is keyed by its value.  An explicit
-    node is keyed by its identity, and only when it has two or more parents
-    in the input (a DAG, as `parse_code` and `expand` give); the input holds
-    those nodes, so no id is reused during the call, and a tree with no
-    sharing opens no frame.  The width budget and require_cut_free are fixed
-    for the call, so only the remaining depth can change a subtree's walk.
-    When no node of the subtree had its children cut by the depth budget,
-    its deepest nodes are leaves, and the walk is the same at every
-    remaining depth of at least its height: the entry is keyed by the key
-    alone and reused wherever the subtree fits.  A subtree that was cut,
-    itself or in a copy it reused, is keyed by the key and the remaining
-    depth, so a copy met higher up is walked again.  Only subtrees that
-    passed are kept, and only for this call.  `nodes_checked` counts the
-    clauses evaluated.
+    The report is that of walking the whole tree, but a subtree that passed
+    is not walked again: an equal one met later adds the counts of the
+    first.  Every node is keyed by its value, its hash computed once, at
+    construction: explicit nodes, builders and the nodes a family builds
+    alike, so an element's body built inline under the TI root is the one
+    under its tiprog.  The width budget and require_cut_free are fixed for
+    the call, so only the remaining depth can change a subtree's walk.  When
+    no node of the subtree had its children cut by the depth budget, its
+    deepest nodes are leaves, and the walk is the same at every remaining
+    depth of at least its height: the entry is keyed by the node alone and
+    reused wherever the subtree fits.  A subtree that was cut, itself or in
+    a copy it reused, is keyed by the node and the remaining depth, so a
+    copy met higher up is walked again.  Only subtrees that passed are kept,
+    and only for this call.  `nodes_checked` counts the clauses evaluated.
     """
     nodes = checked = max_depth = 0
     # cut: a node's children were skipped for the depth budget
     cut_free, truncated, cut = True, False, False
-    shared = _shared_nodes(code)
-    # builder or id of a shared node, or (that, remaining depth) when the
-    # subtree was cut -> (nodes, height, cut_free, truncated, cut)
-    passed: dict[Code | int | tuple[Code | int, int], tuple[int, int, bool, bool, bool]] = {}
-    # open shared subtrees: key, depth, nodes before, and the outer
-    # max_depth, cut_free, truncated and cut; the counters restart inside
-    frames: list[tuple[Code | int, int, int, int, bool, bool, bool]] = []
+    # a node, or (node, remaining depth) when its subtree was cut
+    # -> (nodes, height, cut_free, truncated, cut)
+    passed: dict[Code | tuple[Code, int], tuple[int, int, bool, bool, bool]] = {}
+    # open subtrees: node, depth, nodes before, and the outer max_depth,
+    # cut_free, truncated and cut; the counters restart inside
+    frames: list[tuple[Code, int, int, int, bool, bool, bool]] = []
     # (code, its step, depth, path); only the root comes unstepped, and a
     # None code closes the innermost frame
     stack: list[tuple[Code | None, Step | None, int, tuple[int, ...]]] = [(code, None, 0, ())]
@@ -777,24 +751,17 @@ def check_local(
             max_depth = max(max_depth, outer_md)
             cut_free, truncated, cut = cut_free and outer_cf, truncated or outer_tr, cut or outer_cut
             continue
-        if type(node) in _REUSED:
-            key = node
-        elif id(node) in shared:
-            key = id(node)
-        else:
-            key = None
-        if key is not None:
-            seen = passed.get(key)
-            if seen is None or seen[1] > depth_budget - depth:
-                seen = passed.get((key, depth_budget - depth))
-            if seen is not None:
-                nodes += seen[0]
-                max_depth = max(max_depth, depth + seen[1])
-                cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
-                continue
-            frames.append((key, depth, nodes, max_depth, cut_free, truncated, cut))
-            stack.append((None, None, depth, path))
-            max_depth, cut_free, truncated, cut = depth, True, False, False
+        seen = passed.get(node)
+        if seen is None or seen[1] > depth_budget - depth:
+            seen = passed.get((node, depth_budget - depth))
+        if seen is not None:
+            nodes += seen[0]
+            max_depth = max(max_depth, depth + seen[1])
+            cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
+            continue
+        frames.append((node, depth, nodes, max_depth, cut_free, truncated, cut))
+        stack.append((None, None, depth, path))
+        max_depth, cut_free, truncated, cut = depth, True, False, False
         nodes += 1
         max_depth = max(max_depth, depth)
         if s is None:

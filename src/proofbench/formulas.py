@@ -15,7 +15,6 @@ Sequents are plain frozensets of formulas, read disjunctively.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Union
 
@@ -32,7 +31,7 @@ from .orderings import (
     segment_member,
 )
 from .ordinals import Ordinal
-from .sexpr import NATURAL, REST, SYMBOL, Role
+from .sexpr import NATURAL, REST, SYMBOL, Role, term
 from .verdict import Verdict, v_and, v_not, v_or
 
 
@@ -43,23 +42,23 @@ class FormulaError(ValueError):
 # --- terms -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@term
 class Num:
     value: int
 
 
-@dataclass(frozen=True)
+@term
 class Var:
     name: str
 
 
-@dataclass(frozen=True)
+@term
 class Plus:
     left: "Term"
     right: "Term"
 
 
-@dataclass(frozen=True)
+@term
 class Times:
     left: "Term"
     right: "Term"
@@ -105,89 +104,89 @@ def subst_term(t: Term, var: str, value: int) -> Term:
 # --- formulas ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@term
 class Eq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@term
 class Neq:
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@term
 class Member:
     term: Term
     var: str = "X"
 
 
-@dataclass(frozen=True)
+@term
 class NotMember:
     term: Term
     var: str = "X"
 
 
-@dataclass(frozen=True)
+@term
 class OrdLess:
     spec: OrderingSpec
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@term
 class NotOrdLess:
     spec: OrderingSpec
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
+@term
 class FieldMember:
     spec: OrderingSpec
     term: Term
 
 
-@dataclass(frozen=True)
+@term
 class NotFieldMember:
     spec: OrderingSpec
     term: Term
 
 
-@dataclass(frozen=True)
+@term
 class SegMember:
     spec: OrderingSpec
     term: Term
     bound: Ordinal
 
 
-@dataclass(frozen=True)
+@term
 class NotSegMember:
     spec: OrderingSpec
     term: Term
     bound: Ordinal
 
 
-@dataclass(frozen=True)
+@term
 class Conj:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@term
 class Disj:
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
+@term
 class ForAll:
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
+@term
 class Exists:
     var: str
     body: "Formula"
@@ -230,7 +229,8 @@ def parse_sequent(s: str) -> Sequent:
 # and the role of each field.  The roles also say which fields the
 # structural operations below descend into: every function that walks
 # formulas dispatches on type(f) through these tables and reads the fields
-# as f.__dict__, which a frozen dataclass fills in declaration order.
+# through the table's getter, in declaration order.  Terms and formulas are
+# `sexpr.term` classes, each hash computed once, at construction.
 
 TERMS = sexpr.Sort("a term", FormulaError)
 FORMULAS = sexpr.Sort("a formula", FormulaError)
@@ -270,18 +270,20 @@ _POSITIVE_DUALS = {
 }
 _DUAL = {**_POSITIVE_DUALS, **{neg: pos for pos, neg in _POSITIVE_DUALS.items()}}
 
+FORMULAS.define(_SHAPES)
 # per class: its dual, the positions of its term fields and of its
-# subformula fields, and whether it binds the variable in its `var` field
+# subformula fields, whether it binds the variable in its `var` field, and
+# its field getter
 _OPS = {
     cls: (
         _DUAL[cls],
         tuple(i for i, role in enumerate(roles) if role is TERM),
         tuple(i for i, role in enumerate(roles) if role is FORMULA),
         cls in (ForAll, Exists),
+        FORMULAS.shapes[cls][2],
     )
     for cls, (_, roles) in _SHAPES.items()
 }
-FORMULAS.define(_SHAPES)
 
 
 def _not_a_formula(f) -> FormulaError:
@@ -290,12 +292,12 @@ def _not_a_formula(f) -> FormulaError:
 
 def negate(f: Formula) -> Formula:
     try:
-        dual, _, subs, _ = _OPS[type(f)]
+        dual, _, subs, _, get = _OPS[type(f)]
     except KeyError:
         raise _not_a_formula(f) from None
     if not subs:
-        return dual(*f.__dict__.values())
-    args = [*f.__dict__.values()]
+        return dual(*get(f))
+    args = [*get(f)]
     for i in subs:
         args[i] = negate(args[i])
     return dual(*args)
@@ -303,8 +305,9 @@ def negate(f: Formula) -> Formula:
 
 def subformulas(f: Formula):
     yield f
-    args = [*f.__dict__.values()]
-    for i in _OPS[type(f)][2]:
+    _, _, subs, _, get = _OPS[type(f)]
+    args = get(f)
+    for i in subs:
         yield from subformulas(args[i])
 
 
@@ -323,10 +326,10 @@ def is_atom(f: Formula) -> bool:
 
 def free_num_vars(f: Formula) -> frozenset[str]:
     try:
-        _, terms, subs, binder = _OPS[type(f)]
+        _, terms, subs, binder, get = _OPS[type(f)]
     except KeyError:
         raise _not_a_formula(f) from None
-    args = [*f.__dict__.values()]
+    args = get(f)
     out = frozenset()
     for i in terms:
         out |= term_vars(args[i])
@@ -338,12 +341,12 @@ def free_num_vars(f: Formula) -> frozenset[str]:
 def subst_num(f: Formula, var: str, value: int) -> Formula:
     """Instantiate a number variable with a numeral (capture-free: numerals)."""
     try:
-        _, terms, subs, binder = _OPS[type(f)]
+        _, terms, subs, binder, get = _OPS[type(f)]
     except KeyError:
         raise _not_a_formula(f) from None
     if binder and f.var == var:
         return f
-    args = [*f.__dict__.values()]
+    args = [*get(f)]
     for i in terms:
         args[i] = subst_term(args[i], var, value)
     for i in subs:
@@ -364,10 +367,10 @@ def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> For
         cls = type(g)
         if cls is Member and g.var == var:
             return template(g.term)
-        subs = _OPS[cls][2]
+        _, _, subs, _, get = _OPS[cls]
         if not subs:
             return g
-        args = [*g.__dict__.values()]
+        args = [*get(g)]
         for i in subs:
             args[i] = walk(args[i])
         return cls(*args)

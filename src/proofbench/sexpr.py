@@ -14,8 +14,10 @@ but distinct objects.
 
 from __future__ import annotations
 
+import dataclasses
 import re
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, NamedTuple
 
 from .ordinals import MAX_NESTING
@@ -247,10 +249,33 @@ class Sort:
         self.by_head: dict = {}
 
     def define(self, shapes: dict[type, tuple]):
-        """Add classes with their (head, roles)."""
+        """Add classes with their (head, roles).  Each class's shape also
+        keeps a function that gives a value's fields as a tuple, in order."""
         for cls, (head, roles) in shapes.items():
-            self.shapes[cls] = (head, roles)
+            self.shapes[cls] = (head, roles, _field_getter(cls))
             self.by_head[head] = (cls, roles, roles[-1].many is REST)
+
+
+def _field_getter(cls: type) -> Callable:
+    if cls is frozenset:  # a sequent is its own one field
+        return lambda value: (value,)
+    names = [f.name for f in dataclasses.fields(cls) if f.init]
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda value: (get(value),)
+
+
+def term(cls: type) -> type:
+    """Make `cls` a frozen, slotted dataclass whose hash is computed once, at
+    construction.  Term fields give their stored hashes, so a term of any
+    size, a DAG included, hashes in constant time.  The hash is the
+    dataclass's, of the tuple of the fields, so sets of terms keep their
+    order; it is set before the term can be shared, so it needs no lock."""
+    cls.__annotations__["_hash"] = "int"
+    cls._hash = dataclasses.field(init=False, repr=False, compare=False)
+    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", self._fields_hash())
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._fields_hash, cls.__hash__ = cls.__hash__, lambda self: self._hash
+    return cls
 
 
 def _int(x):
@@ -278,21 +303,20 @@ def write(sort: Sort, value) -> str:
     write without recursion.  A list pushes a build step under its subterms:
     once they have put their texts into its parts, the step joins them and
     puts the list's text in its slot.  A REST field of nodes pushes a step
-    that sorts their texts onto its list's parts.  A term met again, as the
-    same object in the same sort, takes the text built the first time, so a
-    term shared in a DAG is written once.
+    that sorts their texts onto its list's parts.  A term met again, equal
+    in value and in the same sort, takes the text built the first time, so
+    a term shared in a DAG, or repeated, is written once.
     """
-    # (id(term), sort) -> (its text, the term, held so that the id stays valid)
-    memo: dict[tuple[int, Sort], tuple[str, object]] = {}
+    memo: dict[tuple[object, Sort], str] = {}  # (term, sort) -> its text
     out = [None]
     todo = [(value, sort, out, 0)]
     while todo:
         value, sort, dest, slot = todo.pop()
-        if sort is None:  # a build step: value holds a list's parts, and the memo key and term it writes
-            parts, key, term = value
+        if sort is None:  # a build step: value holds a list's parts and the memo key it writes
+            parts, key = value
             dest[slot] = text = "(" + " ".join(parts) + ")"
             if key is not None:
-                memo[key] = (text, term)
+                memo[key] = text
             continue
         if sort is REST:  # value holds the texts of a REST field, dest its list's parts
             dest.extend(sorted(value))
@@ -300,21 +324,19 @@ def write(sort: Sort, value) -> str:
         shape = sort.shapes.get(type(value))
         if shape is None:
             raise sort.error(f"not {sort.name}: a {type(value).__name__}")
-        head, roles = shape
-        # a sequent, a frozenset, is its own one field
-        fields = (value,) if type(value) is frozenset else value.__dict__.values()
+        head, roles, get = shape
         if type(head) is type:
-            dest[slot] = roles[0].encode(*fields)
+            dest[slot] = roles[0].encode(*get(value))
             continue
-        key = (id(value), sort)
+        key = (value, sort)
         done = memo.get(key)
         if done is not None:
-            dest[slot] = done[0]
+            dest[slot] = done
             continue
         parts = [head]
-        todo.append(((parts, key, value), None, dest, slot))
+        todo.append(((parts, key), None, dest, slot))
         i = 0  # a counter, as zip() and enumerate() made this loop slower
-        for field in fields:
+        for field in get(value):
             role = roles[i]
             i += 1
             if role.many is None:
@@ -326,10 +348,10 @@ def write(sort: Sort, value) -> str:
             elif role.many is ENTRIES:
                 entries = [None] * len(field)
                 parts.append(None)
-                todo.append(((entries, None, None), None, parts, i))
+                todo.append(((entries, None), None, parts, i))
                 for j, (index, node) in enumerate(field):
                     pair = [int.__repr__(index), None]
-                    todo.append(((pair, None, None), None, entries, j))
+                    todo.append(((pair, None), None, entries, j))
                     todo.append((node, role.sort, pair, 1))
             elif role.sort is None:
                 parts.extend(map(role.encode, sorted(field)))

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import proofbench
 
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from proofbench.derivations import code_text, derive_ti, expand
@@ -182,6 +187,15 @@ def test_budget_env_and_flags(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PROOFBENCH_WIDTH", "oops")
     with pytest.raises(SystemExit):
         run_cli(capsys, "check", str(cert))
+
+
+def test_only_the_regress_verb_imports_the_acceptance_suite():
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    script = "import sys, proofbench.cli; print('proofbench.regress' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_regress_subset(capsys):

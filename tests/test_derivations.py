@@ -401,10 +401,9 @@ def _bad_tag_deep_inside(x):
 def test_checker_matches_tree_walk_on_a_builder_at_two_depths(spec, n, form):
     # the same tiprog one level below an and/cut node and two levels below
     # it (under a rep); a budget of its height + 1 cuts the deeper copy
-    # and not the shallower one.  A tiprog is memoized by value; written
-    # out, it is one explicit object with two parents, memoized by
-    # identity.  When it fails, the first copy met on the walk gives the
-    # fail_path.
+    # and not the shallower one.  Builder or written out, both copies are
+    # one value, memoized by value.  When it fails, the first copy met on
+    # the walk gives the fail_path.
     x = TiProg(spec, field_elements(spec, 3)[-1] if n is None else n)
     height = check_local(x, 400, 4).max_depth
     if form != "builder":
@@ -417,7 +416,6 @@ def test_checker_matches_tree_walk_on_a_builder_at_two_depths(spec, n, form):
     tag = succ(succ(lab.tag))
     for top in (AndNode(lab.sequent | {conj}, tag, x, rep), AndNode(lab.sequent | {conj}, tag, rep, x),
                 CutNode(lab.sequent, tag, x, rep), CutNode(lab.sequent, tag, rep, x)):
-        assert id(x) in derivations._shared_nodes(top)
         for depth in (1, 2, 3, *range(height - 2, height + 4)):
             for cut_free in (False, True):
                 report = assert_same_as_tree_walk(top, depth, 4, cut_free)
@@ -436,12 +434,11 @@ def test_checker_matches_tree_walk_on_random_codes():
 
 
 def per_depth_check(code, depth_budget, width_budget, require_cut_free):
-    """check_local as it was when every passed subtree was keyed by the
-    remaining depth as well, so reused only at the depth it was walked at.
+    """check_local with every passed subtree keyed by its node and the
+    remaining depth, so reused only at the depth it was walked at.
     Returns the seven fields of its CheckReport."""
     nodes = max_depth = 0
     cut_free, truncated = True, False
-    shared = derivations._shared_nodes(code)
     passed, frames = {}, []
     stack = [(code, None, 0, ())]
 
@@ -459,22 +456,16 @@ def per_depth_check(code, depth_budget, width_budget, require_cut_free):
             max_depth = max(max_depth, outer_md)
             cut_free, truncated = cut_free and outer_cf, truncated or outer_tr
             continue
-        if type(node) in derivations._REUSED:
-            key = (node, depth_budget - depth)
-        elif id(node) in shared:
-            key = (id(node), depth_budget - depth)
-        else:
-            key = None
-        if key is not None:
-            seen = passed.get(key)
-            if seen is not None:
-                nodes += seen[0]
-                max_depth = max(max_depth, depth + seen[1])
-                cut_free, truncated = cut_free and seen[2], truncated or seen[3]
-                continue
-            frames.append((key, depth, nodes, max_depth, cut_free, truncated))
-            stack.append((None, None, depth, path))
-            max_depth, cut_free, truncated = depth, True, False
+        key = (node, depth_budget - depth)
+        seen = passed.get(key)
+        if seen is not None:
+            nodes += seen[0]
+            max_depth = max(max_depth, depth + seen[1])
+            cut_free, truncated = cut_free and seen[2], truncated or seen[3]
+            continue
+        frames.append((key, depth, nodes, max_depth, cut_free, truncated))
+        stack.append((None, None, depth, path))
+        max_depth, cut_free, truncated = depth, True, False
         nodes += 1
         max_depth = max(max_depth, depth)
         if s is None:
@@ -561,7 +552,6 @@ def test_a_shared_node_cut_where_first_met_is_walked_again_higher_up():
     x = expand(TiProg(FinOrd(4), 3))
     height = check_local(x, 400, 6).max_depth
     top = _shared_at_two_depths(x)
-    assert id(x) in derivations._shared_nodes(top)
     # at a budget of height + 1 the first copy is cut one level short of
     # its leaves, and the second has room for all of it
     report = assert_same_as_per_depth(top, height + 1, 6, True)
@@ -586,7 +576,6 @@ def test_a_subtree_that_reuses_a_cut_copy_is_cut_itself():
     tag = succ(succ(lab.tag))
     middle = AndNode(lab.sequent | {conj}, tag, RepNode(lab.sequent, succ(lab.tag), x), y)
     top = AndNode(lab.sequent | {conj}, succ(tag), middle, y)
-    assert {id(x), id(y)} <= derivations._shared_nodes(top)
     report = assert_same_as_per_depth(top, height + 2, 6, True)
     assert report.passed and report.max_depth == height + 2
     assert dataclasses.astuple(report)[:7] == reference_check(top, height + 2, 6, True)
@@ -611,7 +600,9 @@ def test_a_fault_the_cut_copy_cannot_reach_fails_in_the_copy_higher_up():
 )
 def test_compact_fin_steps_all_nodes_linearly_often(k, visited, monkeypatch):
     # each element's sub-derivation used to be walked again at every
-    # remaining depth it was met at: k(k+1)/2 All nodes stepped
+    # remaining depth it was met at: k(k+1)/2 All nodes stepped.  The root's
+    # inline body of an element equals its tiprog's, so each element's
+    # predecessor quantifier is stepped once: the root's and k - 1 more
     all_steps = 0
 
     def counted(code):
@@ -622,7 +613,25 @@ def test_compact_fin_steps_all_nodes_linearly_often(k, visited, monkeypatch):
     monkeypatch.setattr(derivations, "step", counted)
     report = check_local(TiRoot(FinOrd(k)), 400, k + 2, True)
     assert report.passed and report.nodes_visited == visited
-    assert all_steps <= 2 * k - 1
+    assert all_steps == k
+
+
+def test_the_root_shares_each_element_body_with_its_tiprog(monkeypatch):
+    # the 7 elements of (below "w^2") in the window 0..54 are the digits
+    # 48..54; the root builds each one's body inline, equal to the body
+    # under the element's tiprog, so each is stepped once: the root's All
+    # node and one predecessor quantifier for each element but 0
+    all_steps = 0
+
+    def counted(code):
+        nonlocal all_steps
+        all_steps += type(code) is AllNode
+        return step(code)
+
+    monkeypatch.setattr(derivations, "step", counted)
+    report = check_local(TiRoot(BelowOrd(P("w^2"))), 400, 55, True)
+    assert report.passed and report.nodes_visited == 14_716
+    assert all_steps == 7 and report.nodes_checked == 901
 
 
 WORK_SCRIPT = """
@@ -643,18 +652,44 @@ print(r.passed, r.nodes_visited, r.nodes_checked)
 """
 
 
-def output_under_hash_seeds(script: str) -> str:
+def output_under_hash_seeds(script: str, timeout: float = 120) -> str:
     """The script's output, the same under PYTHONHASHSEED 1, 2 and 3."""
     src = os.path.dirname(os.path.dirname(proofbench.__file__))
     outputs = set()
     for seed in ("1", "2", "3"):
         env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                             timeout=120)
+                             timeout=timeout)
         assert out.returncode == 0, out.stderr
         outputs.add(out.stdout)
     (text,) = outputs
     return text
+
+
+# a code of 64 levels, each an And node over the one node below, twice
+DAG_HASH_SCRIPT = """
+from proofbench.derivations import AndNode, AxMNode, check_local
+from proofbench.formulas import Conj, Eq, Num, seq
+from proofbench.ordinals import from_int
+def tower():
+    one = Eq(Num(1), Num(1))
+    delta = seq(one, Conj(one, one))
+    code = AxMNode(delta, from_int(0))
+    for level in range(1, 65):
+        code = AndNode(delta, from_int(level), code, code)
+    return code
+top = tower()
+assert hash(top) == hash(tower())
+assert {top: 1}[top] == 1
+r = check_local(top, 400, 4)
+print(r.passed, r.nodes_visited == 2 ** 65 - 1, r.max_depth, r.nodes_checked)
+"""
+
+
+def test_a_code_hashes_in_constant_time_whatever_its_tree_size():
+    # the tree under the top has 2^65 - 1 nodes, 65 of them distinct:
+    # each code's hash is computed once, from its fields' stored hashes
+    assert output_under_hash_seeds(DAG_HASH_SCRIPT, timeout=60) == "True True 64 65\n"
 
 
 def test_builder_subtrees_are_checked_once():
@@ -664,8 +699,8 @@ def test_builder_subtrees_are_checked_once():
     text = output_under_hash_seeds(WORK_SCRIPT)
     (ok10, visited10, checked10), (ok12, visited12, checked12) = (line.split() for line in text.splitlines())
     assert ok10 == ok12 == "True"
-    assert int(visited10) == 29_692 and int(checked10) <= 600
-    assert int(visited12) == 135_164 and int(checked12) <= 800
+    assert int(visited10) == 29_692 and int(checked10) == 279
+    assert int(visited12) == 135_164 and int(checked12) == 370
 
 
 def test_shared_explicit_subtrees_are_checked_once():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -83,6 +84,18 @@ formulas = st.recursive(
 @settings(max_examples=1000, deadline=None)
 def test_negate_is_an_involution(f):
     assert negate(negate(f)) == f
+
+
+@given(formulas)
+@settings(max_examples=300, deadline=None)
+def test_a_formula_keeps_the_dataclass_hash_and_stays_frozen(f):
+    # the hash stored at construction is that of the tuple of the fields,
+    # as a frozen dataclass computes it, so sequents keep their order
+    names = [field.name for field in dataclasses.fields(f) if field.compare]
+    assert hash(f) == hash(tuple(getattr(f, name) for name in names))
+    assert not hasattr(f, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(f, names[0], getattr(f, names[0]))
 
 
 def test_negate_swaps_duals():
