@@ -251,17 +251,15 @@ class _Walker:
                 raise CaseArithmeticError("premise bound exceeds the conclusion bound")
             return v1
         if rule is RuleTag.ALL:
-            principal = next((f for f in delta if isinstance(f, ForAll)), None)
             sampled = Verdict.TRUE
             for i in range(self.width_budget):
                 sampled = v_and(sampled, self.claim(s.child(i))[1])
-            if principal is not None:
-                substituted = substitute_sequent(
-                    frozenset({principal}), "X", segment_template(self.spec, gamma)
-                )
-                direct = eval_claim(substituted, self.eval_budget)
-                if direct is Verdict.TRUE:
-                    return Verdict.TRUE
+            # the sequent is a disjunction, so any universal of delta that holds
+            # of the segment proves it, whichever one the rule introduced
+            segment = segment_template(self.spec, gamma)
+            if any(eval_claim(substitute_sequent(frozenset({f}), "X", segment), self.eval_budget)
+                   is Verdict.TRUE for f in delta if isinstance(f, ForAll)):
+                return Verdict.TRUE
             # finitely many sampled premises never prove the universal
             return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
         raise BoundednessError(f"unsupported rule in the walk: {rule}")

@@ -16,12 +16,12 @@ single top-level verdict object; the record schema is versioned.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 from .boundedness import BoundednessError, bounded_truth, otyp_bound
 from .derivations import DerivationError, check_local, code_text, derive_ti, expand, parse_code, root_label
@@ -51,7 +51,8 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 
 # `ti` writes out certificates of fields with at most this many elements, and
-# gives any other field the compact term: Fin(12) takes 7.3 s and 4.6 MB (2-vCPU Xeon).
+# gives any other field the compact term: Fin(12) writes 4.6 MB in about 0.25 s,
+# interpreter start included (2-vCPU Xeon).
 MAX_EXPANDED_FIELD = 12
 
 _PARSE_ERRORS = (SexprError, NotationError, SpecError, FormulaError)
@@ -85,62 +86,153 @@ _BUDGET_FLAGS = {"depth": "--depth", "width": "--width", "eval": "--eval-budget"
 @dataclass(frozen=True)
 class RunConfig:
     command: str
-    args: argparse.Namespace
+    args: SimpleNamespace
     budgets: Budgets
     json: bool
 
 
-def _add_budget_flags(p: argparse.ArgumentParser):
-    # argparse reads a string default (the environment's) with `type`, so a
-    # bad value exits 2 like a bad flag
-    for field in fields(Budgets):
-        p.add_argument(_BUDGET_FLAGS[field.name], type=int, dest=field.name,
-                       default=os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default))
-    p.add_argument("--json", action="store_true", help="line-delimited records")
+# Every verb once: its help and its own arguments, each given as the names and
+# keywords of one `add_argument` call; `_arguments` adds the budget flags and
+# --json.  `main` reads argv straight from this table, and `build_parser`
+# builds argparse from it only for --help and for argv the direct reader
+# leaves to argparse.
+VERBS = {
+    "ord": ("notation arithmetic", (
+        ("op", {"choices": ("compare", "add", "mul", "succ", "pow2")}),
+        ("operands", {"nargs": "+"}),
+    )),
+    "check": ("verify a certificate file", (
+        ("file", {}),
+        ("--cut-free", {"action": "store_true"}),
+    )),
+    "ti": ("emit the canonical TI certificate of a spec", (
+        ("spec", {}),
+        ("-o", "--output", {}),
+        ("--compact", {"action": "store_true", "help": "emit the builder term instead of expanding"}),
+    )),
+    "bound": ("order-type bound / semantic claim extraction", (
+        ("--ordering", {"required": True}),
+        ("--cert", {"required": True}),
+        ("--truth", {"action": "store_true", "help": "run the claim walk instead of the order-type bound"}),
+    )),
+    "spector": ("certified-sup witness from an enumeration file", (
+        ("file", {}),
+        ("--emit-cert", {}),
+    )),
+    "lab": ("certificate-store workbench", (
+        ("verb", {"choices": ("build", "retype", "reflect", "chain")}),
+        ("stores", {"nargs": "+", "help": "store files"}),
+        ("--base", {"required": True}),
+    )),
+    "regress": ("run the acceptance suite", (
+        ("--seed", {"type": int, "default": 0}),
+        ("--only", {"help": "comma-separated criterion numbers"}),
+    )),
+}
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arguments(command: str) -> tuple:
+    """The verb's arguments, then the budget flags and --json.
+
+    A budget flag's default is the environment's string when it is set, which
+    is read with `type` as argparse reads it, so a bad value exits 2 like a
+    bad flag.
+    """
+    budgets = tuple(
+        (_BUDGET_FLAGS[field.name], {"type": int, "dest": field.name,
+                                     "default": os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default)})
+        for field in fields(Budgets)
+    )
+    return VERBS[command][1] + budgets + (("--json", {"action": "store_true", "help": "line-delimited records"}),)
+
+
+def build_parser():
+    """The argparse parser of the verb table, for --help and error messages."""
+    import argparse
+
     top = argparse.ArgumentParser(prog="proofbench", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ord", help="notation arithmetic")
-    p.add_argument("op", choices=["compare", "add", "mul", "succ", "pow2"])
-    p.add_argument("operands", nargs="+")
-    _add_budget_flags(p)
-
-    p = sub.add_parser("check", help="verify a certificate file")
-    p.add_argument("file")
-    p.add_argument("--cut-free", action="store_true")
-    _add_budget_flags(p)
-
-    p = sub.add_parser("ti", help="emit the canonical TI certificate of a spec")
-    p.add_argument("spec")
-    p.add_argument("-o", "--output")
-    p.add_argument("--compact", action="store_true", help="emit the builder term instead of expanding")
-    _add_budget_flags(p)
-
-    p = sub.add_parser("bound", help="order-type bound / semantic claim extraction")
-    p.add_argument("--ordering", required=True)
-    p.add_argument("--cert", required=True)
-    p.add_argument("--truth", action="store_true", help="run the claim walk instead of the order-type bound")
-    _add_budget_flags(p)
-
-    p = sub.add_parser("spector", help="certified-sup witness from an enumeration file")
-    p.add_argument("file")
-    p.add_argument("--emit-cert")
-    _add_budget_flags(p)
-
-    p = sub.add_parser("lab", help="certificate-store workbench")
-    p.add_argument("verb", choices=["build", "retype", "reflect", "chain"])
-    p.add_argument("stores", nargs="+", help="store files")
-    p.add_argument("--base", required=True)
-    _add_budget_flags(p)
-
-    p = sub.add_parser("regress", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--only", help="comma-separated criterion numbers")
-    _add_budget_flags(p)
+    for command, (help_text, _) in VERBS.items():
+        p = sub.add_parser(command, help=help_text)
+        for *names, keywords in _arguments(command):
+            p.add_argument(*names, **keywords)
     return top
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse gives a plainly well-formed argv, else None.
+
+    None leaves argv to argparse: an unknown verb, -h, any `-`-leading token
+    that is not an exact flag (abbreviations, `--x=y`, `--`, negative
+    numbers), a positional after an option, a flag without its value, a
+    missing required option, a bad choice or count of positionals, and an
+    `int` that does not read.
+    """
+    if not argv or argv[0] not in VERBS:
+        return None
+    command = argv[0]
+    positionals, flags, options = [], {}, {}
+    for *names, keywords in _arguments(command):
+        if names[0].startswith("-"):
+            dest = keywords.get("dest", names[-1].lstrip("-").replace("-", "_"))
+            flags.update((name, dest) for name in names)
+            options[dest] = keywords
+        else:
+            positionals.append((names[0], keywords))
+
+    words, given = [], {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if given:  # a positional after an option
+                return None
+            words.append(token)
+            continue
+        dest = flags.get(token)
+        if dest is None:
+            return None
+        if options[dest].get("action") == "store_true":
+            given[dest] = True
+            continue
+        value = next(tokens, "-")  # a flag at the end has no value
+        if value.startswith("-"):
+            return None
+        if "type" in options[dest]:
+            try:
+                value = options[dest]["type"](value)
+            except ValueError:
+                return None
+        given[dest] = value
+
+    # only a verb's last positional may take "+"
+    many = bool(positionals) and positionals[-1][1].get("nargs") == "+"
+    if len(words) < len(positionals) or (len(words) > len(positionals) and not many):
+        return None
+    values = {"command": command}
+    for k, (dest, keywords) in enumerate(positionals):
+        taken = words[k:] if keywords.get("nargs") == "+" else words[k:k + 1]
+        choices = keywords.get("choices")
+        if choices is not None and any(w not in choices for w in taken):
+            return None
+        values[dest] = taken if keywords.get("nargs") == "+" else taken[0]
+
+    for dest, keywords in options.items():
+        if dest in given:
+            values[dest] = given[dest]
+        elif keywords.get("required"):
+            return None
+        elif keywords.get("action") == "store_true":
+            values[dest] = False
+        else:
+            # argparse reads a string default (the environment's) with `type`
+            default = keywords.get("default")
+            if "type" in keywords and isinstance(default, str):
+                try:
+                    default = keywords["type"](default)
+                except ValueError:
+                    return None
+            values[dest] = default
+    return SimpleNamespace(**values)
 
 
 def _read_input(path: Path) -> str:
@@ -459,7 +551,10 @@ def run(config: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_argv(argv)
+    if args is None:
+        args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
     budgets = Budgets(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
     for name, value in vars(budgets).items():
         if value <= 0:

@@ -1,4 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
+
+import proofbench
 
 from proofbench.boundedness import (
     BoundednessError,
@@ -133,3 +139,36 @@ def test_eval_claim_segment_shortcut():
     short = substitute_sequent(delta, "X", segment_template(spec, P("5")))
     assert eval_claim(short, 20) is Verdict.UNKNOWN  # counterexample code is 53
     assert eval_claim(short, 60) is Verdict.FALSE  # element of rank 5 found
+
+
+# an All node whose sequent holds two universals: it introduces the trivial
+# one, and only the field statement holds of the segment below gamma = w
+TWO_UNIVERSALS = """
+from proofbench.boundedness import _Walker, bounded_truth
+from proofbench.derivations import AllNode, AxMNode, FiniteSupport, OrNode, TiVac, check_local
+from proofbench.formulas import (Disj, Eq, ForAll, Member, Num, Var, field_statement,
+                                 negated_prog, seq, subst_num)
+from proofbench.orderings import FinOrd
+from proofbench.ordinals import parse
+
+spec = FinOrd(2)
+trivial = ForAll("y", Disj(Eq(Var("y"), Var("y")), Member(Var("y"))))
+gamma = seq(negated_prog(spec), field_statement(spec), trivial)
+kids = tuple(
+    (i, OrNode(gamma | {subst_num(trivial.body, "y", i)}, parse("1"), 1,
+               AxMNode(gamma | {Eq(Num(i), Num(i))}, parse("0"))))
+    for i in range(3)
+)
+node = AllNode(gamma, parse("w"), FiniteSupport(kids, TiVac(spec)))
+assert check_local(node, 8, 3, require_cut_free=True).passed
+print(_Walker(spec, 200, 3).claim(node)[1].value, bounded_truth(node, spec, width_budget=3).verdict.value)
+"""
+
+
+@pytest.mark.parametrize("seed", ["1", "2", "3"])
+def test_an_all_node_is_true_when_any_universal_of_its_sequent_holds(seed):
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    done = subprocess.run([sys.executable, "-c", TWO_UNIVERSALS], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "true true\n"

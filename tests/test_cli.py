@@ -1,11 +1,19 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import proofbench
+import proofbench.cli as cli
 
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from proofbench.derivations import code_text, derive_ti, expand
@@ -210,3 +218,197 @@ def test_regress_deterministic_output(capsys):
     code1, out1, _ = run_cli(capsys, "regress", "--only", "2", "--json")
     code2, out2, _ = run_cli(capsys, "regress", "--only", "2", "--json")
     assert out1 == out2
+
+
+# --- reading argv -------------------------------------------------------------------
+# `reference_parser` is the argparse parser `cli` built for every request
+# before it read argv from its verb table; the direct reader and the parser
+# built from the table are compared against it.
+
+
+def _reference_budget_flags(p: argparse.ArgumentParser):
+    # argparse reads a string default (the environment's) with `type`, so a
+    # bad value exits 2 like a bad flag
+    for field in fields(cli.Budgets):
+        p.add_argument(cli._BUDGET_FLAGS[field.name], type=int, dest=field.name,
+                       default=os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default))
+    p.add_argument("--json", action="store_true", help="line-delimited records")
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    top = argparse.ArgumentParser(prog="proofbench", description=cli.__doc__.splitlines()[0])
+    sub = top.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("ord", help="notation arithmetic")
+    p.add_argument("op", choices=["compare", "add", "mul", "succ", "pow2"])
+    p.add_argument("operands", nargs="+")
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("check", help="verify a certificate file")
+    p.add_argument("file")
+    p.add_argument("--cut-free", action="store_true")
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("ti", help="emit the canonical TI certificate of a spec")
+    p.add_argument("spec")
+    p.add_argument("-o", "--output")
+    p.add_argument("--compact", action="store_true", help="emit the builder term instead of expanding")
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("bound", help="order-type bound / semantic claim extraction")
+    p.add_argument("--ordering", required=True)
+    p.add_argument("--cert", required=True)
+    p.add_argument("--truth", action="store_true", help="run the claim walk instead of the order-type bound")
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("spector", help="certified-sup witness from an enumeration file")
+    p.add_argument("file")
+    p.add_argument("--emit-cert")
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("lab", help="certificate-store workbench")
+    p.add_argument("verb", choices=["build", "retype", "reflect", "chain"])
+    p.add_argument("stores", nargs="+", help="store files")
+    p.add_argument("--base", required=True)
+    _reference_budget_flags(p)
+
+    p = sub.add_parser("regress", help="run the acceptance suite")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--only", help="comma-separated criterion numbers")
+    _reference_budget_flags(p)
+    return top
+
+
+BUDGET_ENV = [f"PROOFBENCH_{field.name.upper()}" for field in fields(cli.Budgets)]
+WORDS = ["x", "", "(fin 3)", '(below "w")', "f.sx", "succ", "build", "grow", "ord", "lab"]
+INTS = ["0", "7", "12", "-3", " 5", "\u0663", "1_0", "+4", "x"]
+NOISE = ["-", "--", "-h", "--help", "--dep", "--co", "--c", "--e", "--depth=5", "--base=b",
+         "-of.sx", "-oo", "--jso", "--truth", "--output", "--seed", "nope"]
+ENV_VALUES = [None, None, None, "3", "0", "-2", " 5", "\u0663", "oops", ""]
+
+
+@st.composite
+def argvs(draw):
+    """A well-formed argv of a verb, from its table entry, then up to two edits
+    that insert a token, delete one or swap two; and the budget environment."""
+    verb = draw(st.sampled_from(sorted(cli.VERBS)))
+    argv, flags = [verb], []
+    for *names, keywords in cli._arguments(verb):
+        if not names[0].startswith("-"):
+            count = draw(st.integers(1, 3)) if keywords.get("nargs") == "+" else 1
+            pool = keywords.get("choices") or WORDS
+            argv += draw(st.lists(st.sampled_from(pool), min_size=count, max_size=count))
+        elif draw(st.booleans()) or (keywords.get("required") and draw(st.integers(0, 9)) > 0):
+            flags.append((draw(st.sampled_from(names)), keywords))
+    for name, keywords in draw(st.permutations(flags)):
+        argv.append(name)
+        if keywords.get("action") != "store_true":
+            argv.append(draw(st.sampled_from(INTS if "type" in keywords else WORDS)))
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(argv) - 1))
+        edit = draw(st.sampled_from(["insert", "delete", "swap"]))
+        if edit == "insert":
+            argv.insert(at, draw(st.sampled_from(NOISE + INTS + WORDS)))
+        elif edit == "delete" and len(argv) > 1:
+            del argv[at]
+        else:
+            other = draw(st.integers(0, len(argv) - 1))
+            argv[at], argv[other] = argv[other], argv[at]
+    env = {name: draw(st.sampled_from(ENV_VALUES)) for name in BUDGET_ENV}
+    return argv, env
+
+
+@settings(max_examples=1000, deadline=None)
+@given(argvs())
+@example((["lab", "build", "a", "--json", "b", "--base", "x"], {}))
+@example((["bound", "--cert", "c", "--truth"], {}))
+@example((["bound", "--ordering", "--json", "--cert", "c"], {}))
+@example((["check", "f", "--width", "-3"], {"PROOFBENCH_DEPTH": "oops"}))
+def test_the_direct_reader_agrees_with_argparse(case):
+    argv, env = case
+    with mock.patch.dict(os.environ, {k: v for k, v in env.items() if v is not None}):
+        for name in BUDGET_ENV:
+            if env.get(name) is None:
+                os.environ.pop(name, None)
+        read = cli._read_argv(argv)
+        if read is not None:
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                try:
+                    expected = reference_parser().parse_args(argv)
+                except SystemExit:
+                    pytest.fail(f"argparse refuses {argv!r} with {env!r}: {err.getvalue()}")
+            assert vars(read) == vars(expected)
+
+
+def _exit_of(call, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = call(argv)
+        except SystemExit as e:
+            code = e.code
+    return code, out.getvalue(), err.getvalue()
+
+
+BAD_ARGVS = [
+    [], ["nope"], ["-x"], ["ord"], ["ord", "sqrt", "0"], ["ord", "succ"], ["check"],
+    ["check", "a", "b"], ["check", "f", "--depth"], ["check", "f", "--depth", "x"],
+    ["check", "f", "--dep=x"], ["check", "f", "--c"], ["check", "f", "--bogus"],
+    ["check", "f", "--width", "--json"], ["bound", "--ordering", "s"], ["lab", "build", "s.sx"],
+    ["lab", "grow", "s.sx", "--base", "b"], ["ti", "s", "-o"], ["regress", "--seed", "one"],
+    ["spector", "--emit-cert", "w.sx"],
+]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"]] + [[verb, "--help"] for verb in cli.VERBS]
+                         + BAD_ARGVS, ids=repr)
+def test_help_and_refusals_match_argparse(argv):
+    expected = _exit_of(lambda a: reference_parser().parse_args(a), argv)
+    assert expected[0] in (0, 2)
+    assert _exit_of(main, argv) == expected
+
+
+def test_a_bad_budget_environment_is_refused_as_argparse_refuses_it(monkeypatch):
+    monkeypatch.setenv("PROOFBENCH_WIDTH", "oops")
+    argv = ["check", "f.sx", "--json"]
+    expected = _exit_of(lambda a: reference_parser().parse_args(a), argv)
+    assert expected[0] == 2 and "invalid int value: 'oops'" in expected[2]
+    assert _exit_of(main, argv) == expected
+    # a flag given on the command line is read, and the environment's value is not
+    assert cli._read_argv(["check", "f.sx", "--width", "3"]).width == 3
+
+
+def test_benchmark_argv_shapes_never_build_argparse(tmp_path, monkeypatch, capsys):
+    def refuse():
+        raise AssertionError("argparse was built")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    for name in BUDGET_ENV:
+        monkeypatch.delenv(name, raising=False)
+    cert, store, enum = tmp_path / "f.sx", tmp_path / "s.sx", tmp_path / "h.sx"
+    store.write_text('(theory "s" (claim (fin 2) (cert "f.sx")))')
+    enum.write_text('(entries (0 (fin 2) "f.sx"))')
+    shapes = [
+        ["ord", "succ", "0"],
+        ["ti", "(fin 2)", "-o", str(cert), "--json"],
+        ["check", str(cert), "--cut-free", "--depth", "400", "--width", "4", "--json"],
+        ["check", str(cert), "--depth", "8", "--json"],
+        ["bound", "--ordering", "(fin 2)", "--cert", str(cert), "--depth", "400", "--width", "4", "--json"],
+        ["bound", "--ordering", "(fin 2)", "--cert", str(cert), "--truth", "--depth", "400", "--width", "4",
+         "--json"],
+        ["lab", "retype", str(store), str(store), "--base", '(below "w")', "--json"],
+        ["spector", str(enum), "--emit-cert", str(tmp_path / "w.sx"), "--json"],
+    ]
+    for argv in shapes:
+        assert main(argv) in (EXIT_OK, EXIT_VERDICT), argv
+    capsys.readouterr()
+
+
+def test_a_well_formed_request_imports_no_argparse():
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    script = ("import sys, proofbench.cli; proofbench.cli.main(['ord', 'succ', '0']);"
+              " print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "1\n[]\n"
