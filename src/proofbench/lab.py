@@ -4,9 +4,11 @@ A theory at desk scale is a named store of claims, each pairing an ordering
 with either a checked TI certificate or a bare assertion of
 well-foundedness.  The induced relation restricts a well-founded base: a
 pair holds when some linear store claim admits an embedding of the base
-restricted below the pair's upper element.  Linearity is decided exactly
-from the claim's spec kinds (`orderings.linear`), with no budget; a claim
-that is not linear is inert: it bounds no pair and is never searched.
+restricted below the pair's upper element, a well-order of type rank + 1
+that embeds exactly when that is below the claim's height (`orderings.height`).
+Linearity is decided exactly from the claim's spec kinds (`orderings.linear`),
+with no budget; a claim that is not linear is inert: it bounds no pair and
+is never searched.
 Checked-only stores have a computable order type (the certified supremum
 capped by the base); stores with false assertions are caught by hunting
 constructive descent inside the claimed orderings themselves, since the
@@ -22,24 +24,10 @@ from typing import Callable, Union
 
 from . import sexpr
 from .derivations import Code, parse_code, ti_certificate_fault
-from .orderings import (
-    SPECS,
-    OrderingSpec,
-    embed_search,
-    field_elements,
-    less,
-    linear,
-    otyp,
-    rankable,
-    restriction_embeds,
-    search_descending,
-)
-from .ordinals import ZERO, Cmp, Ordinal, compare, max_ord
+from .orderings import (SPECS, OrderingSpec, field_elements, height, in_field, less, linear, otyp, rank, rankable,
+                        search_descending)
+from .ordinals import ZERO, CapExceededError, Cmp, Ordinal, compare, lt, max_ord, succ
 from .sexpr import Str
-
-
-# the candidate embeddings `PrecT.bounded` tries for a claim without ranks
-EMBED_BUDGET = 200
 
 
 class LabError(ValueError):
@@ -99,19 +87,15 @@ class PrecT:
     base: OrderingSpec
     store: TheoryStore
     usable: tuple[int, ...]  # indices of the claims whose orderings are linear
-    ranked: frozenset[int]  # usable claims whose orderings have ranks
+    reach: Ordinal | None  # the largest height of a usable claim; None when it has no notation
 
     def less(self, a: int, b: int) -> bool:
         return less(self.base, a, b) and self.bounded(b)
 
     def bounded(self, b: int) -> bool:
-        """Some usable claim embeds the base restricted below b: decided
-        exactly on claims with ranks, searched for on the others."""
-        return any(
-            restriction_embeds(self.base, b, self.store.claims[i].ordering) if i in self.ranked
-            else embed_search(self.base, b, self.store.claims[i].ordering, EMBED_BUDGET).ok
-            for i in self.usable
-        )
+        """Some usable claim embeds the base restricted below b, of type
+        rank(b) + 1; a height with no notation (reach None) is above them all."""
+        return in_field(self.base, b) and (self.reach is None or lt(succ(rank(self.base, b)), self.reach))
 
 
 def build_precT(
@@ -135,8 +119,13 @@ def build_precT(
             if fault is not None:
                 raise LabError(f"claim {i}: {fault}")
     usable = [i for i, claim in enumerate(store.claims) if linear(claim.ordering)]
-    ranked = frozenset(i for i in usable if rankable(store.claims[i].ordering))
-    return PrecT(base, store, tuple(usable), ranked)
+    reach = ZERO
+    try:
+        for i in usable:
+            reach = max_ord(reach, height(store.claims[i].ordering))
+    except CapExceededError:
+        reach = None
+    return PrecT(base, store, tuple(usable), reach)
 
 
 def retype(prec: PrecT) -> Ordinal:
@@ -160,9 +149,9 @@ def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToB
     culprit.  A checked culprit would be a soundness bug and raises.
     """
     for i in prec.usable:
-        if i in prec.ranked:
-            continue
         claim = prec.store.claims[i]
+        if rankable(claim.ordering):  # well-founded by construction
+            continue
         starts = field_elements(claim.ordering, 1)
         if not starts:
             continue

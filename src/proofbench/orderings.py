@@ -12,20 +12,21 @@ Element coding is fixed and documented:
     A-component first.
 
 Every rank-supporting combinator gets a computable rank (the order type of
-its strict predecessors) and a compositional order type.
+its strict predecessors) and a compositional order type.  Every linear
+combinator gets an exact height, the least ordinal that does not embed in it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cmp_to_key, lru_cache
+from functools import lru_cache
 from heapq import heappop, heappush, merge
 from math import isqrt
 
 from . import sexpr
-from .ordinals import (NotationError, Ordinal, add, canonical_texts, div, from_int, le, left_diff, lt, mul, parse,
-                       succ, text)
+from .ordinals import (EPSILON, OMEGA, ONE, NotationError, Ordinal, add, canonical_texts, div, from_int, left_diff,
+                       lt, max_ord, mul, parse, succ, text)
 from .sexpr import NATURAL, REST, Role, Str
 
 
@@ -53,6 +54,12 @@ class OrderingSpec:
 
     def rank(self, n: int) -> Ordinal:
         raise UnsupportedRankError(f"no rank on {self!r}")
+
+    def height(self, reverse: bool) -> Ordinal:
+        """A well-order of type t embeds every ordinal up to t; its reversal
+        embeds every ordinal up to t when t is finite, else the finite ones."""
+        t = otyp(self)
+        return OMEGA if reverse and not t.is_finite() else succ(t)
 
 
 @dataclass(frozen=True)
@@ -131,6 +138,10 @@ class SumOrd(OrderingSpec):
     def otyp(self) -> Ordinal:
         return add(otyp(self.first), otyp(self.second))
 
+    def height(self, reverse: bool) -> Ordinal:
+        first, second = (self.second, self.first) if reverse else (self.first, self.second)
+        return _sum_height(height(first, reverse), height(second, reverse))
+
     def rank(self, n: int) -> Ordinal:
         if n % 2 == 0:
             return rank(self.first, n // 2)
@@ -164,16 +175,24 @@ class LexOrd(OrderingSpec):
         ma, mb = unpair_code(m)
         return less(self.major, na, ma) if na != ma else less(self.minor, nb, mb)
 
+    def empty(self) -> bool:
+        return not (field_elements(self.major, 1) and field_elements(self.minor, 1))
+
     def linear(self) -> bool:
         # a product with an empty side has no elements
-        return (linear(self.major) and linear(self.minor)) or not (
-            field_elements(self.major, 1) and field_elements(self.minor, 1))
+        return (linear(self.major) and linear(self.minor)) or self.empty()
 
     def rankable(self) -> bool:
         return rankable(self.major) and rankable(self.minor)
 
     def otyp(self) -> Ordinal:
         return mul(otyp(self.minor), otyp(self.major))
+
+    def height(self, reverse: bool) -> Ordinal:
+        # an empty product's other side need not be linear, so it is not asked
+        if self.empty():
+            return ONE
+        return _lex_height(height(self.major, reverse), height(self.minor, reverse))
 
     def rank(self, n: int) -> Ordinal:
         a, b = unpair_code(n)
@@ -225,6 +244,9 @@ class RevOrd(OrderingSpec):
 
     def rankable(self) -> bool:
         return False
+
+    def height(self, reverse: bool) -> Ordinal:
+        return height(self.inner, not reverse)
 
     def iter_field(self):
         return iter_field(self.inner)
@@ -343,6 +365,53 @@ def rank(spec: OrderingSpec, n: int) -> Ordinal:
     return spec.rank(n)
 
 
+def height(spec: OrderingSpec, reverse: bool = False) -> Ordinal:
+    """The least ordinal that does not embed into the linear order `spec`
+    (into its reversal when `reverse`), so the ordinals that embed are those
+    below it.  Raises CapExceededError when that is E*w or more."""
+    return spec.height(reverse)
+
+
+def _split_last(a: Ordinal) -> tuple[Ordinal, Ordinal]:
+    """(rest, p) with a = rest + p and p the power of a's last term (1, w^e
+    or E), for a > 0."""
+    if not a.wterms:
+        return Ordinal(a.eterm - 1, ()), EPSILON
+    *head, (e, c) = a.wterms
+    return Ordinal(a.eterm, (*head, *([(e, c - 1)] if c > 1 else []))), Ordinal(0, ((e, 1),))
+
+
+def _sum_height(a: Ordinal, b: Ordinal) -> Ordinal:
+    """Height of A + B from the heights a of A and b of B: g1 + g2 embeds
+    for g1 < a and g2 < b.  With a = rest + p, g1 = rest is best, unless b is
+    below p, and then every such sum is below a."""
+    rest, _ = _split_last(a)
+    return max_ord(a, add(rest, b))
+
+
+def _lex_height(a: Ordinal, b: Ordinal) -> Ordinal:
+    """Height of lex(A, B), a copy of B at each element of A, from the
+    heights a of A and b of B: a sum of d < a pieces embeds when each piece
+    is below b.  When b = beta + 1, every piece can be beta.  When b is a
+    limit with leading term p*c, a piece holds g whole copies of p (c - 1
+    when b = p*c, else c), and w pieces add up to p*w when g >= 1, to p when
+    g = 0.  Write a = w*q + r: a limit a (r = 0) takes every d below it; a
+    successor takes d = w*q + r - 1, whose last r - 1 pieces can be p*g each
+    but the final one, which ranges below b."""
+    b_rest, b_last = _split_last(b)
+    if b_last == ONE:
+        a_rest, a_last = _split_last(a)
+        return succ(mul(b_rest, a_rest)) if a_last == ONE else mul(b_rest, a)
+    p, c = (EPSILON, b.eterm) if b.eterm else (Ordinal(0, ((b.wterms[0][0], 1),)), b.wterms[0][1])
+    g = c - 1 if b == mul(p, from_int(c)) else c
+    q, r = div(a, OMEGA)
+    limits = mul(p, mul(OMEGA, q) if g else q)
+    n = r.nat_value()
+    if n <= 1:
+        return succ(limits) if n else limits
+    return add(add(limits, mul(p, from_int(g * (n - 2)))), b)
+
+
 def segment_member(spec: OrderingSpec, n: int, alpha: Ordinal) -> bool:
     """n lies in the initial segment of elements of rank below alpha."""
     return lt(rank(spec, n), alpha)
@@ -428,67 +497,6 @@ def search_descending(spec: OrderingSpec, start: int, budget: int) -> list[int] 
         return None
 
     return extend([start])
-
-
-# --- embedding search -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbedResult:
-    ok: bool
-    mapping: tuple[tuple[int, int], ...] | None
-    reason: str
-
-
-def restriction_embeds(source: OrderingSpec, beta: int, target: OrderingSpec) -> bool:
-    """{x : x <= beta in source} embeds into the rank-supporting target.
-
-    For beta in the field the restriction has order type rank(beta)+1, so
-    this is exact: it embeds iff that does not exceed otyp(target).
-    """
-    return in_field(source, beta) and le(succ(rank(source, beta)), otyp(target))
-
-
-def embed_search(source: OrderingSpec, beta: int, target: OrderingSpec, budget: int) -> EmbedResult:
-    """Order-preserving map of {x : x <= beta in source} into target.
-
-    The restriction is sampled at codes below `budget` (at most 256 of
-    them).  For rank-supporting targets the decision is restriction_embeds,
-    and the emitted map is the canonical rank-preserving one.
-    Ill-founded targets get a greedy budgeted search instead, so failures
-    there only mean "not found at this budget".
-    """
-    if not in_field(source, beta):
-        return EmbedResult(False, None, "restriction point outside the field")
-    codes = itertools.takewhile(lambda x: x < budget, iter_field(source))
-    restriction = list(itertools.islice((x for x in codes if x == beta or less(source, x, beta)), 256))
-    restriction.sort(key=cmp_to_key(lambda a, b: -1 if less(source, a, b) else 1))
-
-    if rankable(target):
-        if not restriction_embeds(source, beta, target):
-            return EmbedResult(False, None, "target order type too small")
-        mapping = [(x, element_of_rank(target, rank(source, x))) for x in restriction]
-    else:
-        pool = field_elements(target, max(64, 2 * len(restriction)))
-        pool.sort(key=cmp_to_key(lambda a, b: -1 if less(target, a, b) else 1))
-        mapping = []
-        pos = 0
-        prev = None
-        for x in restriction:
-            while pos < len(pool) and prev is not None and not less(target, prev, pool[pos]):
-                pos += 1
-            if pos >= len(pool):
-                return EmbedResult(False, None, "target pool exhausted")
-            prev = pool[pos]
-            mapping.append((x, prev))
-            pos += 1
-
-    for (x, fx), (y, fy) in itertools.combinations(mapping, 2):
-        if less(source, x, y) and not less(target, fx, fy):
-            return EmbedResult(False, None, f"not order-preserving at ({x},{y})")
-        if less(source, y, x) and not less(target, fy, fx):
-            return EmbedResult(False, None, f"not order-preserving at ({y},{x})")
-    return EmbedResult(True, tuple(mapping), "ok")
 
 
 # --- S-expression format ---------------------------------------------------------

@@ -1,12 +1,14 @@
 import dataclasses
+import itertools
 import json
+from functools import cmp_to_key
 
 import pytest
 
 from proofbench.cli import EXIT_OK, EXIT_PRECONDITION, main
 from proofbench.derivations import code_text, derive_ti, expand, premises, with_premises
+from proofbench import lab
 from proofbench.lab import (
-    EMBED_BUDGET,
     Claim,
     CulpritReport,
     Evidence,
@@ -25,12 +27,17 @@ from proofbench.orderings import (
     RevOrd,
     SumOrd,
     TableOrd,
-    embed_search,
+    element_of_rank,
     field_elements,
+    in_field,
+    iter_field,
     less,
+    ord_code,
+    otyp,
     rank,
+    rankable,
 )
-from proofbench.ordinals import lt, parse
+from proofbench.ordinals import le, lt, parse, succ
 
 P = parse
 W, W2, W3 = P("w"), P("w^2"), P("w^3")
@@ -81,7 +88,51 @@ def test_fin_claim_restricts_base():
         assert participates == (0 < rank(BelowOrd(W), b).nat_value() < 5)
 
 
+# the candidate embeddings `embed_search` tries for a claim without ranks
+EMBED_BUDGET = 200
+
+
+def embed_search(source, beta, target, budget) -> bool:
+    """Reference: an order-preserving map of {x : x <= beta in source} into target.
+
+    The restriction is sampled at codes below `budget` (at most 256 of
+    them).  A rank-supporting target gets the canonical rank-preserving map
+    when rank(beta) + 1 <= otyp(target).  Any other target gets a greedy map
+    into its first elements by code, so a failure there only means "not
+    found at this budget": the search is conclusive on targets with ranks
+    and on finite ones, whose pool is the whole field.
+    """
+    if not in_field(source, beta):
+        return False
+    codes = itertools.takewhile(lambda x: x < budget, iter_field(source))
+    restriction = list(itertools.islice((x for x in codes if x == beta or less(source, x, beta)), 256))
+    restriction.sort(key=cmp_to_key(lambda a, b: -1 if less(source, a, b) else 1))
+
+    if rankable(target):
+        if not le(succ(rank(source, beta)), otyp(target)):
+            return False
+        mapping = [(x, element_of_rank(target, rank(source, x))) for x in restriction]
+    else:
+        pool = field_elements(target, max(64, 2 * len(restriction)))
+        pool.sort(key=cmp_to_key(lambda a, b: -1 if less(target, a, b) else 1))
+        mapping = []
+        pos = 0
+        prev = None
+        for x in restriction:
+            while pos < len(pool) and prev is not None and not less(target, prev, pool[pos]):
+                pos += 1
+            if pos >= len(pool):
+                return False
+            prev = pool[pos]
+            mapping.append((x, prev))
+            pos += 1
+
+    return all(less(source, x, y) <= less(target, fx, fy) and less(source, y, x) <= less(target, fy, fx)
+               for (x, fx), (y, fy) in itertools.combinations(mapping, 2))
+
+
 def test_bounded_matches_embed_search():
+    # claims with ranks, and finite ones: where the reference is conclusive
     claims = (
         checked(FinOrd(5)),
         checked(BelowOrd(W)),
@@ -89,12 +140,13 @@ def test_bounded_matches_embed_search():
         asserted(LexOrd(FinOrd(3), BelowOrd(P("20")))),
         checked(TableOrd(frozenset({(4, 7), (4, 9), (7, 9)}))),
         asserted(RevOrd(FinOrd(3))),
+        asserted(LexOrd(RevOrd(FinOrd(2)), TableOrd(frozenset({(8, 6)})))),
     )
     base = BelowOrd(W3)
     elems = field_elements(base, 300)
 
     def reference(prec, b):
-        return any(embed_search(base, b, prec.store.claims[i].ordering, EMBED_BUDGET).ok for i in prec.usable)
+        return any(embed_search(base, b, prec.store.claims[i].ordering, EMBED_BUDGET) for i in prec.usable)
 
     for claim in claims:
         prec = build_precT(store("t", claim), base)
@@ -105,6 +157,69 @@ def test_bounded_matches_embed_search():
     prec = build_precT(store("t", *claims), base)
     assert prec.usable == tuple(range(len(claims)))
     assert [prec.bounded(b) for b in elems] == [reference(prec, b) for b in elems]
+
+
+def test_a_reversed_omega_bounds_only_the_finite_elements():
+    prec = build_precT(store("t", asserted(RevOrd(BelowOrd(W)))), BelowOrd(W3))
+    assert all(prec.bounded(ord_code(P(str(k)))) for k in (0, 1, 9, 10, 1000))
+    # no infinite well-order embeds into a reversed w
+    for s in ("w", "w*2", "w^2", "w^2*5+3"):
+        assert not prec.bounded(ord_code(P(s)))
+
+
+def test_a_reversed_finite_order_bounds_its_size():
+    prec = build_precT(store("t", asserted(RevOrd(FinOrd(3)))), BelowOrd(W))
+    elems = field_elements(BelowOrd(W), 12)
+    assert [rank(BelowOrd(W), b).nat_value() for b in elems if prec.bounded(b)] == [0, 1, 2]
+
+
+def test_an_empty_product_claim_bounds_nothing():
+    prec = build_precT(store("t", asserted(LexOrd(TableOrd(frozenset({(0, 0)})), FinOrd(0)))), BelowOrd(W))
+    assert prec.usable == (0,)
+    assert not any(prec.bounded(b) for b in field_elements(BelowOrd(W), 12))
+
+
+def test_a_claim_whose_height_has_no_notation_bounds_every_base_element():
+    # both heights are at least E*w, above the type of every base element
+    for spec in (LexOrd(BelowOrd(W), BelowOrd(P("E"))), LexOrd(RevOrd(BelowOrd(W)), BelowOrd(P("E")))):
+        for base in (BelowOrd(W3), BelowOrd(P("E*2"))):
+            prec = build_precT(store("t", asserted(spec), asserted(FinOrd(2))), base)
+            assert prec.reach is None
+            assert all(prec.bounded(b) for b in field_elements(base, 60))
+            assert not prec.bounded(ord_code(otyp(base)))
+
+
+def test_lab_verbs_on_claims_whose_height_has_no_notation(tmp_path, capsys):
+    (tmp_path / "s.sx").write_text('(theory "cap" (claim (lex (rev (below "w")) (below "E")) asserted)'
+                                   ' (claim (lex (below "w") (below "E")) asserted))')
+    argv = [str(tmp_path / "s.sx"), "--base", '(below "w^3")']
+    assert main(["lab", "build", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == "cap: 2/2 claims usable\n"
+    assert main(["lab", "build", *argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["usable"] == [0, 1]
+    assert main(["lab", "reflect", *argv]) == EXIT_OK
+    assert capsys.readouterr().out == "cap: well-founded up to budget 50\n"
+    assert main(["lab", "reflect", *argv, "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["verdict"] == "well-founded-up-to-budget"
+
+
+def test_induced_relation_never_asks_the_claim_and_computes_its_height_once(monkeypatch):
+    calls = {"less": 0, "height": 0}
+    rev_less, height = RevOrd.less, lab.height
+
+    def counted(name, f):
+        def call(*args):
+            calls[name] += 1
+            return f(*args)
+        return call
+
+    monkeypatch.setattr(RevOrd, "less", counted("less", rev_less))
+    monkeypatch.setattr(lab, "height", counted("height", height))
+    prec = build_precT(store("t", asserted(RevOrd(BelowOrd(W)))), BelowOrd(W3))
+    elems = field_elements(BelowOrd(W3), 60)
+    # w is the one infinite element: the 59 pairs below it are not bounded
+    assert sum(prec.less(a, b) for a in elems for b in elems) == 60 * 59 // 2 - 59
+    assert calls == {"less": 0, "height": 1}
 
 
 def test_retype_examples():

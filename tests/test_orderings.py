@@ -6,6 +6,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import proofbench
 from proofbench.gens import random_spec
@@ -18,8 +20,8 @@ from proofbench.orderings import (
     TableOrd,
     UnsupportedRankError,
     element_of_rank,
-    embed_search,
     field_elements,
+    height,
     in_field,
     iter_field,
     less,
@@ -36,7 +38,8 @@ from proofbench.orderings import (
     spec_text,
     unpair_code,
 )
-from proofbench.ordinals import NotationError, canonical_texts, compare, from_int, lt, parse
+from proofbench.ordinals import (CapExceededError, NotationError, Ordinal, canonical_texts, compare, from_int, lt, parse,
+                                 succ)
 
 P = parse
 W = P("w")
@@ -278,31 +281,125 @@ def test_rank_errors():
     assert not rankable(TableOrd(frozenset({(0, 1), (1, 0)})))
 
 
-def test_embed_identity_cases():
-    r = embed_search(FinOrd(3), 2, FinOrd(5), 64)
-    assert r.ok and r.mapping == ((0, 0), (1, 1), (2, 2))
-    r = embed_search(FinOrd(3), 2, FinOrd(2), 64)
-    assert not r.ok
-    # Below into Below: the canonical map is the identity on notations
-    r = embed_search(BelowOrd(W2), code("w*2"), BelowOrd(W3), 200)
-    assert r.ok
-    assert all(x == y for x, y in r.mapping)
-    assert any(x == code("w") for x, _ in r.mapping)
+def embeds(source, b, target) -> bool:
+    """{x : x <= b in source} embeds into target: its type is below the height."""
+    return lt(succ(rank(source, b)), height(target))
 
 
-def test_embed_respects_order_type():
-    assert embed_search(BelowOrd(W2), code("w*2"), BelowOrd(W), 200).ok is False
+def test_height_identity_cases():
+    assert embeds(FinOrd(3), 2, FinOrd(5))
+    assert not embeds(FinOrd(3), 2, FinOrd(2))
+    # Below into Below: the canonical map, by rank, is the identity on notations
+    assert embeds(BelowOrd(W2), code("w*2"), BelowOrd(W3))
+    below = [x for x in field_elements(BelowOrd(W2), 200) if lt(rank(BelowOrd(W2), x), P("w*2+1"))]
+    assert code("w") in below
+    assert all(element_of_rank(BelowOrd(W3), rank(BelowOrd(W2), x)) == x for x in below)
+
+
+def test_height_respects_order_type():
+    assert not embeds(BelowOrd(W2), code("w*2"), BelowOrd(W))
     # restriction of type w+1 fits into w*2 but not into w
-    assert embed_search(BelowOrd(W2), code("w"), BelowOrd(P("w*2")), 200).ok
-    assert embed_search(BelowOrd(W2), code("w"), BelowOrd(W), 200).ok is False
+    assert embeds(BelowOrd(W2), code("w"), BelowOrd(P("w*2")))
+    assert not embeds(BelowOrd(W2), code("w"), BelowOrd(W))
 
 
-def test_embed_into_reversed_order():
-    r = embed_search(FinOrd(5), 4, RevOrd(BelowOrd(W)), 64)
-    assert r.ok
-    mapped = [img for _, img in r.mapping]
-    for a, b in zip(mapped, mapped[1:]):
-        assert less(RevOrd(BelowOrd(W)), a, b)
+def test_height_of_a_reversed_order():
+    rev = RevOrd(BelowOrd(W))
+    assert embeds(FinOrd(5), 4, rev)
+    # the elements of inner ranks 4..0 ascend in the reversal
+    chain = [element_of_rank(BelowOrd(W), from_int(k)) for k in range(4, -1, -1)]
+    assert all(less(rev, a, b) for a, b in zip(chain, chain[1:]))
+    assert height(rev) == W and not embeds(BelowOrd(W2), code("w"), rev)
+
+
+@pytest.mark.parametrize("spec, value", [
+    ('(rev (below "w"))', "w"),
+    ('(lex (below "w") (rev (below "w")))', "w+1"),
+    ('(lex (rev (below "w")) (below "w"))', "w^2"),
+    ('(sum (below "w") (rev (below "w")))', "w*2"),
+    ('(sum (rev (below "w")) (fin 3))', "w"),
+    ('(lex (fin 2) (sum (below "w") (rev (below "w"))))', "w*3"),
+    ('(rev (fin 3))', "4"),
+    ('(rev (below "E*2"))', "w"),
+    ('(below "E*2")', "E*2+1"),
+])
+def test_height_examples(spec, value):
+    assert height(parse_spec(spec)) == P(value)
+
+
+def test_height_of_an_empty_product_does_not_ask_its_other_side():
+    spec = parse_spec("(lex (table (0 0)) (fin 0))")
+    assert linear(spec) and not linear(spec.major)
+    assert height(spec) == height(spec, True) == P("1")
+
+
+def test_a_height_at_least_e_times_w_has_no_notation():
+    with pytest.raises(CapExceededError):
+        height(parse_spec('(lex (below "w") (below "E"))'))
+    with pytest.raises(CapExceededError):
+        height(parse_spec('(lex (rev (below "w")) (below "E"))'))
+    assert height(parse_spec('(rev (lex (below "w") (below "E")))')) == W
+
+
+def test_height_of_a_finite_linear_order_is_its_size_plus_one():
+    """Brute force: a linear order of n elements embeds exactly the ordinals up to n."""
+    seen = set()
+    specs = [random_spec(random.Random(seed), 3) for seed in range(500)]
+    specs += [parse_spec("(rev (fin 4))"), parse_spec("(lex (rev (fin 2)) (table (7 3) (7 1) (3 1)))")]
+    for spec in specs:
+        elems = field_elements(spec, 200)
+        if len(elems) < 200 and linear(spec):
+            seen.update(kind for kind in ("(rev (fin", "(table") if kind in spec_text(spec))
+            assert height(spec) == height(spec, True) == from_int(len(elems) + 1), spec_text(spec)
+    assert seen == {"(rev (fin", "(table"}
+
+
+def to_e2(eterm, terms):
+    """A notation up to E*2 from an E coefficient and (exponent index, coefficient) terms."""
+    if eterm == 2:
+        return P("E*2")
+    exps = [P("w^2"), P("w+1"), W, P("2"), P("1"), P("0")]
+    return Ordinal(eterm, tuple((exps[i], c) for i, c in sorted(terms)))
+
+
+ORDINALS_TO_E2 = st.builds(to_e2, st.integers(0, 2),
+                           st.lists(st.tuples(st.integers(0, 5), st.integers(1, 3)), max_size=3,
+                                    unique_by=lambda t: t[0]))
+LINEAR_SPECS = st.recursive(
+    st.one_of(st.builds(FinOrd, st.integers(0, 3)), st.builds(BelowOrd, ORDINALS_TO_E2)),
+    lambda parts: st.one_of(st.builds(RevOrd, parts), st.builds(SumOrd, parts, parts),
+                            st.builds(LexOrd, parts, parts)),
+    max_leaves=3)
+
+
+def heights(spec):
+    """The heights of spec and of its reversal, None for one with no notation."""
+    out = []
+    for reverse in (False, True):
+        try:
+            out.append(height(spec, reverse))
+        except CapExceededError:
+            out.append(None)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("isomorphic", [
+    lambda a, b, c: (SumOrd(SumOrd(a, b), c), SumOrd(a, SumOrd(b, c))),
+    lambda a, b, c: (LexOrd(LexOrd(a, b), c), LexOrd(a, LexOrd(b, c))),
+    lambda a, b, c: (LexOrd(SumOrd(a, b), c), SumOrd(LexOrd(a, c), LexOrd(b, c))),
+    lambda a, b, c: (LexOrd(FinOrd(2), a), SumOrd(a, a)),
+    lambda a, b, c: (LexOrd(FinOrd(3), a), SumOrd(SumOrd(a, a), a)),
+    lambda a, b, c: (LexOrd(FinOrd(1), a), a),
+    lambda a, b, c: (LexOrd(a, FinOrd(1)), a),
+    lambda a, b, c: (RevOrd(SumOrd(a, b)), SumOrd(RevOrd(b), RevOrd(a))),
+    lambda a, b, c: (RevOrd(LexOrd(a, b)), LexOrd(RevOrd(a), RevOrd(b))),
+], ids=["sum-assoc", "lex-assoc", "lex-distributes", "lex-2", "lex-3", "lex-1-major", "lex-1-minor",
+        "rev-sum", "rev-lex"])
+@settings(max_examples=200, deadline=None)
+@given(a=LINEAR_SPECS, b=LINEAR_SPECS, c=LINEAR_SPECS)
+def test_isomorphic_orders_have_equal_heights(isomorphic, a, b, c):
+    left, right = isomorphic(a, b, c)
+    assert heights(left) == heights(right)
 
 
 def test_random_specs_agree_with_their_ranks():
@@ -316,6 +413,8 @@ def test_random_specs_agree_with_their_ranks():
         end = min(first[-1] + 1 if len(first) == 20 else 500, 500)
         assert [n for n in range(end) if in_field(spec, n)] == [n for n in first if n < end]
         if rankable(spec):
+            assert height(spec) == succ(otyp(spec))
+            assert height(spec, True) == (succ(otyp(spec)) if otyp(spec).is_finite() else W)
             for x in first:
                 assert element_of_rank(spec, rank(spec, x)) == x
                 for y in first:
