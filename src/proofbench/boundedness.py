@@ -34,13 +34,13 @@ from .formulas import (
     atom_true,
     eval_closed,
     eval_term,
+    instance,
     is_x_positive,
     negated_prog,
     operands,
     prog_witness_instance,
     segment_template,
     set_vars,
-    subst_num,
     substitute_sequent,
     term_vars,
 )
@@ -212,7 +212,7 @@ class _Walker:
             n = s.indices[0]
             inst = prog_witness_instance(self.spec, n)
             premise = s.child(n)
-            if inst in root_label(premise).sequent and subst_num(negp.body, negp.var, n) == inst:
+            if inst in root_label(premise).sequent and instance(negp, n) == inst:
                 return self._witness_case(gamma, beta, alpha, n, inst, premise)
         return self._side_case(s, negp, delta, beta, alpha, gamma)
 

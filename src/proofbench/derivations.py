@@ -38,11 +38,11 @@ from .formulas import (
     atom_true,
     eval_term,
     field_statement,
+    instance,
     negate,
     negated_prog,
     prog_witness_instance,
     seq,
-    subst_num,
     term_vars,
     ti_sequent,
 )
@@ -78,8 +78,7 @@ class RuleTag(Enum):
     REP = "Rep"
 
 
-@dataclass(frozen=True)
-class NodeLabel:
+class NodeLabel(NamedTuple):
     sequent: Sequent
     rule: RuleTag
     tag: Ordinal
@@ -95,8 +94,7 @@ class _Nat:
 NAT = _Nat()
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     label: NodeLabel
     indices: Union[tuple[int, ...], _Nat]
     child: Callable[[int], "Code"]
@@ -409,7 +407,7 @@ def _pred_children(spec: OrderingSpec, n: int, vacuous: bool) -> Callable[[int],
             _, _, _, allpred, _ = _instance_parts(spec, n)
             parts = (allpred, _delta_n(spec, n), add(mul(OMEGA, rho), ONE))
         allpred, delta, tag = parts
-        inst_i = subst_num(allpred.body, allpred.var, i)
+        inst_i = instance(allpred, i)
         if below:
             return OrNode(delta | {inst_i}, tag, 2, TiProg(spec, i))
         return OrNode(delta | {inst_i}, tag, 1, AxMNode(delta | {inst_i.left}, ZERO))
@@ -429,7 +427,7 @@ def _root_children(spec: OrderingSpec, vacuous: bool) -> Callable[[int], Code]:
         if parts is None:
             parts = (seq(negated_prog(spec)), field_statement(spec))
         negprog, fld = parts
-        inst = subst_num(fld.body, fld.var, i)
+        inst = instance(fld, i)
         if rho is not None:
             core = ExNode(_delta_n(spec, i), add(mul(OMEGA, rho), from_int(5)), i, _ti_body(spec, i))
             return OrNode(negprog | {inst}, mul(OMEGA, succ(rho)), 2, core)
@@ -642,7 +640,7 @@ INTRODUCTIONS = {
 def _premise_formula(f: Formula, i: int) -> Formula:
     """The formula that premise `i` of the introduction of `f` adds."""
     if type(f) in (ForAll, Exists):
-        return subst_num(f.body, f.var, i)
+        return instance(f, i)
     return f.left if i == 1 else f.right
 
 

@@ -354,6 +354,15 @@ def subst_num(f: Formula, var: str, value: int) -> Formula:
     return type(f)(*args)
 
 
+@lru_cache(maxsize=4096)
+def instance(f: Formula, i: int) -> Formula:
+    """The instance of the quantifier `f` at the numeral `i`,
+    subst_num(f.body, f.var, i), built once per quantifier and numeral: the
+    child that introduces `f` and the check of that child's rule are given
+    one object."""
+    return subst_num(f.body, f.var, i)
+
+
 def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> Formula:
     """Replace each occurrence of (t in var) by template(t).
 
@@ -485,12 +494,12 @@ def eval_closed(f: Formula, budget: int) -> Verdict:
         combine = v_or if existential else v_and
         acc = v_not(decisive)
         for i in domain:
-            acc = combine(acc, eval_closed(subst_num(f.body, f.var, i), budget))
+            acc = combine(acc, eval_closed(instance(f, i), budget))
             if acc is decisive:
                 return acc
         return acc
     for i in range(budget):
-        if eval_closed(subst_num(f.body, f.var, i), budget) is decisive:
+        if eval_closed(instance(f, i), budget) is decisive:
             return decisive
     return Verdict.UNKNOWN
 
@@ -532,4 +541,4 @@ def ti_sequent(spec: OrderingSpec, var: str = "X") -> Sequent:
 
 def prog_witness_instance(spec: OrderingSpec, n: int, var: str = "X") -> Formula:
     """The instance picked when refuting progressiveness at element n."""
-    return subst_num(negated_prog(spec, var).body, "x", n)
+    return instance(negated_prog(spec, var), n)

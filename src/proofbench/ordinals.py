@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
 
@@ -47,29 +47,53 @@ class Cmp(Enum):
     GT = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Ordinal:
     """Canonical notation: E-coefficient plus descending w-power terms.
 
     ``wterms`` is a tuple of (exponent, coefficient) pairs; the finite part,
     if any, is the trailing pair with exponent ZERO.
+
+    ``key`` is ``(eterm, ((exponent key, coefficient), ...))``, built at
+    construction from the exponents' keys.  Tuples compare in notation
+    order: the E coefficient first, then term by term the exponent and the
+    coefficient, and a sum that is a proper prefix of another is smaller.
+    So two ordinals compare, and are equal, as their keys do.  The hash is
+    the dataclass's, of (eterm, wterms), computed once too.  Both are set,
+    with the fields, through the slots in one frame.
     """
 
     eterm: int
     wterms: tuple[tuple["Ordinal", int], ...]
+    key: tuple = field(init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.eterm < 0:
+    def __init__(self, eterm: int, wterms: tuple[tuple["Ordinal", int], ...]):
+        if eterm < 0:
             raise NotationError("negative E coefficient")
+        keys = []
         prev = None
-        for exp, coeff in self.wterms:
+        for exp, coeff in wterms:
             if coeff < 1:
                 raise NotationError("coefficient below 1")
             if exp.eterm != 0:
                 raise NotationError("E may not appear in an exponent")
-            if prev is not None and compare(prev, exp) is not Cmp.GT:
+            if prev is not None and not prev > exp.key:
                 raise NotationError("exponents must strictly decrease")
-            prev = exp
+            prev = exp.key
+            keys.append((prev, coeff))
+        _set_eterm(self, eterm)
+        _set_wterms(self, wterms)
+        _set_key(self, (eterm, tuple(keys)))
+        _set_hash(self, hash((eterm, wterms)))
+
+    def __eq__(self, other):
+        if other.__class__ is Ordinal:
+            return self.key == other.key
+        return NotImplemented
+
+    def __hash__(self):
+        return self._hash
 
     def is_zero(self) -> bool:
         return self.eterm == 0 and not self.wterms
@@ -91,6 +115,10 @@ class Ordinal:
         return f"Ordinal({text(self)!r})"
 
 
+# the frozen class's __setattr__ refuses; its slots take the values
+_set_eterm, _set_wterms, _set_key, _set_hash = (
+    Ordinal.__dict__[name].__set__ for name in ("eterm", "wterms", "key", "_hash"))
+
 ZERO = Ordinal(0, ())
 ONE = Ordinal(0, ((ZERO, 1),))
 OMEGA = Ordinal(0, ((ONE, 1),))
@@ -105,25 +133,18 @@ def from_int(n: int) -> Ordinal:
 
 def compare(a: Ordinal, b: Ordinal) -> Cmp:
     """Order of the denoted ordinals; total on canonical notations."""
-    if a.eterm != b.eterm:
-        return Cmp.LT if a.eterm < b.eterm else Cmp.GT
-    for (ea, ca), (eb, cb) in zip(a.wterms, b.wterms):
-        c = compare(ea, eb)
-        if c is not Cmp.EQ:
-            return c
-        if ca != cb:
-            return Cmp.LT if ca < cb else Cmp.GT
-    if len(a.wterms) != len(b.wterms):
-        return Cmp.LT if len(a.wterms) < len(b.wterms) else Cmp.GT
-    return Cmp.EQ
+    ka, kb = a.key, b.key
+    if ka < kb:
+        return Cmp.LT
+    return Cmp.EQ if ka == kb else Cmp.GT
 
 
 def lt(a: Ordinal, b: Ordinal) -> bool:
-    return compare(a, b) is Cmp.LT
+    return a.key < b.key
 
 
 def le(a: Ordinal, b: Ordinal) -> bool:
-    return compare(a, b) is not Cmp.GT
+    return a.key <= b.key
 
 
 def max_ord(a: Ordinal, b: Ordinal) -> Ordinal:

@@ -269,13 +269,41 @@ def term(cls: type) -> type:
     construction.  Term fields give their stored hashes, so a term of any
     size, a DAG included, hashes in constant time.  The hash is the
     dataclass's, of the tuple of the fields, so sets of terms keep their
-    order; it is set before the term can be shared, so it needs no lock."""
+    order; it is set before the term can be shared, so it needs no lock.
+
+    `__init__` is generated for the class, as `dataclasses` generates its
+    own, but it fills the slots and the hash in one frame."""
     cls.__annotations__["_hash"] = "int"
     cls._hash = dataclasses.field(init=False, repr=False, compare=False)
-    cls.__post_init__ = lambda self: object.__setattr__(self, "_hash", self._fields_hash())
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._fields_hash, cls.__hash__ = cls.__hash__, lambda self: self._hash
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__init__ = _term_init(cls)
+    cls.__hash__ = lambda self: self._hash
     return cls
+
+
+def _term_init(cls: type) -> Callable:
+    """`__init__(self, <fields>)` for the term class `cls`: each field, then
+    the hash of their tuple, set through its slot, which a frozen class's
+    `__setattr__` does not guard."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in (*(f.name for f in fields), "_hash")}
+    params = []
+    for f in fields:
+        if f.default is dataclasses.MISSING:
+            params.append(f.name)
+        else:
+            scope[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+    values = "".join(f"{f.name}, " for f in fields)
+    source = "\n    ".join([
+        f"def __init__(self, {', '.join(params)}):",
+        *(f"_set_{f.name}(self, {f.name})" for f in fields),
+        f"_set__hash(self, hash(({values})))",
+    ])
+    exec(source, scope)
+    init = scope["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 def _int(x):

@@ -7,11 +7,12 @@ import re
 import subprocess
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
 import proofbench
-from proofbench import derivations, gens, regress
+from proofbench import derivations, formulas, gens, regress
 from proofbench.derivations import (
     NAT,
     AllNode,
@@ -761,9 +762,11 @@ def test_read_and_expand_share_equal_subterms():
 THREADS_SCRIPT = """
 import json, sys, threading
 from proofbench.derivations import check_local, code_text, derive_ti, expand, parse_code
+from proofbench.formulas import instance
 from proofbench.orderings import FinOrd
 from proofbench.sexpr import parse
 texts = {k: code_text(expand(derive_ti(FinOrd(k)))) for k in (7, 9)}
+builder = parse_code('(tiroot (below "w^2"))')
 def distinct_lists(x):
     seen, todo = set(), [x]
     while todo:
@@ -779,8 +782,11 @@ def run():
         r = check_local(code, 400, k + 2, True)
         out.append([r.passed, r.nodes_visited, r.max_depth, r.truncated, r.nodes_checked,
                     code_text(code) == text, distinct_lists(parse(text))])
+    r = check_local(builder, 400, 55, True)
+    out.append([r.passed, r.nodes_visited, r.max_depth, r.truncated, r.nodes_checked])
     return out
 single = run()
+instance.cache_clear()  # the threads fill the one cache of quantifier instances together
 results = [None] * 4
 def take(i):
     results[i] = run()
@@ -800,14 +806,17 @@ print(json.dumps({"single": single, "threads": results}))
 
 def test_reading_checking_and_writing_agree_across_threads():
     # every table is local to one call, so four threads reading the same
-    # texts share none
+    # texts share none; checking the builder, they share the module-level
+    # cache of quantifier instances
     src = os.path.dirname(os.path.dirname(proofbench.__file__))
     done = subprocess.run([sys.executable, "-c", THREADS_SCRIPT], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=300)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
-    for report in out["single"]:
+    *written, built = out["single"]
+    for report in written:
         assert report[0] and report[5] and report[6] <= 500
+    assert built == [True, 14_716, 37, True, 901]
     assert out["threads"] == [out["single"]] * 4
 
 
@@ -978,6 +987,36 @@ def test_prog_instances_are_built_once_per_family():
     assert ok_w2 == ok10 == "True"
     assert int(visited_w2) == 14_716 and int(calls_w2) <= 100
     assert int(visited10) == 29_692 and int(calls10) <= 150
+
+
+def test_each_quantifier_instance_is_substituted_once(monkeypatch):
+    # the All clause used to substitute each sampled child's instance again,
+    # though the child function had just built it: 466 of 913 calls
+    # substituted a (formula, variable, numeral) met before
+    substituted = Counter()
+    nested = 0
+    original = formulas.subst_num
+
+    def counted(f, var, value):
+        nonlocal nested
+        if not nested:  # subst_num recurses through the module's name
+            substituted[(f, var, value)] += 1
+        nested += 1
+        try:
+            return original(f, var, value)
+        finally:
+            nested -= 1
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("proofbench") and getattr(module, "subst_num", None) is original:
+            monkeypatch.setattr(module, "subst_num", counted)
+    formulas.instance.cache_clear()
+    try:
+        report = check_local(parse_code('(tiroot (below "w^2"))'), 400, 55, True)
+    finally:
+        formulas.instance.cache_clear()
+    assert report.passed and report.nodes_visited == 14_716 and report.nodes_checked == 901
+    assert substituted and max(substituted.values()) == 1
 
 
 def test_a_child_function_is_shared_safely_across_threads():

@@ -1,7 +1,7 @@
+import functools
 import hashlib
 import itertools
 import random
-import time
 
 import pytest
 from hypothesis import assume, given, reject, settings
@@ -18,10 +18,12 @@ from proofbench.ordinals import (
     CapExceededError,
     Cmp,
     NotationError,
+    Ordinal,
     add,
     compare,
     div,
     from_int,
+    le,
     lt,
     mul,
     parse,
@@ -168,6 +170,83 @@ def test_compare_is_total_order():
             assert compare(a, c) is Cmp.LT
 
 
+# --- keys
+
+
+def ref_compare(a, b):
+    """`compare` as it was before ordinals carried keys: a walk of both
+    notations, recursing into the exponents; kept as the reference."""
+    if a.eterm != b.eterm:
+        return Cmp.LT if a.eterm < b.eterm else Cmp.GT
+    for (ea, ca), (eb, cb) in zip(a.wterms, b.wterms):
+        c = ref_compare(ea, eb)
+        if c is not Cmp.EQ:
+            return c
+        if ca != cb:
+            return Cmp.LT if ca < cb else Cmp.GT
+    if len(a.wterms) != len(b.wterms):
+        return Cmp.LT if len(a.wterms) < len(b.wterms) else Cmp.GT
+    return Cmp.EQ
+
+
+_descending = functools.cmp_to_key(lambda a, b: ref_compare(b, a).value)
+
+
+def _sum(draw, eterm, below):
+    """A canonical sum: E*eterm, then w to the powers of a few small
+    exponents and of `below` (when given), each once, in decreasing order."""
+    exps = {text(e): e for e in map(from_int, draw(st.sets(st.integers(0, 3), max_size=3)))}
+    if draw(st.booleans()):
+        exps["w"] = OMEGA
+    if below is not None:
+        exps[text(below)] = below
+    exps = sorted(exps.values(), key=_descending)
+    coeffs = draw(st.lists(st.integers(1, 3), min_size=len(exps), max_size=len(exps)))
+    return Ordinal(eterm, tuple(zip(exps, coeffs)))
+
+
+@st.composite
+def notations(draw):
+    """Notations with E terms, nested up to MAX_NESTING exponents deep: at
+    each level the exponent of one term is the level below."""
+    depth = draw(st.integers(0, 3) | st.integers(0, MAX_NESTING))
+    value = None
+    for _ in range(depth):
+        value = _sum(draw, 0, value)
+    return _sum(draw, draw(st.integers(0, 2)), value)
+
+
+@given(notations(), notations())
+@settings(max_examples=300, deadline=None)
+def test_keys_order_notations_as_the_reference_does(a, b):
+    want = ref_compare(a, b)
+    for x, y, c in ((a, b, want), (b, a, Cmp(-want.value)), (a, Ordinal(a.eterm, a.wterms), Cmp.EQ)):
+        assert ref_compare(x, y) is c
+        assert compare(x, y) is c
+        assert lt(x, y) == (c is Cmp.LT) and le(x, y) == (c is not Cmp.GT)
+        assert (x == y) == (c is Cmp.EQ)
+
+
+@given(notations())
+@settings(max_examples=200, deadline=None)
+def test_an_ordinal_keeps_the_dataclass_hash(o):
+    assert hash(o) == hash((o.eterm, o.wterms))
+    assert hash(Ordinal(o.eterm, o.wterms)) == hash(o)
+
+
+@given(notations(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_exponents_that_do_not_decrease_are_refused(o, data):
+    assume(len(o.wterms) >= 2)
+    i = data.draw(st.integers(0, len(o.wterms) - 2))
+    terms = list(o.wterms)
+    swapped = terms[:i] + [terms[i + 1], terms[i]] + terms[i + 2:]
+    repeated = terms[:i + 1] + [(terms[i][0], 1)] + terms[i + 1:]
+    for bad in (swapped, repeated):
+        with pytest.raises(NotationError, match="exponents must strictly decrease"):
+            Ordinal(o.eterm, tuple(bad))
+
+
 # --- text grammar
 
 
@@ -248,12 +327,26 @@ def test_accepted_strings_by_length(length):
     assert hashlib.sha256("\n".join(sorted(accepted)).encode()).hexdigest() == digest
 
 
-def test_a_long_sum_reads_in_one_pass():
-    s = "+".join([f"w^{k}" for k in range(3999, 1, -1)] + ["w", "1"])
-    started = time.perf_counter()
-    value = parse(s)
-    assert time.perf_counter() - started < 0.5
-    assert len(value.wterms) == 4000
+def test_a_long_sum_reads_in_one_pass(monkeypatch):
+    # a count of work, not of seconds: a sum of n terms builds each
+    # exponent once and the sum once, so the notations built hold O(n)
+    # terms between them; building the sum term by term would hold O(n^2)
+    built, held = 0, 0
+    init = Ordinal.__init__
+
+    def counted(self, eterm, wterms):
+        nonlocal built, held
+        built += 1
+        held += len(wterms)
+        init(self, eterm, wterms)
+
+    monkeypatch.setattr(Ordinal, "__init__", counted)
+    for n in (1000, 4000):
+        s = "+".join([f"w^{k}" for k in range(n - 1, 1, -1)] + ["w", "1"])
+        built, held = 0, 0
+        value = parse.__wrapped__(s)  # past the cache, which may hold it
+        assert len(value.wterms) == n
+        assert built <= 2 * n and held <= 3 * n
 
 
 def test_notations_nest_up_to_the_bound():

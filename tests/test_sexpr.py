@@ -1,8 +1,9 @@
+import dataclasses
 import random
 
 import pytest
 
-from proofbench import gens, sexpr
+from proofbench import derivations, formulas, gens, orderings, sexpr
 from proofbench.derivations import CODES, code_text, derive_ti, expand, parse_code
 from proofbench.formulas import (
     SEQUENTS,
@@ -274,3 +275,72 @@ def test_scanning_work_is_linear_in_the_text(monkeypatch, make, n):
     works = [sum(scan_work(monkeypatch, text)) for text in (small, large)]
     assert works[1] <= 2.2 * works[0]
     assert all(work <= 4 * len(text) for work, text in zip(works, (small, large)))
+
+
+# --- the term contract
+
+
+SORTS = [value for module in (formulas, orderings, derivations)
+         for value in vars(module).values() if isinstance(value, sexpr.Sort)]
+
+# texts that between them hold a term of every class of every sort
+CONTRACT_TEXTS = [
+    (CODES, code_text(expand(derive_ti(FinOrd(3))))),
+    (CODES, '(tiroot (sum (fin 2) (lex (below "w") (rev (table (0 1) (1 2))))))'),
+    (CODES, '(tiprog (below "w^2") 119)'),
+    (CODES, '(all (seq) "w" (tikids (fin 2)))'),
+    (CODES, '(all (seq) "w*2" (predkids (fin 3) 2))'),
+    (CODES, '(cut (seq) "2" (rep (seq) "1" (axm (seq) "0")) (axl (seq) "0"))'),
+    (CODES, '(mono (inv (axm (seq (and (= 1 1) (= 2 2))) "0") (and (= 1 1) (= 2 2)) 1) (seq) "1")'),
+    (SEQUENTS, '(seq (!= (+ x 1) (* 2 y)) (in 3 Y) (nin x X) (lt (fin 2) 0 1) (nlt (fin 2) 0 1)'
+               ' (fld (fin 2) 0) (nfld (fin 2) 1) (seg (fin 2) 0 "w") (nseg (fin 2) 0 "1")'
+               ' (or (forall x (= x x)) (exists y (= y 0))))'),
+]
+
+
+def contract_samples() -> dict[type, list]:
+    """Class -> the terms of that class met in CONTRACT_TEXTS, walked
+    through each sort's roles."""
+    samples: dict[type, list] = {}
+    todo = [(sexpr.read(sort, parse(text)), sort) for sort, text in CONTRACT_TEXTS]
+    while todo:
+        value, sort = todo.pop()
+        _, roles, get = sort.shapes[type(value)]
+        samples.setdefault(type(value), []).append(value)
+        for role, field in zip(roles, get(value)):
+            if role.sort is None:
+                continue
+            if role.many is None:
+                todo.append((field, role.sort))
+            elif role.many is sexpr.ENTRIES:
+                todo.extend((node, role.sort) for _, node in field)
+            else:
+                todo.extend((item, role.sort) for item in field)
+    return samples
+
+
+def test_every_term_class_keeps_the_frozen_dataclass_contract():
+    samples = contract_samples()
+    # a sequent is a plain frozenset; every other class is a dataclass
+    classes = {cls for sort in SORTS for cls in sort.shapes} - {frozenset}
+    assert set(samples) - {frozenset} == classes
+    for cls in classes:
+        for t in samples[cls]:
+            fields = [f for f in dataclasses.fields(cls) if f.init]
+            values = tuple(getattr(t, f.name) for f in fields)
+            by_name = {f.name: v for f, v in zip(fields, values)}
+            assert cls(*values) == t == cls(**by_name)
+            assert hash(cls(*values)) == hash(cls(**by_name)) == hash(t) == hash(values)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(t, fields[0].name, values[0])
+            assert dataclasses.replace(t) == t
+            other = samples[cls][-1]
+            last = fields[-1].name
+            changed = dataclasses.replace(t, **{last: getattr(other, last)})
+            assert changed == cls(*values[:-1], getattr(other, last))
+            assert hash(changed) == hash((*values[:-1], getattr(other, last)))
+            required = [v for f, v in zip(fields, values) if f.default is dataclasses.MISSING]
+            for f in fields:
+                if f.default is not dataclasses.MISSING:
+                    assert getattr(cls(*required), f.name) == f.default
+    assert formulas.Member(Num(1)).var == "X" == formulas.NotMember(Num(1)).var
