@@ -8,12 +8,12 @@ restricted below the pair's upper element, a well-order of type rank + 1
 that embeds exactly when that is below the claim's height (`orderings.height`).
 Linearity is decided exactly from the claim's spec kinds (`orderings.linear`),
 with no budget; a claim that is not linear is inert: it bounds no pair and
-is never searched.
+is never reflected on.
 Checked-only stores have a computable order type (the certified supremum
-capped by the base); stores with false assertions are caught by hunting
-constructive descent inside the claimed orderings themselves, since the
-induced relation, being a subrelation of the base, never descends
-unboundedly on its own.
+capped by the base); a false assertion is caught by the infinite descent
+its ordering gives by spec kind (`OrderingSpec.ascent`), since the induced
+relation, being a subrelation of the base, never descends unboundedly on
+its own.
 """
 
 from __future__ import annotations
@@ -24,8 +24,7 @@ from typing import Callable, Union
 
 from . import sexpr
 from .derivations import Code, parse_code, ti_certificate_fault
-from .orderings import (SPECS, OrderingSpec, field_elements, height, in_field, less, linear, otyp, rank, rankable,
-                        search_descending)
+from .orderings import SPECS, OrderingSpec, height, in_field, less, linear, otyp, rank, rankable, search_descending
 from .ordinals import ZERO, CapExceededError, Cmp, Ordinal, compare, lt, max_ord, succ
 from .sexpr import Str
 
@@ -141,21 +140,17 @@ def retype(prec: PrecT) -> Ordinal:
 
 
 def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToBudget, CulpritReport]:
-    """Hunt for a false well-foundedness claim among the usable store claims.
+    """Find a false well-foundedness claim among the usable store claims.
 
     The induced relation is a subrelation of the well-founded base, so the
-    lemma's contrapositive is realized directly on the claims: any usable
-    claim whose ordering admits a budget-length constructive descent is the
-    culprit.  A checked culprit would be a soundness bug and raises.
+    lemma's contrapositive is realized directly on the claims: the first
+    usable claim whose ordering has an infinite descent (decided exactly, so
+    whatever the budget) is the culprit, with the first `chain_budget`
+    elements of that descent.  A checked culprit would be a soundness bug.
     """
     for i in prec.usable:
         claim = prec.store.claims[i]
-        if rankable(claim.ordering):  # well-founded by construction
-            continue
-        starts = field_elements(claim.ordering, 1)
-        if not starts:
-            continue
-        chain = search_descending(claim.ordering, starts[0], chain_budget)
+        chain = search_descending(claim.ordering, chain_budget)
         if chain is not None:
             if claim.evidence is Evidence.CHECKED:
                 raise LabError(

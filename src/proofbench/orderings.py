@@ -2,7 +2,7 @@
 
 Combinators: Fin(k), Below(gamma) (canonical notations under gamma, coded as
 naturals), Sum(A,B), Lex(A,B) (first coordinate most significant), Rev(A)
-(reversal; generally ill-founded) and Table (explicit finite relation).
+(reversal) and Table (explicit finite relation).
 
 Element coding is fixed and documented:
   * Below(gamma): the big-endian base-256 value of the ASCII text of the
@@ -13,7 +13,8 @@ Element coding is fixed and documented:
 
 Every rank-supporting combinator gets a computable rank (the order type of
 its strict predecessors) and a compositional order type.  Every linear
-combinator gets an exact height, the least ordinal that does not embed in it.
+combinator gets an exact height, the least ordinal that does not embed in it,
+and an infinite ascent and descent exactly when it has one.
 """
 
 from __future__ import annotations
@@ -60,6 +61,15 @@ class OrderingSpec:
         embeds every ordinal up to t when t is finite, else the finite ones."""
         t = otyp(self)
         return OMEGA if reverse and not t.is_finite() else succ(t)
+
+    def ascent(self, reverse: bool):
+        """An infinite strictly ascending sequence of field elements (of the
+        reversal when `reverse`, so a descent), or None.  Exact for a linear
+        spec, by induction on its kinds: an infinite ascent of a sum stays
+        in one part from some point on, and one of a product ascends in the
+        major coordinate infinitely often or settles there and ascends in
+        the minor one.  So one exists exactly when `height(reverse)` > w."""
+        return None
 
 
 @dataclass(frozen=True)
@@ -113,6 +123,11 @@ class BelowOrd(OrderingSpec):
         # empty, and only the texts that are not numerals need a comparison
         return (_text_code(s) for s in canonical_texts() if s[0].isdigit() or lt(parse(s), self.bound))
 
+    def ascent(self, reverse: bool):
+        if reverse or self.bound.is_finite():
+            return None
+        return map(_text_code, map(str, itertools.count()))  # the naturals
+
 
 @dataclass(frozen=True)
 class SumOrd(OrderingSpec):
@@ -155,6 +170,13 @@ class SumOrd(OrderingSpec):
 
     def iter_field(self):
         return merge((2 * a for a in iter_field(self.first)), (2 * b + 1 for b in iter_field(self.second)))
+
+    def ascent(self, reverse: bool):
+        for odd, part in enumerate((self.first, self.second)):
+            seq = part.ascent(reverse)
+            if seq is not None:
+                return (2 * n + odd for n in seq)
+        return None
 
 
 @dataclass(frozen=True)
@@ -228,6 +250,16 @@ class LexOrd(OrderingSpec):
             if j == 0:
                 push(i + 1, 0)
 
+    def ascent(self, reverse: bool):
+        if self.empty():
+            return None
+        a0, b0 = field_elements(self.major, 1)[0], field_elements(self.minor, 1)[0]
+        seq = self.major.ascent(reverse)
+        if seq is not None:
+            return (pair_code(a, b0) for a in seq)
+        seq = self.minor.ascent(reverse)
+        return None if seq is None else (pair_code(a0, b) for b in seq)
+
 
 @dataclass(frozen=True)
 class RevOrd(OrderingSpec):
@@ -247,6 +279,9 @@ class RevOrd(OrderingSpec):
 
     def height(self, reverse: bool) -> Ordinal:
         return height(self.inner, not reverse)
+
+    def ascent(self, reverse: bool):
+        return self.inner.ascent(not reverse)
 
     def iter_field(self):
         return iter_field(self.inner)
@@ -372,6 +407,13 @@ def height(spec: OrderingSpec, reverse: bool = False) -> Ordinal:
     return spec.height(reverse)
 
 
+def search_descending(spec: OrderingSpec, budget: int) -> list[int] | None:
+    """The first `budget` elements of an infinite descent in `spec`, or None
+    when it has none (exactly, for a linear spec: see `OrderingSpec.ascent`)."""
+    seq = spec.ascent(True)
+    return None if seq is None else list(itertools.islice(seq, budget))
+
+
 def _split_last(a: Ordinal) -> tuple[Ordinal, Ordinal]:
     """(rest, p) with a = rest + p and p the power of a's last term (1, w^e
     or E), for a > 0."""
@@ -458,45 +500,6 @@ def iter_field(spec: OrderingSpec):
 def field_elements(spec: OrderingSpec, k: int) -> list[int]:
     """First k field elements by code."""
     return list(itertools.islice(iter_field(spec), k))
-
-
-# --- descending-chain search ---------------------------------------------------
-
-
-def search_descending(spec: OrderingSpec, start: int, budget: int) -> list[int] | None:
-    """Look for a descending chain of length `budget` starting at `start`.
-
-    Rank-supporting specs are reported chain-free outright: every step
-    strictly decreases the rank, a well-founded measure, so no constructive
-    infinite descent exists.  For the remaining specs (reversals, malformed
-    tables) a depth-first search over the code-least pool elements is run;
-    repeated elements are allowed, so cycles count as descent.
-    """
-    if budget <= 0 or not in_field(spec, start):
-        return None
-    if rankable(spec):
-        return None
-    pool = field_elements(spec, max(64, 4 * budget))
-    failed_at: dict[int, int] = {}
-
-    def extend(chain: list[int]) -> list[int] | None:
-        if len(chain) >= budget:
-            return chain
-        remaining = budget - len(chain)
-        cur = chain[-1]
-        if failed_at.get(cur, 0) >= remaining:
-            return None
-        for cand in pool:
-            if less(spec, cand, cur):
-                chain.append(cand)
-                got = extend(chain)
-                if got is not None:
-                    return got
-                chain.pop()
-        failed_at[cur] = max(failed_at.get(cur, 0), remaining)
-        return None
-
-    return extend([start])
 
 
 # --- S-expression format ---------------------------------------------------------

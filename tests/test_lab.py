@@ -5,7 +5,7 @@ from functools import cmp_to_key
 
 import pytest
 
-from proofbench.cli import EXIT_OK, EXIT_PRECONDITION, main
+from proofbench.cli import EXIT_OK, EXIT_PRECONDITION, EXIT_VERDICT, main
 from proofbench.derivations import code_text, derive_ti, expand, premises, with_premises
 from proofbench import lab
 from proofbench.lab import (
@@ -34,6 +34,7 @@ from proofbench.orderings import (
     less,
     ord_code,
     otyp,
+    parse_spec,
     rank,
     rankable,
 )
@@ -197,10 +198,12 @@ def test_lab_verbs_on_claims_whose_height_has_no_notation(tmp_path, capsys):
     assert capsys.readouterr().out == "cap: 2/2 claims usable\n"
     assert main(["lab", "build", *argv, "--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out.splitlines()[0])["usable"] == [0, 1]
-    assert main(["lab", "reflect", *argv]) == EXIT_OK
-    assert capsys.readouterr().out == "cap: well-founded up to budget 50\n"
-    assert main(["lab", "reflect", *argv, "--json"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out.splitlines()[0])["verdict"] == "well-founded-up-to-budget"
+    # claim 0 descends: its major side is the reversal of w
+    assert main(["lab", "reflect", *argv]) == EXIT_VERDICT
+    assert capsys.readouterr().out == ('cap: claim 0 ((lex (rev (below "w")) (below "E")), asserted)'
+                                       ' admits a descending chain of length 50\n')
+    assert main(["lab", "reflect", *argv, "--json"]) == EXIT_VERDICT
+    assert json.loads(capsys.readouterr().out.splitlines()[0])["verdict"] == "culprit"
 
 
 def test_induced_relation_never_asks_the_claim_and_computes_its_height_once(monkeypatch):
@@ -271,6 +274,28 @@ def test_reflect_finds_asserted_reversal():
 def test_reflect_ignores_true_assertions():
     prec = build_precT(store("t", asserted(BelowOrd(W))), BelowOrd(W2))
     assert isinstance(reflect_check(prec, 50), WellFoundedUpToBudget)
+
+
+@pytest.mark.parametrize("budget", [10, 50, 200])
+@pytest.mark.parametrize("text, exit_code", [
+    ('(rev (fin 100))', EXIT_OK),  # finite, so well-founded
+    ('(sum (below "w") (rev (below "w")))', EXIT_VERDICT),  # the descent lies above the code-least element
+    ('(lex (rev (below "w")) (below "E"))', EXIT_VERDICT),
+])
+def test_reflect_verdict_does_not_depend_on_the_chain_budget(tmp_path, capsys, text, exit_code, budget):
+    spec = parse_spec(text)
+    verdict = reflect_check(build_precT(store("t", asserted(spec)), BelowOrd(W3)), budget)
+    if exit_code == EXIT_OK:
+        assert verdict == WellFoundedUpToBudget(budget, 1)
+    else:
+        assert isinstance(verdict, CulpritReport) and verdict.claim_index == 0
+        assert len(verdict.chain) == budget and all(in_field(spec, x) for x in verdict.chain)
+        assert all(less(spec, b, a) for a, b in zip(verdict.chain, verdict.chain[1:]))
+    (tmp_path / "s.sx").write_text(f'(theory "t" (claim {text} asserted))')
+    argv = ["lab", "reflect", str(tmp_path / "s.sx"), "--base", '(below "w^3")', "--chain-budget", str(budget)]
+    assert main([*argv, "--json"]) == exit_code
+    record = json.loads(capsys.readouterr().out.splitlines()[0])
+    assert record.get("chain", []) == list(getattr(verdict, "chain", []))
 
 
 def test_chain_check_descends():

@@ -260,15 +260,12 @@ def test_linear_agrees_with_brute_force(depth, seeds):
 
 
 def test_search_descending():
-    chain = search_descending(RevOrd(BelowOrd(W)), code("0"), 10)
+    chain = search_descending(RevOrd(BelowOrd(W)), 10)
     assert chain == [code(str(i)) for i in range(10)]
-    assert search_descending(FinOrd(5), 4, 10) is None
-    assert search_descending(BelowOrd(W), code("50"), 10) is None
-    cyc = search_descending(TableOrd(frozenset({(0, 1), (1, 2), (2, 0)})), 0, 12)
-    assert cyc is not None and len(cyc) == 12
-    # reversing a finite order leaves only bounded descent
-    assert search_descending(RevOrd(FinOrd(3)), 0, 10) is None
-    assert search_descending(RevOrd(FinOrd(3)), 0, 3) == [0, 1, 2]
+    assert search_descending(FinOrd(5), 10) is None
+    assert search_descending(BelowOrd(W), 10) is None
+    # reversing a finite order leaves it well-founded
+    assert search_descending(RevOrd(FinOrd(3)), 10) is None
 
 
 def test_rank_errors():
@@ -400,6 +397,28 @@ def heights(spec):
 def test_isomorphic_orders_have_equal_heights(isomorphic, a, b, c):
     left, right = isomorphic(a, b, c)
     assert heights(left) == heights(right)
+
+
+def test_an_infinite_ascent_exists_exactly_when_the_height_is_above_w():
+    """Every linear random spec, both ways round: a height with no notation
+    counts as above w, and each sampled chain stays in the field."""
+    count = 0
+    for seed in range(3000):
+        spec = random_spec(random.Random(seed), 3)
+        if not linear(spec):
+            continue
+        count += 1
+        for reverse, h in zip((False, True), heights(spec)):
+            seq = spec.ascent(reverse)
+            assert (seq is not None) == (h is None or lt(W, h)), (seed, spec_text(spec), reverse)
+            if seq is not None:
+                chain = list(itertools.islice(seq, 12))
+                assert all(in_field(spec, x) for x in chain), (seed, spec_text(spec))
+                assert all(less(spec, y, x) if reverse else less(spec, x, y) for x, y in zip(chain, chain[1:])), \
+                    (seed, spec_text(spec), reverse)
+                if reverse:
+                    assert search_descending(spec, 12) == chain
+    assert count > 2000
 
 
 def test_random_specs_agree_with_their_ranks():
