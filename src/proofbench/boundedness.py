@@ -324,8 +324,6 @@ def otyp_bound(
     fault = ti_certificate_fault(code, spec, depth_budget, width_budget)
     if fault is not None:
         raise BoundednessError(fault)
-    if not rankable(spec):
-        raise BoundednessError("order-type bounds need a well-founded ordering")
     alpha = root_label(code).tag
     bound = pow2(alpha)
     value = otyp(spec)

@@ -35,7 +35,7 @@ from .lab import (
     reflect_check,
     retype,
 )
-from .orderings import SpecError, UnsupportedRankError, otyp, parse_spec, rankable, spec_text
+from .orderings import SpecError, UnsupportedRankError, otyp, parse_spec, spec_text
 from .ordinals import CapExceededError, NotationError, compare, from_int, le
 from .ordinals import parse as ord_parse
 from .ordinals import text as ord_text
@@ -322,7 +322,7 @@ def _cmd_ti(cfg: RunConfig) -> int:
     args = cfg.args
     spec = parse_spec(args.spec)
     code = derive_ti(spec)
-    if not args.compact and rankable(spec) and le(otyp(spec), from_int(MAX_EXPANDED_FIELD)):
+    if not args.compact and le(otyp(spec), from_int(MAX_EXPANDED_FIELD)):
         code = expand(code)
     payload = code_text(code)
     if args.output:

@@ -802,8 +802,11 @@ def check_local(
 
 
 def ti_certificate_fault(code: Code, spec: OrderingSpec, depth_budget: int, width_budget: int) -> str | None:
-    """Why `code` is not a TI certificate of `spec`, or None when it is: its
-    root must be ti_sequent(spec), and a cut-free check_local must pass."""
+    """Why `code` is not a TI certificate of `spec`, or None when it is: the
+    spec must be a well-order, decided first; the root must be
+    ti_sequent(spec); and a cut-free check_local must pass."""
+    if not rankable(spec):
+        return "the ordering is not a well-order (linear, with no infinite descent)"
     if root_label(code).sequent != ti_sequent(spec):
         return "certificate root is not the TI sequent of the ordering"
     report = check_local(code, depth_budget, width_budget, require_cut_free=True)

@@ -11,10 +11,10 @@ Element coding is fixed and documented:
   * Lex(A,B): the Cantor pairing (a+b)(a+b+1)/2 + b of the component codes,
     A-component first.
 
-Every rank-supporting combinator gets a computable rank (the order type of
-its strict predecessors) and a compositional order type.  Every linear
-combinator gets an exact height, the least ordinal that does not embed in it,
-and an infinite ascent and descent exactly when it has one.
+Every linear combinator gets an exact height, the least ordinal that does
+not embed in it, and an infinite ascent and descent exactly when it has one.
+Every well-order (`rankable`: linear with no infinite descent) gets a
+computable rank (the order type of its strict predecessors) and order type.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from heapq import heappop, heappush, merge
 from math import isqrt
 
 from . import sexpr
-from .ordinals import (EPSILON, OMEGA, ONE, NotationError, Ordinal, add, canonical_texts, div, from_int, left_diff,
-                       lt, max_ord, mul, parse, succ, text)
+from .ordinals import (EPSILON, OMEGA, ONE, ZERO, NotationError, Ordinal, add, canonical_texts, div, from_int,
+                       left_diff, lt, max_ord, mul, parse, succ, text)
 from .sexpr import NATURAL, REST, Role, Str
 
 
@@ -36,25 +36,17 @@ class SpecError(ValueError):
 
 
 class UnsupportedRankError(ValueError):
-    """Rank/order type requested on a spec without one (Rev, bad tables)."""
+    """Rank/order type requested off the field or on a spec that is not a
+    well-order."""
 
 
 class OrderingSpec:
-    """A spec kind's defaults: linear and well-founded, with no order type.
-    The kinds' methods recurse through the module functions below, so
-    their caches see every call."""
+    """A spec kind's defaults: linear, with no infinite ascent.  The kinds'
+    methods recurse through the module functions below, so their caches see
+    every call."""
 
     def linear(self) -> bool:
         return True
-
-    def rankable(self) -> bool:
-        return True
-
-    def otyp(self) -> Ordinal:
-        raise UnsupportedRankError(f"no order type for {self!r}")
-
-    def rank(self, n: int) -> Ordinal:
-        raise UnsupportedRankError(f"no rank on {self!r}")
 
     def height(self, reverse: bool) -> Ordinal:
         """A well-order of type t embeds every ordinal up to t; its reversal
@@ -69,6 +61,11 @@ class OrderingSpec:
         in one part from some point on, and one of a product ascends in the
         major coordinate infinitely often or settles there and ascends in
         the minor one.  So one exists exactly when `height(reverse)` > w."""
+        return None
+
+    def reversal(self):
+        """(spec, mask): a spec isomorphic to the reversal of this one, code n
+        here being code n ^ mask there; None for a kind with no parts."""
         return None
 
 
@@ -147,9 +144,6 @@ class SumOrd(OrderingSpec):
     def linear(self) -> bool:
         return linear(self.first) and linear(self.second)
 
-    def rankable(self) -> bool:
-        return rankable(self.first) and rankable(self.second)
-
     def otyp(self) -> Ordinal:
         return add(otyp(self.first), otyp(self.second))
 
@@ -178,6 +172,10 @@ class SumOrd(OrderingSpec):
                 return (2 * n + odd for n in seq)
         return None
 
+    def reversal(self):
+        # the parts trade places, so every code changes parity
+        return SumOrd(RevOrd(self.second), RevOrd(self.first)), 1
+
 
 @dataclass(frozen=True)
 class LexOrd(OrderingSpec):
@@ -204,11 +202,9 @@ class LexOrd(OrderingSpec):
         # a product with an empty side has no elements
         return (linear(self.major) and linear(self.minor)) or self.empty()
 
-    def rankable(self) -> bool:
-        return rankable(self.major) and rankable(self.minor)
-
     def otyp(self) -> Ordinal:
-        return mul(otyp(self.minor), otyp(self.major))
+        # an empty product's other side need not have an order type
+        return ZERO if self.empty() else mul(otyp(self.minor), otyp(self.major))
 
     def height(self, reverse: bool) -> Ordinal:
         # an empty product's other side need not be linear, so it is not asked
@@ -260,6 +256,9 @@ class LexOrd(OrderingSpec):
         seq = self.minor.ascent(reverse)
         return None if seq is None else (pair_code(a0, b) for b in seq)
 
+    def reversal(self):
+        return LexOrd(RevOrd(self.major), RevOrd(self.minor)), 0
+
 
 @dataclass(frozen=True)
 class RevOrd(OrderingSpec):
@@ -274,14 +273,35 @@ class RevOrd(OrderingSpec):
     def linear(self) -> bool:
         return linear(self.inner)
 
-    def rankable(self) -> bool:
-        return False
+    def otyp(self) -> Ordinal:
+        iso = self.inner.reversal()
+        if iso is not None:
+            return otyp(iso[0])
+        t = otyp(self.inner)
+        if not t.is_finite():  # the reversal of an infinite well-order descends
+            raise UnsupportedRankError(f"no order type for {self!r}")
+        return t
+
+    def rank(self, n: int) -> Ordinal:
+        iso = self.inner.reversal()
+        if iso is not None:
+            return rank(iso[0], n ^ iso[1])
+        return from_int(otyp(self).nat_value() - 1 - rank(self.inner, n).nat_value())
+
+    def element_of_rank(self, rho: Ordinal) -> int:
+        iso = self.inner.reversal()
+        if iso is not None:
+            return element_of_rank(iso[0], rho) ^ iso[1]
+        return element_of_rank(self.inner, from_int(otyp(self).nat_value() - 1 - rho.nat_value()))
 
     def height(self, reverse: bool) -> Ordinal:
         return height(self.inner, not reverse)
 
     def ascent(self, reverse: bool):
         return self.inner.ascent(not reverse)
+
+    def reversal(self):
+        return self.inner, 0
 
     def iter_field(self):
         return iter_field(self.inner)
@@ -305,14 +325,12 @@ class TableOrd(OrderingSpec):
         field = self.field()
         return sorted(field, key=lambda x: sum((y, x) in self.pairs for y in field))
 
-    def rankable(self) -> bool:
+    def linear(self) -> bool:
         ordered = self.ordered()
         return self.pairs == {(x, y) for i, x in enumerate(ordered) for y in ordered[i + 1:]}
 
-    linear = rankable  # a finite strict total order is well-founded
-
     def otyp(self) -> Ordinal:
-        if not self.rankable():
+        if not self.linear():
             raise UnsupportedRankError("table is not a linear order")
         return from_int(len(self.field()))
 
@@ -383,8 +401,9 @@ def linear(spec: OrderingSpec) -> bool:
 
 
 def rankable(spec: OrderingSpec) -> bool:
-    """True when the combinator is well-founded by construction."""
-    return spec.rankable()
+    """True when the combinator is a well-order: linear with no infinite
+    descent, so exactly when `height(spec, True)` <= w."""
+    return linear(spec) and spec.ascent(True) is None
 
 
 @lru_cache(maxsize=None)

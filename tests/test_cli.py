@@ -17,7 +17,7 @@ import proofbench.cli as cli
 
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from proofbench.derivations import code_text, derive_ti, expand
-from proofbench.orderings import FinOrd
+from proofbench.orderings import FinOrd, UnsupportedRankError, height, linear, otyp, parse_spec, rankable
 
 
 def run_cli(capsys, *argv):
@@ -52,6 +52,35 @@ def test_ti_and_check_round_trip(tmp_path, capsys):
                                "--cut-free")
         assert code == EXIT_OK
         assert "pass" in out
+
+
+@pytest.mark.parametrize("spec", ["(rev (fin 3))", '(sum (rev (fin 2)) (below "w"))', '(lex (rev (fin 3)) (below "w"))'])
+def test_a_finite_reversal_is_certified_and_bounded(tmp_path, capsys, spec):
+    cert = str(tmp_path / "cert.sx")
+    assert run_cli(capsys, "ti", spec, "-o", cert)[0] == EXIT_OK
+    for argv in (["check", cert, "--cut-free"], ["bound", "--ordering", spec, "--cert", cert],
+                 ["bound", "--ordering", spec, "--cert", cert, "--truth"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, out, err)
+
+
+@pytest.mark.parametrize("spec, table", [
+    ('(rev (below "w"))', None),
+    # a table is judged by its own pairs, even where the combinator never
+    # compares its self-pair, so it has no order type and the spec no exact height
+    ("(lex (table (0 0)) (fin 2))", "(table (0 0))"),
+    ("(rev (table (0 0) (0 1)))", "(table (0 0) (0 1))"),
+])
+def test_ti_refuses_what_is_not_a_well_order(capsys, spec, table):
+    assert not rankable(parse_spec(spec))
+    if table is not None:
+        assert not linear(parse_spec(spec))
+        with pytest.raises(UnsupportedRankError):
+            otyp(parse_spec(table))
+        with pytest.raises(UnsupportedRankError):
+            height(parse_spec(spec))
+    code, _, err = run_cli(capsys, "ti", spec)
+    assert code == EXIT_PRECONDITION and "derive_ti needs a well-founded combinator spec" in err
 
 
 def test_check_detects_tag_tampering(tmp_path, capsys):

@@ -158,9 +158,12 @@ def test_standalone_ti_sub_derivation_passes():
 
 def test_derive_ti_rejects_bad_specs():
     with pytest.raises(DerivationError):
-        derive_ti(RevOrd(FinOrd(3)))
+        derive_ti(RevOrd(BelowOrd(P("w"))))
     with pytest.raises(DerivationError):
         derive_ti(BelowOrd(P("E")))
+    # a finite reversal is a well-order, with a certificate like any other
+    report = check_local(expand(derive_ti(RevOrd(FinOrd(3)))), 100, 6, require_cut_free=True)
+    assert report.passed, (report.fail_path, report.fail_reason)
 
 
 def test_expand_matches_lazy_and_passes():
@@ -949,11 +952,12 @@ def test_finite_support_gives_the_first_entry_for_an_index():
          CheckReport(False, (), "decode error in a premise: 7 is not in the field", 1, 0, True, True, 0)),
         ('(all (seq) "w" (fs ((0 (axm (seq (= 1 1)) "0"))) (predvac (fin 3) 9)))',
          CheckReport(False, (), "decode error in a premise: 9 is not in the field", 1, 0, True, True, 0)),
-        ('(all (seq) "w" (tikids (rev (fin 3))))',
-         CheckReport(False, (), "decode error in a premise: no rank on RevOrd(inner=FinOrd(size=3))",
-                     1, 0, True, True, 0)),
+        # code 0 is in the field, and its rank needs the order type of (rev (below "w"))
+        ('(all (seq) "w" (tikids (rev (sum (fin 1) (below "w")))))',
+         CheckReport(False, (), "decode error in a premise: no order type for"
+                     " RevOrd(inner=BelowOrd(bound=Ordinal('w')))", 1, 0, True, True, 0)),
         # the All premise steps to its label without building anything
-        ('(and (seq) "w" (axm (seq (= 1 1)) "0") (all (seq) "3" (predkids (rev (fin 3)) 1)))',
+        ('(and (seq) "w" (axm (seq (= 1 1)) "0") (all (seq) "3" (predkids (rev (below "w")) 48)))',
          CheckReport(False, (), "no conjunction in the sequent matches the premises", 1, 0, True, False, 1)),
     ],
 )

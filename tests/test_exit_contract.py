@@ -360,3 +360,32 @@ def test_an_output_path_that_cannot_be_written_is_bad_input(tmp_path, argv, targ
     code, out, err = run([a.format_map(names) for a in argv] + ["--json"])
     assert code == EXIT_PARSE and not out and "Traceback" not in err
     assert err.startswith(f"parse error: cannot write {target.format_map(names)}: ")
+
+
+# the TI sequent of an ill-founded ordering, "proved" by one vacuous family:
+# each child it is sampled at claims its index is outside the field, and no
+# field element of (rev (below "w")) is below the default width
+ILL_FOUNDED = '(rev (below "w"))'
+ILL_FOUNDED_CERT = (f'(all {sequent_text(ti_sequent(parse_spec(ILL_FOUNDED)))} "w+1"'
+                    f' (fs () (tivac {ILL_FOUNDED})))')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lab", "build", "{store}", "--base", '(below "w^2")'],
+        ["lab", "retype", "{store}", "--base", '(below "w^2")'],
+        ["lab", "reflect", "{store}", "--base", '(below "w^2")'],
+        ["bound", "--ordering", ILL_FOUNDED, "--cert", "{cert}"],
+        ["spector", "{entries}"],
+    ],
+    ids=["lab-build", "lab-retype", "lab-reflect", "bound", "spector"],
+)
+def test_the_certificate_gate_refuses_an_ordering_that_is_not_a_well_order(tmp_path, argv):
+    (tmp_path / "cert.sx").write_text(ILL_FOUNDED_CERT)
+    (tmp_path / "store.sx").write_text(f'(theory "t" (claim {ILL_FOUNDED} (cert "cert.sx")))')
+    (tmp_path / "entries.sx").write_text(f'(entries (0 {ILL_FOUNDED} "cert.sx"))')
+    names = {name: tmp_path / f"{name}.sx" for name in ("cert", "store", "entries")}
+    code, out, err = run([a.format_map(names) for a in argv] + ["--json"])
+    assert code == EXIT_PRECONDITION and not out
+    assert "the ordering is not a well-order (linear, with no infinite descent)" in err

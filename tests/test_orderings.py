@@ -6,7 +6,7 @@ import subprocess
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import proofbench
@@ -272,10 +272,15 @@ def test_rank_errors():
     with pytest.raises(UnsupportedRankError):
         rank(RevOrd(BelowOrd(W)), code("3"))
     with pytest.raises(UnsupportedRankError):
-        otyp(RevOrd(FinOrd(3)))
+        otyp(RevOrd(BelowOrd(W)))
     with pytest.raises(UnsupportedRankError):
         rank(FinOrd(3), 7)
     assert not rankable(TableOrd(frozenset({(0, 1), (1, 0)})))
+    # a finite reversal is a well-order, ranked from the top of its inner order
+    rev = RevOrd(FinOrd(3))
+    assert rankable(rev) and otyp(rev) == from_int(3)
+    assert [rank(rev, n) for n in range(3)] == [from_int(2), from_int(1), from_int(0)]
+    assert [element_of_rank(rev, from_int(k)) for k in range(4)] == [2, 1, 0, None]
 
 
 def embeds(source, b, target) -> bool:
@@ -328,6 +333,13 @@ def test_height_of_an_empty_product_does_not_ask_its_other_side():
     spec = parse_spec("(lex (table (0 0)) (fin 0))")
     assert linear(spec) and not linear(spec.major)
     assert height(spec) == height(spec, True) == P("1")
+
+
+def test_an_empty_product_has_order_type_0_whatever_its_other_side():
+    for text in ('(lex (rev (below "w^2")) (below "0"))', "(lex (table (0 0)) (fin 0))"):
+        spec = parse_spec(text)
+        assert not rankable(spec.major) and rankable(spec)
+        assert otyp(spec) == from_int(0) and element_of_rank(spec, from_int(0)) is None
 
 
 def test_a_height_at_least_e_times_w_has_no_notation():
@@ -419,6 +431,48 @@ def test_an_infinite_ascent_exists_exactly_when_the_height_is_above_w():
                 if reverse:
                     assert search_descending(spec, 12) == chain
     assert count > 2000
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=LINEAR_SPECS)
+@example(spec=parse_spec('(rev (rev (below "w^2")))'))
+@example(spec=parse_spec('(rev (sum (rev (below "w")) (fin 3)))'))
+@example(spec=parse_spec('(rev (lex (rev (below "w")) (fin 2)))'))
+def test_a_linear_spec_is_rankable_exactly_when_its_reversal_has_height_at_most_w(spec):
+    """A reversal of an infinite field included: a rankable spec has an order
+    type, and its ranks agree with `less`."""
+    up, down = heights(spec)
+    assert rankable(spec) == (down is not None and not lt(W, down))
+    if rankable(spec) and up is not None:
+        assert up == succ(otyp(spec))
+        first = field_elements(spec, 12)
+        assert [element_of_rank(spec, rank(spec, x)) for x in first] == first
+        assert all(less(spec, x, y) == lt(rank(spec, x), rank(spec, y)) for x in first for y in first)
+
+
+def linear_table(codes):
+    return TableOrd(frozenset((x, y) for i, x in enumerate(codes) for y in codes[i + 1:]))
+
+
+FINITE_SPECS = st.recursive(
+    st.one_of(st.builds(FinOrd, st.integers(0, 3)), st.builds(BelowOrd, st.integers(0, 3).map(from_int)),
+              st.lists(st.integers(0, 9), min_size=2, max_size=3, unique=True).map(linear_table)),
+    lambda parts: st.one_of(st.builds(RevOrd, parts), st.builds(SumOrd, parts, parts),
+                            st.builds(LexOrd, parts, parts)),
+    max_leaves=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=FINITE_SPECS)
+def test_a_finite_spec_ranks_its_field_onto_its_order_type(spec):
+    """Brute force over the whole field, `rev` inside `sum` and `lex` included."""
+    elems = list(iter_field(spec))
+    ranks = [rank(spec, x) for x in elems]
+    assert rankable(spec) and otyp(spec) == from_int(len(elems))
+    assert sorted(r.nat_value() for r in ranks) == list(range(len(elems)))
+    assert all(less(spec, x, y) == lt(rx, ry) for x, rx in zip(elems, ranks) for y, ry in zip(elems, ranks))
+    assert [element_of_rank(spec, r) for r in ranks] == elems
+    assert element_of_rank(spec, otyp(spec)) is None
 
 
 def test_random_specs_agree_with_their_ranks():
