@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .derivations import (Code, RuleTag, and_invert, check_local, derive_ti, root_label, step,
-                          ti_certificate_fault)
+from .derivations import (NOT_A_WELL_ORDER, Code, RuleTag, and_invert, check_local, derive_ti, root_label,
+                          step, ti_certificate_fault)
 from .formulas import (
     Disj,
     ForAll,
@@ -274,15 +274,16 @@ def bounded_truth(
 ) -> SemanticClaim:
     """Extract gamma = beta + 2^alpha and verify the substituted claim.
 
-    The derivation is gate-checked (cut-free local correctness at the given
-    budgets) before any bound is computed.  An Unknown verdict means the
-    budgets were exhausted; it is never upgraded to True.
+    The spec must be a well-order, decided first; then the derivation is
+    gate-checked (cut-free local correctness at the given budgets) before
+    any bound is computed.  An Unknown verdict means the budgets were
+    exhausted; it is never upgraded to True.
     """
+    if not rankable(spec):
+        raise BoundednessError(NOT_A_WELL_ORDER)
     gate = check_local(code, depth_budget, width_budget, require_cut_free=True)
     if not gate.passed:
         raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
-    if not rankable(spec):
-        raise BoundednessError("bounded truth needs a well-founded ordering")
     root = root_label(code)
     negp, witness_atoms, delta = _partition(spec, root.sequent)
     beta = _beta_of(spec, witness_atoms)

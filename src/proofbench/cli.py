@@ -12,6 +12,9 @@ ill-formed input, 3 a precondition was violated.
 
 Machine-readable mode (--json) prints line-delimited records followed by a
 single top-level verdict object; the record schema is versioned.
+
+Each verb's handler returns its records, its verdict and its human lines;
+`run` alone prints them and picks the exit status.
 """
 
 from __future__ import annotations
@@ -19,22 +22,13 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
 from types import SimpleNamespace
 
 from .boundedness import BoundednessError, bounded_truth, otyp_bound
 from .derivations import DerivationError, check_local, code_text, derive_ti, expand, parse_code, root_label
 from .formulas import FormulaError, sequent_text
-from .lab import (
-    CulpritReport,
-    LabError,
-    build_precT,
-    chain_check,
-    parse_store,
-    reflect_check,
-    retype,
-)
+from .lab import CulpritReport, LabError, build_precT, chain_check, parse_store, reflect_check, retype
 from .orderings import SpecError, UnsupportedRankError, otyp, parse_spec, spec_text
 from .ordinals import CapExceededError, NotationError, compare, from_int, le
 from .ordinals import parse as ord_parse
@@ -70,65 +64,10 @@ class _ParseFailure(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Budgets:
-    depth: int = 64
-    width: int = 8
-    eval: int = 200
-    chain: int = 50
-
-
-# the flag of each Budgets field; its environment default is PROOFBENCH_<FIELD>
-_BUDGET_FLAGS = {"depth": "--depth", "width": "--width", "eval": "--eval-budget",
-                 "chain": "--chain-budget"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    args: SimpleNamespace
-    budgets: Budgets
-    json: bool
-
-
-# Every verb once: its help and its own arguments, each given as the names and
-# keywords of one `add_argument` call; `_arguments` adds the budget flags and
-# --json.  `main` reads argv straight from this table, and `build_parser`
-# builds argparse from it only for --help and for argv the direct reader
-# leaves to argparse.
-VERBS = {
-    "ord": ("notation arithmetic", (
-        ("op", {"choices": ("compare", "add", "mul", "succ", "pow2")}),
-        ("operands", {"nargs": "+"}),
-    )),
-    "check": ("verify a certificate file", (
-        ("file", {}),
-        ("--cut-free", {"action": "store_true"}),
-    )),
-    "ti": ("emit the canonical TI certificate of a spec", (
-        ("spec", {}),
-        ("-o", "--output", {}),
-        ("--compact", {"action": "store_true", "help": "emit the builder term instead of expanding"}),
-    )),
-    "bound": ("order-type bound / semantic claim extraction", (
-        ("--ordering", {"required": True}),
-        ("--cert", {"required": True}),
-        ("--truth", {"action": "store_true", "help": "run the claim walk instead of the order-type bound"}),
-    )),
-    "spector": ("certified-sup witness from an enumeration file", (
-        ("file", {}),
-        ("--emit-cert", {}),
-    )),
-    "lab": ("certificate-store workbench", (
-        ("verb", {"choices": ("build", "retype", "reflect", "chain")}),
-        ("stores", {"nargs": "+", "help": "store files"}),
-        ("--base", {"required": True}),
-    )),
-    "regress": ("run the acceptance suite", (
-        ("--seed", {"type": int, "default": 0}),
-        ("--only", {"help": "comma-separated criterion numbers"}),
-    )),
-}
+# every budget: its flag and its default; PROOFBENCH_<NAME> in the
+# environment overrides the default
+_BUDGETS = {"depth": ("--depth", 64), "width": ("--width", 8), "eval": ("--eval-budget", 200),
+            "chain": ("--chain-budget", 50)}
 
 
 def _arguments(command: str) -> tuple:
@@ -139,11 +78,10 @@ def _arguments(command: str) -> tuple:
     bad flag.
     """
     budgets = tuple(
-        (_BUDGET_FLAGS[field.name], {"type": int, "dest": field.name,
-                                     "default": os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default)})
-        for field in fields(Budgets)
+        (flag, {"type": int, "dest": name, "default": os.environ.get(f"PROOFBENCH_{name.upper()}", default)})
+        for name, (flag, default) in _BUDGETS.items()
     )
-    return VERBS[command][1] + budgets + (("--json", {"action": "store_true", "help": "line-delimited records"}),)
+    return VERBS[command][2] + budgets + (("--json", {"action": "store_true", "help": "line-delimited records"}),)
 
 
 def build_parser():
@@ -152,7 +90,7 @@ def build_parser():
 
     top = argparse.ArgumentParser(prog="proofbench", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in VERBS.items():
+    for command, (help_text, *_) in VERBS.items():
         p = sub.add_parser(command, help=help_text)
         for *names, keywords in _arguments(command):
             p.add_argument(*names, **keywords)
@@ -245,19 +183,23 @@ def _read_input(path: Path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def _read_file(name: str, reader, prefix: str = ""):
+    """`reader(text, load)` of the input file `name`, where `load` reads a
+    file named relative to it; a file that cannot be read or does not read
+    as its format is bad input, its message after `prefix`."""
+    path = Path(name)
+    try:
+        return reader(_read_input(path), lambda rel: _read_input(path.parent / rel))
+    except (OSError, DerivationError, LabError, SpectorError, *_PARSE_ERRORS) as e:
+        raise _ParseFailure(f"{prefix}{e}") from None
+
+
 def _write_output(path: Path, text: str):
     """Write an output file as UTF-8; a path that cannot be written is bad input."""
     try:
         path.write_text(text, encoding="utf-8")
     except OSError as e:
         raise _ParseFailure(f"cannot write {path}: {e.strerror or e}") from None
-
-
-def _loader_for(path: Path):
-    def load(rel: str) -> str:
-        return _read_input(path.parent / rel)
-
-    return load
 
 
 def _emit(records, ok: bool, json_mode: bool, human_lines):
@@ -270,21 +212,11 @@ def _emit(records, ok: bool, json_mode: bool, human_lines):
             print(line)
 
 
-def _check_record(report) -> dict:
-    return {
-        "passed": report.passed,
-        "fail_path": list(report.fail_path) if report.fail_path is not None else None,
-        "fail_reason": report.fail_reason,
-        "nodes_visited": report.nodes_visited,
-        "max_depth": report.max_depth,
-        "cut_free": report.cut_free,
-        "truncated": report.truncated,
-        "nodes_checked": report.nodes_checked,
-    }
+# Each handler takes the argument namespace and returns its records, its
+# verdict and its human lines; `run` prints them and picks the exit status.
 
 
-def _cmd_ord(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_ord(args):
     want = 2 if args.op in ("compare", "add", "mul") else 1
     if len(args.operands) != want:
         raise _ParseFailure(f"{args.op} wants {want} operand(s)")
@@ -296,17 +228,12 @@ def _cmd_ord(cfg: RunConfig) -> int:
     else:
         fn = {"add": add, "mul": mul, "succ": succ, "pow2": pow2}[args.op]
         out = ord_text(fn(*operands))
-    _emit([{"op": args.op, "result": out}], True, cfg.json, [out])
-    return EXIT_OK
+    return [{"op": args.op, "result": out}], True, [out]
 
 
-def _cmd_check(cfg: RunConfig) -> int:
-    args, b = cfg.args, cfg.budgets
-    try:
-        code = parse_code(_read_input(Path(args.file)))
-    except (OSError, DerivationError, *_PARSE_ERRORS) as e:
-        raise _ParseFailure(str(e))
-    report = check_local(code, b.depth, b.width, require_cut_free=args.cut_free)
+def _cmd_check(args):
+    code = _read_file(args.file, lambda text, _: parse_code(text))
+    report = check_local(code, args.depth, args.width, require_cut_free=args.cut_free)
     human = [
         f"{'pass' if report.passed else 'fail'}: {report.nodes_visited} nodes"
         f" ({report.nodes_checked} checked), depth {report.max_depth},"
@@ -314,44 +241,31 @@ def _cmd_check(cfg: RunConfig) -> int:
     ]
     if not report.passed:
         human.append(f"  at path {list(report.fail_path)}: {report.fail_reason}")
-    _emit([_check_record(report)], report.passed, cfg.json, human)
-    return EXIT_OK if report.passed else EXIT_VERDICT
+    return [vars(report)], report.passed, human
 
 
-def _cmd_ti(cfg: RunConfig) -> int:
-    args = cfg.args
+def _cmd_ti(args):
     spec = parse_spec(args.spec)
     code = derive_ti(spec)
     if not args.compact and le(otyp(spec), from_int(MAX_EXPANDED_FIELD)):
         code = expand(code)
     payload = code_text(code)
-    if args.output:
-        _write_output(Path(args.output), payload + "\n")
-        _emit(
-            [{"written": args.output, "root_tag": ord_text(root_label(code).tag)}],
-            True,
-            cfg.json,
-            [f"wrote {args.output} (root tag {ord_text(root_label(code).tag)})"],
-        )
-    else:
-        _emit([{"certificate": payload}], True, cfg.json, [payload])
-    return EXIT_OK
+    if not args.output:
+        return [{"certificate": payload}], True, [payload]
+    _write_output(Path(args.output), payload + "\n")
+    tag = ord_text(root_label(code).tag)
+    return [{"written": args.output, "root_tag": tag}], True, [f"wrote {args.output} (root tag {tag})"]
 
 
 def _rank_check_record(c) -> dict:
     return {"element": c.element, "rank": ord_text(c.rank), "bound": ord_text(c.bound), "ok": c.ok}
 
 
-def _cmd_bound(cfg: RunConfig) -> int:
-    args, b = cfg.args, cfg.budgets
-    try:
-        spec = parse_spec(args.ordering)
-        code = parse_code(_read_input(Path(args.cert)))
-    except (OSError, DerivationError, *_PARSE_ERRORS) as e:
-        raise _ParseFailure(str(e))
+def _cmd_bound(args):
+    spec = parse_spec(args.ordering)
+    code = _read_file(args.cert, lambda text, _: parse_code(text))
     if args.truth:
-        claim = bounded_truth(code, spec, b.eval, b.depth, b.width)
-        ok = claim.verdict is Verdict.TRUE
+        claim = bounded_truth(code, spec, args.eval, args.depth, args.width)
         record = {
             "ordering": spec_text(spec),
             "alpha": ord_text(claim.alpha),
@@ -365,35 +279,28 @@ def _cmd_bound(cfg: RunConfig) -> int:
             f"gamma = {ord_text(claim.gamma)} (beta {ord_text(claim.beta)}, alpha {ord_text(claim.alpha)})",
             f"claim verdict: {claim.verdict.value} ({len(claim.rank_checks)} rank checks)",
         ]
-    else:
-        cert = otyp_bound(spec, code, b.eval, b.depth, b.width)
-        ok = cert.valid
-        record = {
-            "ordering": spec_text(spec),
-            "alpha": ord_text(cert.alpha),
-            "bound": ord_text(cert.bound),
-            "otyp": ord_text(cert.otyp_value),
-            "checks": [_rank_check_record(c) for c in cert.checks],
-            "verdict": "pass" if cert.valid else "fail",
-        }
-        human = [
-            f"otyp {ord_text(cert.otyp_value)} {'<' if cert.comparison.name == 'LT' else '!<'} "
-            f"2^alpha = {ord_text(cert.bound)}",
-            f"{len(cert.checks)} pointwise rank checks, "
-            f"{'all passed' if all(c.ok for c in cert.checks) else 'FAILURES'}",
-        ]
-    _emit([record], ok, cfg.json, human)
-    return EXIT_OK if ok else EXIT_VERDICT
+        return [record], claim.verdict is Verdict.TRUE, human
+    cert = otyp_bound(spec, code, args.eval, args.depth, args.width)
+    record = {
+        "ordering": spec_text(spec),
+        "alpha": ord_text(cert.alpha),
+        "bound": ord_text(cert.bound),
+        "otyp": ord_text(cert.otyp_value),
+        "checks": [_rank_check_record(c) for c in cert.checks],
+        "verdict": "pass" if cert.valid else "fail",
+    }
+    human = [
+        f"otyp {ord_text(cert.otyp_value)} {'<' if cert.comparison.name == 'LT' else '!<'} "
+        f"2^alpha = {ord_text(cert.bound)}",
+        f"{len(cert.checks)} pointwise rank checks, "
+        f"{'all passed' if all(c.ok for c in cert.checks) else 'FAILURES'}",
+    ]
+    return [record], cert.valid, human
 
 
-def _cmd_spector(cfg: RunConfig) -> int:
-    args, b = cfg.args, cfg.budgets
-    path = Path(args.file)
-    try:
-        entries = parse_enumeration(_read_input(path), _loader_for(path))
-    except (OSError, DerivationError, SpectorError, *_PARSE_ERRORS) as e:
-        raise _ParseFailure(str(e))
-    w = witness(entries, b.depth, b.width)
+def _cmd_spector(args):
+    entries = _read_file(args.file, parse_enumeration)
+    w = witness(entries, args.depth, args.width)
     report = verify_domination(entries, w, sample=50)
     if args.emit_cert and w.certificate is not None:
         _write_output(Path(args.emit_cert), code_text(w.certificate) + "\n")
@@ -415,25 +322,16 @@ def _cmd_spector(cfg: RunConfig) -> int:
         f"dominates {len(report.rows)} entries; {len(report.spot_checks)} spot checks"
         f" {'ok' if report.ok else 'FAILED'}",
     ]
-    _emit([record], report.ok, cfg.json, human)
-    return EXIT_OK if report.ok else EXIT_VERDICT
+    return [record], report.ok, human
 
 
-def _cmd_lab(cfg: RunConfig) -> int:
-    args, b = cfg.args, cfg.budgets
+def _cmd_lab(args):
     base = parse_spec(args.base)
-    stores = []
-    for fname in args.stores:
-        path = Path(fname)
-        try:
-            stores.append(parse_store(_read_input(path), _loader_for(path)))
-        except (OSError, DerivationError, LabError, *_PARSE_ERRORS) as e:
-            raise _ParseFailure(f"{fname}: {e}")
+    stores = [_read_file(name, parse_store, prefix=f"{name}: ") for name in args.stores]
 
     if args.verb == "chain":
-        report = chain_check(stores, base, b.depth, b.width)
+        report = chain_check(stores, base, args.depth, args.width)
         witnessed_ok = all(e.witnessed is not False for e in report.entries)
-        ok = report.descent_ok and witnessed_ok
         record = {
             "entries": [
                 {"name": e.name, "otyp": ord_text(e.order_type), "witnessed": e.witnessed}
@@ -447,14 +345,13 @@ def _cmd_lab(cfg: RunConfig) -> int:
                      else f"descent fails at index {report.first_violation}")
         if not witnessed_ok:
             human.append("warning: a successor's order type is not witnessed by a checked claim")
-        _emit([record], ok, cfg.json, human)
-        return EXIT_OK if ok else EXIT_VERDICT
+        return [record], report.descent_ok and witnessed_ok, human
 
     results = []
     ok = True
     human = []
     for store in stores:
-        prec = build_precT(store, base, b.depth, b.width)
+        prec = build_precT(store, base, args.depth, args.width)
         if args.verb == "build":
             record = {
                 "name": store.name,
@@ -467,7 +364,7 @@ def _cmd_lab(cfg: RunConfig) -> int:
             record = {"name": store.name, "otyp": ord_text(value)}
             human.append(f"{store.name}: order type {ord_text(value)}")
         else:
-            verdict = reflect_check(prec, b.chain)
+            verdict = reflect_check(prec, args.chain)
             if isinstance(verdict, CulpritReport):
                 ok = False
                 record = {
@@ -491,15 +388,13 @@ def _cmd_lab(cfg: RunConfig) -> int:
                 }
                 human.append(f"{store.name}: well-founded up to budget {verdict.budget}")
         results.append(record)
-    _emit(results, ok, cfg.json, human)
-    return EXIT_OK if ok else EXIT_VERDICT
+    return results, ok, human
 
 
-def _cmd_regress(cfg: RunConfig) -> int:
+def _cmd_regress(args):
     # imported here, as no other verb needs the suite or the generators
     from .regress import format_result, run_all
 
-    args = cfg.args
     only = None
     if args.only:
         try:
@@ -520,34 +415,62 @@ def _cmd_regress(cfg: RunConfig) -> int:
         }
         for r in results
     ]
-    ok = all(r.within_budget for r in results)
-    _emit(records, ok, cfg.json, [format_result(r) for r in results])
-    return EXIT_OK if ok else EXIT_VERDICT
+    return records, all(r.within_budget for r in results), [format_result(r) for r in results]
 
 
-_HANDLERS = {
-    "ord": _cmd_ord,
-    "check": _cmd_check,
-    "ti": _cmd_ti,
-    "bound": _cmd_bound,
-    "spector": _cmd_spector,
-    "lab": _cmd_lab,
-    "regress": _cmd_regress,
+# Every verb once: its help, its handler and its own arguments, each given as
+# the names and keywords of one `add_argument` call; `_arguments` adds the
+# budget flags and --json.  `main` reads argv straight from this table, and `build_parser`
+# builds argparse from it only for --help and for argv the direct reader
+# leaves to argparse.
+VERBS = {
+    "ord": ("notation arithmetic", _cmd_ord, (
+        ("op", {"choices": ("compare", "add", "mul", "succ", "pow2")}),
+        ("operands", {"nargs": "+"}),
+    )),
+    "check": ("verify a certificate file", _cmd_check, (
+        ("file", {}),
+        ("--cut-free", {"action": "store_true"}),
+    )),
+    "ti": ("emit the canonical TI certificate of a spec", _cmd_ti, (
+        ("spec", {}),
+        ("-o", "--output", {}),
+        ("--compact", {"action": "store_true", "help": "emit the builder term instead of expanding"}),
+    )),
+    "bound": ("order-type bound / semantic claim extraction", _cmd_bound, (
+        ("--ordering", {"required": True}),
+        ("--cert", {"required": True}),
+        ("--truth", {"action": "store_true", "help": "run the claim walk instead of the order-type bound"}),
+    )),
+    "spector": ("certified-sup witness from an enumeration file", _cmd_spector, (
+        ("file", {}),
+        ("--emit-cert", {}),
+    )),
+    "lab": ("certificate-store workbench", _cmd_lab, (
+        ("verb", {"choices": ("build", "retype", "reflect", "chain")}),
+        ("stores", {"nargs": "+", "help": "store files"}),
+        ("--base", {"required": True}),
+    )),
+    "regress": ("run the acceptance suite", _cmd_regress, (
+        ("--seed", {"type": int, "default": 0}),
+        ("--only", {"help": "comma-separated criterion numbers"}),
+    )),
 }
 
 
-def run(config: RunConfig) -> int:
+def run(args: SimpleNamespace) -> int:
+    """Run the request's handler, print what it returns and give the exit
+    status: its verdict, or the kind of error that stopped it."""
     try:
-        return _HANDLERS[config.command](config)
-    except _ParseFailure as e:
-        print(f"parse error: {e}", file=sys.stderr)
-        return EXIT_PARSE
+        records, ok, human = VERBS[args.command][1](args)
     except _PRECONDITION_ERRORS as e:
         print(f"precondition failed: {e}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except _PARSE_ERRORS as e:
+    except (_ParseFailure, *_PARSE_ERRORS) as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    _emit(records, ok, args.json, human)
+    return EXIT_OK if ok else EXIT_VERDICT
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -555,13 +478,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv)
     if args is None:
         args = SimpleNamespace(**vars(build_parser().parse_args(argv)))
-    budgets = Budgets(**{name: getattr(args, name) for name in _BUDGET_FLAGS})
-    for name, value in vars(budgets).items():
-        if value <= 0:
-            flag = _BUDGET_FLAGS[name]
+    for name, (flag, _) in _BUDGETS.items():
+        if getattr(args, name) <= 0:
             print(f"budget {flag} (PROOFBENCH_{name.upper()}) must be positive", file=sys.stderr)
             return EXIT_PARSE
-    return run(RunConfig(args.command, args, budgets, args.json))
+    return run(args)
 
 
 if __name__ == "__main__":

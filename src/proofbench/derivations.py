@@ -45,6 +45,7 @@ from .formulas import (
     seq,
     term_vars,
     ti_sequent,
+    ti_spec,
 )
 from .orderings import (
     ORDINAL,
@@ -693,6 +694,10 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
 
 _DECODE_ERRORS = (DerivationError, FormulaError, NotationError, UnsupportedRankError)
 
+# why the certificate gate, check_local and bounded truth refuse a spec
+NOT_A_WELL_ORDER = "the ordering is not a well-order (linear, with no infinite descent)"
+
+
 def check_local(
     code: Code,
     depth_budget: int = 64,
@@ -767,6 +772,11 @@ def check_local(
                 s = step(node)
             except _DECODE_ERRORS as e:
                 return fail(path, f"decode error: {e}")
+            # the root: a TI sequent claims its spec is a well-order, decided
+            # before any child is sampled
+            spec = ti_spec(s.label.sequent)
+            if spec is not None and not rankable(spec):
+                return fail(path, NOT_A_WELL_ORDER)
         if s.label.rule is RuleTag.CUT:
             cut_free = False
             if require_cut_free:
@@ -806,7 +816,7 @@ def ti_certificate_fault(code: Code, spec: OrderingSpec, depth_budget: int, widt
     spec must be a well-order, decided first; the root must be
     ti_sequent(spec); and a cut-free check_local must pass."""
     if not rankable(spec):
-        return "the ordering is not a well-order (linear, with no infinite descent)"
+        return NOT_A_WELL_ORDER
     if root_label(code).sequent != ti_sequent(spec):
         return "certificate root is not the TI sequent of the ordering"
     report = check_local(code, depth_budget, width_budget, require_cut_free=True)

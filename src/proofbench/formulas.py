@@ -539,6 +539,15 @@ def ti_sequent(spec: OrderingSpec, var: str = "X") -> Sequent:
     return seq(negated_prog(spec, var), field_statement(spec, var))
 
 
+def ti_spec(sequent: Sequent) -> OrderingSpec | None:
+    """S when `sequent` is exactly ti_sequent(S), read off its field
+    statement (forall y (or (nfld S y) (in y X))); else None."""
+    for f in sequent:
+        if type(f) is ForAll and type(f.body) is Disj and type(f.body.left) is NotFieldMember:
+            return f.body.left.spec if sequent == ti_sequent(f.body.left.spec) else None
+    return None
+
+
 def prog_witness_instance(spec: OrderingSpec, n: int, var: str = "X") -> Formula:
     """The instance picked when refuting progressiveness at element n."""
     return instance(negated_prog(spec, var), n)

@@ -186,19 +186,25 @@ def _principal_delete(node: Code):
     return dataclasses.replace(node, sequent=node.sequent - {min(candidates, key=formula_text)})
 
 
+def _all_as_ex(node: AllNode):
+    kids = premises(node)
+    return ExNode(node.sequent, node.tag, *next(iter(kids.items()))) if kids else None
+
+
+# each explicit rule's mutant: the node under another rule, its premises kept
+_RETAG = {
+    AxMNode: lambda node: AxLNode(node.sequent, node.tag),
+    AxLNode: lambda node: AxMNode(node.sequent, node.tag),
+    AndNode: lambda node: CutNode(node.sequent, node.tag, node.left, node.right),
+    OrNode: lambda node: RepNode(node.sequent, node.tag, node.child),
+    ExNode: lambda node: RepNode(node.sequent, node.tag, node.child),
+    AllNode: _all_as_ex,
+}
+
+
 def _retag_rule(node: Code):
-    if isinstance(node, AxMNode):
-        return AxLNode(node.sequent, node.tag)
-    if isinstance(node, AxLNode):
-        return AxMNode(node.sequent, node.tag)
-    if isinstance(node, AndNode):
-        return CutNode(node.sequent, node.tag, node.left, node.right)
-    if isinstance(node, (OrNode, ExNode)):
-        return RepNode(node.sequent, node.tag, node.child)
-    if isinstance(node, AllNode) and premises(node):
-        i, c = next(iter(premises(node).items()))
-        return ExNode(node.sequent, node.tag, i, c)
-    return None
+    retag = _RETAG.get(type(node))
+    return retag(node) if retag is not None else None
 
 
 def criterion_3(rng: random.Random) -> CriterionResult:
@@ -276,20 +282,23 @@ def _random_axiom(rng: random.Random) -> Code:
     return AxLNode(side | pair, from_int(0))
 
 
+def _random_and(rng: random.Random, d1: Code, d2: Code) -> tuple[AndNode, Conj]:
+    """An And node over d1 and d2, and its conjunction of one formula drawn
+    from each conclusion, in the order of their texts."""
+    s1, s2 = root_label(d1), root_label(d2)
+    a1 = rng.choice(sorted(s1.sequent, key=formula_text))
+    a2 = rng.choice(sorted(s2.sequent, key=formula_text))
+    conj = Conj(a1, a2)
+    delta = (s1.sequent - {a1}) | (s2.sequent - {a2}) | {conj}
+    return AndNode(delta, succ(s1.tag if lt(s2.tag, s1.tag) else s2.tag), d1, d2), conj
+
+
 def _random_derivation(rng: random.Random, depth: int) -> Code:
     if depth <= 0 or rng.random() < 0.25:
         return _random_axiom(rng)
     kind = rng.randrange(4)
     if kind == 0:
-        d1 = _random_derivation(rng, depth - 1)
-        d2 = _random_derivation(rng, depth - 1)
-        s1, s2 = root_label(d1), root_label(d2)
-        a1 = rng.choice(sorted(s1.sequent, key=formula_text))
-        a2 = rng.choice(sorted(s2.sequent, key=formula_text))
-        conj = Conj(a1, a2)
-        delta = (s1.sequent - {a1}) | (s2.sequent - {a2}) | {conj}
-        tag = succ(s1.tag if lt(s2.tag, s1.tag) else s2.tag)
-        return AndNode(delta, tag, d1, d2)
+        return _random_and(rng, _random_derivation(rng, depth - 1), _random_derivation(rng, depth - 1))[0]
     if kind == 1:
         d = _random_derivation(rng, depth - 1)
         s = root_label(d)
@@ -315,13 +324,7 @@ def criterion_4(rng: random.Random) -> CriterionResult:
     for trial in range(200):
         d1 = _random_derivation(rng, rng.randrange(1, 4))
         d2 = _random_derivation(rng, rng.randrange(1, 4))
-        s1, s2 = root_label(d1), root_label(d2)
-        a1 = rng.choice(sorted(s1.sequent, key=formula_text))
-        a2 = rng.choice(sorted(s2.sequent, key=formula_text))
-        conj = Conj(a1, a2)
-        delta = (s1.sequent - {a1}) | (s2.sequent - {a2}) | {conj}
-        tag = succ(s1.tag if lt(s2.tag, s1.tag) else s2.tag)
-        d = AndNode(delta, tag, d1, d2)
+        d, conj = _random_and(rng, d1, d2)
         base = check_local(d, require_cut_free=True)
         if not base.passed:
             failures.append(f"trial {trial}: generator produced a bad derivation: {base.fail_reason}")
@@ -340,7 +343,7 @@ def criterion_4(rng: random.Random) -> CriterionResult:
             failures.append(f"trial {trial}: inversion fails checks: {irep.fail_reason}")
         if compare(ilbl.tag, root.tag) is Cmp.GT:
             failures.append(f"trial {trial}: inversion raised the root tag")
-        expected = (root.sequent - {conj}) | {a1 if which == 1 else a2}
+        expected = (root.sequent - {conj}) | {conj.left if which == 1 else conj.right}
         if ilbl.sequent != expected:
             failures.append(f"trial {trial}: inversion produced the wrong sequent")
         if failures:

@@ -1,11 +1,11 @@
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 from unittest import mock
 
 import pytest
@@ -258,9 +258,8 @@ def test_regress_deterministic_output(capsys):
 def _reference_budget_flags(p: argparse.ArgumentParser):
     # argparse reads a string default (the environment's) with `type`, so a
     # bad value exits 2 like a bad flag
-    for field in fields(cli.Budgets):
-        p.add_argument(cli._BUDGET_FLAGS[field.name], type=int, dest=field.name,
-                       default=os.environ.get(f"PROOFBENCH_{field.name.upper()}", field.default))
+    for name, (flag, default) in cli._BUDGETS.items():
+        p.add_argument(flag, type=int, dest=name, default=os.environ.get(f"PROOFBENCH_{name.upper()}", default))
     p.add_argument("--json", action="store_true", help="line-delimited records")
 
 
@@ -308,7 +307,7 @@ def reference_parser() -> argparse.ArgumentParser:
     return top
 
 
-BUDGET_ENV = [f"PROOFBENCH_{field.name.upper()}" for field in fields(cli.Budgets)]
+BUDGET_ENV = [f"PROOFBENCH_{name.upper()}" for name in cli._BUDGETS]
 WORDS = ["x", "", "(fin 3)", '(below "w")', "f.sx", "succ", "build", "grow", "ord", "lab"]
 INTS = ["0", "7", "12", "-3", " 5", "\u0663", "1_0", "+4", "x"]
 NOISE = ["-", "--", "-h", "--help", "--dep", "--co", "--c", "--e", "--depth=5", "--base=b",
@@ -441,3 +440,86 @@ def test_a_well_formed_request_imports_no_argparse():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "1\n[]\n"
+
+
+# --- the bytes of every verb ----------------------------------------------------------
+# Each request runs in one directory and names its files relatively, so no
+# temporary path reaches the output.  The digests are the sha256 of stdout,
+# taken before the handlers returned their verdicts to one dispatcher.
+
+PINNED_INPUTS = {
+    "f2.sx": code_text(expand(derive_ti(FinOrd(2)))) + "\n",
+    "f3.sx": code_text(expand(derive_ti(FinOrd(3)))) + "\n",
+    "bad.sx": code_text(expand(derive_ti(FinOrd(3)))).replace('"w*3"', '"w*3+2"', 1) + "\n",
+    "junk.sx": "(axm (seq",
+    "entries.sx": '(entries (0 (fin 2) "f2.sx") (1 (fin 3) "f3.sx"))',
+    "s3.sx": '(theory "s3" (claim (fin 3) (cert "f3.sx")) (claim (fin 2) (cert "f2.sx")))',
+    "rev.sx": '(theory "rev" (claim (rev (below "w")) asserted))',
+    "s2.sx": '(theory "s2" (claim (fin 2) (cert "f2.sx")))',
+}
+
+PINNED_ARGVS = {
+    "ord": ["ord", "add", "w^2+1", "w*3"],
+    "ti": ["ti", "(fin 2)"],
+    "ti-output": ["ti", "(fin 3)", "-o", "out.sx"],
+    "ti-ill-founded": ["ti", '(rev (below "w"))'],
+    "check-pass": ["check", "f3.sx", "--cut-free"],
+    "check-fail": ["check", "bad.sx", "--cut-free", "--width", "5"],
+    "check-parse-error": ["check", "junk.sx"],
+    "bound": ["bound", "--ordering", "(fin 3)", "--cert", "f3.sx"],
+    "bound-truth": ["bound", "--ordering", "(fin 3)", "--cert", "f3.sx", "--truth"],
+    "spector": ["spector", "entries.sx"],
+    "lab-build": ["lab", "build", "s3.sx", "s2.sx", "--base", '(below "w")'],
+    "lab-retype": ["lab", "retype", "s3.sx", "s2.sx", "--base", '(below "w")'],
+    "lab-reflect": ["lab", "reflect", "s3.sx", "rev.sx", "--base", '(below "w")'],
+    "lab-chain": ["lab", "chain", "s3.sx", "s2.sx", "--base", '(below "w")'],
+}
+
+# (exit status, sha256 of stdout, stderr) of each request, human and --json
+PINNED_BYTES = {
+    ('ord', False): (0, 'ca3f05cca589212f0f7de3070be4303957b87e124a7cbdf656324daf630de27c', ''),
+    ('ord', True): (0, '68282730957805a5ca57541618fc76343f0e7717a7580de4b4018306bd08aabc', ''),
+    ('ti', False): (0, 'a7f44da0117b382174dc80df36ce83fe67a753a80f5399c922e36784761923c0', ''),
+    ('ti', True): (0, 'cc75a68934956895ed86f82762aec059af3c91acd3edadeabb6d4a24a644684e', ''),
+    ('ti-output', False): (0, '47905052e31097130f5b9e6fac26ebb420c71fa785f9b0148d7c4981aa461e88', ''),
+    ('ti-output', True): (0, 'ee0d54de8d5d87379e500fbbd3a5cd66fd3e7a1d1aba4aa4aa059f760a46bac4', ''),
+    ('ti-ill-founded', False): (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'precondition failed: derive_ti needs a well-founded combinator spec\n'),
+    ('ti-ill-founded', True): (3, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', 'precondition failed: derive_ti needs a well-founded combinator spec\n'),
+    ('check-pass', False): (0, 'b00317aa6acfbe8a07fda9e5e80307c8996c06958c7d19ed9eb71b797f57c200', ''),
+    ('check-pass', True): (0, '7a5b7726a424a4d79ce14dee191bf21d2f71502973b366fbe63da7fd6a25f139', ''),
+    ('check-fail', False): (1, '4404f142c0acef10412162dd3a3b8d8aa3b3ec9840a62b9a28ba71651569b453', ''),
+    ('check-fail', True): (1, '752185f0d16db98de88ebc931ed6aaf9e52f98b8562cf49b4b305fcef36bffcf', ''),
+    ('check-parse-error', False): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "parse error: 1:7: unbalanced '('\n"),
+    ('check-parse-error', True): (2, 'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855', "parse error: 1:7: unbalanced '('\n"),
+    ('bound', False): (0, 'adfc2968db93bc945dbe56ecd4a27651856f29198ae395693a77e8e23ba5d67d', ''),
+    ('bound', True): (0, '8e3de62da4dfe9eb5060be3c6651faf86ada361eb2598cf3a141d15e260fdff4', ''),
+    ('bound-truth', False): (0, '381c18b9c7c615352929ca6a84fab7c249c721e643f97070496d14eae154330f', ''),
+    ('bound-truth', True): (0, 'd1f107546dfa55a20c1cbbb2e668282240580a7b3c337db85b60dd2cceabf0a8', ''),
+    ('spector', False): (0, '4247cd9234adf6a38b4be14fb7ef99c9c1b1404f3b1bb43d12d1c804d8e3369b', ''),
+    ('spector', True): (0, '96de12b0db95087d5f37a054a0240e89a5259311707505e7cd63297165f83a6b', ''),
+    ('lab-build', False): (0, 'bcaae07cd1e758b3b78a358f82bf6ef7dffa55bdb5b6a3ff082ef0c24701b3e6', ''),
+    ('lab-build', True): (0, 'bbbd149bbd1e53406a14288aedf93a2a4a8aa42438190567069468ac4c8b8424', ''),
+    ('lab-retype', False): (0, '30e4500d0498935ccf74f4a39560643f5975fe15627bba9c8310f723d3f80f5f', ''),
+    ('lab-retype', True): (0, '08c8a7120ee4d11723408f20be043c26c0fed7bae473fd19d827eb968d5aa145', ''),
+    ('lab-reflect', False): (1, 'ece3f10e1cb832ffdc94c16ea3625ec6ccd712dc966f87d0d126a2248d00c947', ''),
+    ('lab-reflect', True): (1, 'fa873a944778785e2fb5dec5330d4a2347c2673d46550812b4cd3c0ce363af1f', ''),
+    ('lab-chain', False): (0, '7d0da2f966338ce01acb089a94235b91bfff70a4b07140e98cca60a6c98fbad1', ''),
+    ('lab-chain', True): (0, '9f504d6ee80b10a489ad4a0e411ab9cbabf2e463375a93539473635bb496757a', ''),
+}
+
+
+def _pinned_run(capsys, name, json_mode):
+    code = main(PINNED_ARGVS[name] + ["--json"] * json_mode)
+    captured = capsys.readouterr()
+    return code, hashlib.sha256(captured.out.encode()).hexdigest(), captured.err
+
+
+@pytest.mark.parametrize("json_mode", [False, True], ids=["human", "json"])
+@pytest.mark.parametrize("name", PINNED_ARGVS)
+def test_every_verb_prints_the_pinned_bytes(tmp_path, monkeypatch, capsys, name, json_mode):
+    for env in BUDGET_ENV:
+        monkeypatch.delenv(env, raising=False)
+    for file, text in PINNED_INPUTS.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert _pinned_run(capsys, name, json_mode) == PINNED_BYTES[name, json_mode]

@@ -16,9 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from proofbench import boundedness, derivations
 from proofbench.boundedness import bounded_truth
-from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, main
-from proofbench.derivations import code_text, derive_ti, expand, parse_code
+from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
+from proofbench.derivations import NOT_A_WELL_ORDER, check_local, code_text, derive_ti, expand, parse_code
 from proofbench.formulas import FormulaError, parse_formula, parse_sequent, sequent_text, ti_sequent
 from proofbench.orderings import FinOrd, SpecError, parse_spec
 from proofbench.ordinals import MAX_NESTING
@@ -377,9 +378,10 @@ ILL_FOUNDED_CERT = (f'(all {sequent_text(ti_sequent(parse_spec(ILL_FOUNDED)))} "
         ["lab", "retype", "{store}", "--base", '(below "w^2")'],
         ["lab", "reflect", "{store}", "--base", '(below "w^2")'],
         ["bound", "--ordering", ILL_FOUNDED, "--cert", "{cert}"],
+        ["bound", "--ordering", ILL_FOUNDED, "--cert", "{cert}", "--truth"],
         ["spector", "{entries}"],
     ],
-    ids=["lab-build", "lab-retype", "lab-reflect", "bound", "spector"],
+    ids=["lab-build", "lab-retype", "lab-reflect", "bound", "bound-truth", "spector"],
 )
 def test_the_certificate_gate_refuses_an_ordering_that_is_not_a_well_order(tmp_path, argv):
     (tmp_path / "cert.sx").write_text(ILL_FOUNDED_CERT)
@@ -389,3 +391,32 @@ def test_the_certificate_gate_refuses_an_ordering_that_is_not_a_well_order(tmp_p
     code, out, err = run([a.format_map(names) for a in argv] + ["--json"])
     assert code == EXIT_PRECONDITION and not out
     assert "the ordering is not a well-order (linear, with no infinite descent)" in err
+
+
+@pytest.mark.parametrize("width", [8, 200])
+@pytest.mark.parametrize("cut_free", [False, True], ids=["plain", "cut-free"])
+def test_check_refuses_a_ti_root_whose_ordering_is_not_a_well_order(tmp_path, width, cut_free):
+    # decided at the root, before any child is sampled, at every width
+    (tmp_path / "cert.sx").write_text(ILL_FOUNDED_CERT)
+    argv = ["check", str(tmp_path / "cert.sx"), "--width", str(width), "--json"] + ["--cut-free"] * cut_free
+    code, out, err = run(argv)
+    record = json.loads(out.splitlines()[0])
+    assert code == EXIT_VERDICT and not err
+    assert record["fail_path"] == [] and record["nodes_visited"] == 1 and record["nodes_checked"] == 0
+    assert record["fail_reason"] == NOT_A_WELL_ORDER
+
+
+def test_bound_truth_refuses_an_ordering_that_is_not_a_well_order_before_it_checks(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return check_local(*args, **kwargs)
+
+    monkeypatch.setattr(boundedness, "check_local", counted)
+    monkeypatch.setattr(derivations, "check_local", counted)
+    (tmp_path / "cert.sx").write_text(ILL_FOUNDED_CERT)
+    code, out, err = run(["bound", "--ordering", ILL_FOUNDED, "--cert", str(tmp_path / "cert.sx"), "--truth"])
+    assert code == EXIT_PRECONDITION and not out
+    assert err == f"precondition failed: {NOT_A_WELL_ORDER}\n"
+    assert calls == []
