@@ -195,9 +195,10 @@ def _read_file(name: str, reader, prefix: str = ""):
 
 
 def _write_output(path: Path, text: str):
-    """Write an output file as UTF-8; a path that cannot be written is bad input."""
+    """Write `text`, then a newline, as UTF-8; a path that cannot be written is bad input."""
     try:
-        path.write_text(text, encoding="utf-8")
+        with path.open("w", encoding="utf-8") as f:
+            print(text, file=f)
     except OSError as e:
         raise _ParseFailure(f"cannot write {path}: {e.strerror or e}") from None
 
@@ -252,7 +253,7 @@ def _cmd_ti(args):
     payload = code_text(code)
     if not args.output:
         return [{"certificate": payload}], True, [payload]
-    _write_output(Path(args.output), payload + "\n")
+    _write_output(Path(args.output), payload)
     tag = ord_text(root_label(code).tag)
     return [{"written": args.output, "root_tag": tag}], True, [f"wrote {args.output} (root tag {tag})"]
 
@@ -303,7 +304,7 @@ def _cmd_spector(args):
     w = witness(entries, args.depth, args.width)
     report = verify_domination(entries, w, sample=50)
     if args.emit_cert and w.certificate is not None:
-        _write_output(Path(args.emit_cert), code_text(w.certificate) + "\n")
+        _write_output(Path(args.emit_cert), code_text(w.certificate))
     record = {
         "alpha": ord_text(w.alpha),
         "witness_index": w.index,

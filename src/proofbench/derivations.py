@@ -725,6 +725,8 @@ def check_local(
     a copy it reused, is keyed by the node and the remaining depth, so a
     copy met higher up is walked again.  Only subtrees that passed are kept,
     and only for this call.  `nodes_checked` counts the clauses evaluated.
+    The open subtrees are the node checked and its ancestors, so a failure's
+    path is read off them, and memory stays linear in the depth.
     """
     nodes = checked = max_depth = 0
     # cut: a node's children were skipped for the depth budget
@@ -732,23 +734,25 @@ def check_local(
     # a node, or (node, remaining depth) when its subtree was cut
     # -> (nodes, height, cut_free, truncated, cut)
     passed: dict[Code | tuple[Code, int], tuple[int, int, bool, bool, bool]] = {}
-    # open subtrees: node, depth, nodes before, and the outer max_depth,
-    # cut_free, truncated and cut; the counters restart inside
-    frames: list[tuple[Code, int, int, int, bool, bool, bool]] = []
-    # (code, its step, depth, path); only the root comes unstepped, and a
-    # None code closes the innermost frame
-    stack: list[tuple[Code | None, Step | None, int, tuple[int, ...]]] = [(code, None, 0, ())]
+    # open subtrees: the node's index under its parent, node, depth, nodes
+    # before, and the outer max_depth, cut_free, truncated and cut; the
+    # counters restart inside
+    frames: list[tuple[int | None, Code, int, int, int, bool, bool, bool]] = []
+    # (code, its step, depth, its index); only the root comes unstepped, and
+    # a None code closes the innermost frame
+    stack: list[tuple[Code | None, Step | None, int, int | None]] = [(code, None, 0, None)]
 
-    def fail(path, reason):
+    def fail(reason, *below):
         md, cf, tr = max_depth, cut_free, truncated
         for *_, outer_md, outer_cf, outer_tr, _ in frames:
             md, cf, tr = max(md, outer_md), cf and outer_cf, tr or outer_tr
+        path = tuple(frame[0] for frame in frames[1:]) + below
         return CheckReport(False, path, reason, nodes, md, cf, tr, checked)
 
     while stack:
-        node, s, depth, path = stack.pop()
+        node, s, depth, index = stack.pop()
         if node is None:
-            key, top, before, outer_md, outer_cf, outer_tr, outer_cut = frames.pop()
+            _, key, top, before, outer_md, outer_cf, outer_tr, outer_cut = frames.pop()
             passed[(key, depth_budget - top) if cut else key] = (
                 nodes - before, max_depth - top, cut_free, truncated, cut)
             max_depth = max(max_depth, outer_md)
@@ -762,30 +766,26 @@ def check_local(
             max_depth = max(max_depth, depth + seen[1])
             cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
             continue
-        frames.append((node, depth, nodes, max_depth, cut_free, truncated, cut))
-        stack.append((None, None, depth, path))
+        frames.append((index, node, depth, nodes, max_depth, cut_free, truncated, cut))
+        stack.append((None, None, depth, None))
         max_depth, cut_free, truncated, cut = depth, True, False, False
         nodes += 1
-        max_depth = max(max_depth, depth)
         if s is None:
             try:
                 s = step(node)
             except _DECODE_ERRORS as e:
-                return fail(path, f"decode error: {e}")
+                return fail(f"decode error: {e}")
             # the root: a TI sequent claims its spec is a well-order, decided
             # before any child is sampled
             spec = ti_spec(s.label.sequent)
             if spec is not None and not rankable(spec):
-                return fail(path, NOT_A_WELL_ORDER)
+                return fail(NOT_A_WELL_ORDER)
         if s.label.rule is RuleTag.CUT:
             cut_free = False
             if require_cut_free:
-                return fail(path, "cut rule used in a cut-free check")
-        if s.indices is NAT:
-            idxs = list(range(width_budget))
-            truncated = True
-        else:
-            idxs = list(s.indices)
+                return fail("cut rule used in a cut-free check")
+        truncated = s.indices is NAT
+        idxs = list(range(width_budget)) if truncated else list(s.indices)
         kids: dict[int, NodeLabel] = {}
         children: list[tuple[int, Code, Step]] = []
         try:
@@ -795,17 +795,17 @@ def check_local(
                 kids[i] = cs.label
                 children.append((i, c, cs))
         except _DECODE_ERRORS as e:
-            return fail(path, f"decode error in a premise: {e}")
+            return fail(f"decode error in a premise: {e}")
         checked += 1
         reason = _clause_ok(s.label, kids, s.indices if s.indices is NAT else tuple(idxs))
         if reason is not None:
-            return fail(path, reason)
+            return fail(reason)
         for i, lab in kids.items():
             if compare(lab.tag, s.label.tag) is not Cmp.LT:
-                return fail(path + (i,), "ordinal tag fails to descend")
+                return fail("ordinal tag fails to descend", i)
         if depth + 1 <= depth_budget:
             for i, c, cs in reversed(children):
-                stack.append((c, cs, depth + 1, path + (i,)))
+                stack.append((c, cs, depth + 1, i))
         elif children:
             truncated = cut = True
     return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated, checked)

@@ -390,10 +390,16 @@ def _read_sum(tokens: list[str], i: int, depth: int) -> tuple[Ordinal, int]:
 def parse(s: str) -> Ordinal:
     """The notation whose canonical text is `s`.
 
-    `s` is read by the grammar above alone, and its value is returned only
-    when `text` writes it back as `s`; every other spelling, and any digit
-    outside ASCII 0-9, raises NotationError.
+    `s` is read by the grammar above, and its value is returned only when
+    `text` writes it back as `s`; every other spelling, and any digit
+    outside ASCII 0-9, raises NotationError.  A canonical ASCII numeral
+    that int() reads skips the grammar, which would read the same value.
     """
+    if s.isascii() and s.isdigit() and (s[0] != "0" or s == "0"):
+        try:
+            return from_int(int(s))
+        except ValueError:  # more digits than int() reads: left to the grammar
+            pass
     tokens = _TOKEN.findall(s)
     tokens.append("")  # end of input
     value, i = _read_sum(tokens, 0, 0)

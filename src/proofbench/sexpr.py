@@ -325,70 +325,70 @@ SYMBOL = Role(_symbol_text, _symbol)
 
 
 def write(sort: Sort, value) -> str:
-    """The text of a term of `sort`.
-
-    Written off an explicit stack, as `read` reads, so codes of any depth
-    write without recursion.  A list pushes a build step under its subterms:
-    once they have put their texts into its parts, the step joins them and
-    puts the list's text in its slot.  A REST field of nodes pushes a step
-    that sorts their texts onto its list's parts.  A term met again, equal
-    in value and in the same sort, takes the text built the first time, so
-    a term shared in a DAG, or repeated, is written once.
+    """The text of a term of `sort`, written in order into one list of
+    pieces and joined once, off an explicit stack as `read` reads: codes of
+    any depth write without recursion.  A term met again, equal in value and
+    in the same sort, takes the text of its first occurrence, joined from
+    its pieces at the first repeat, so only repeated terms keep a text of
+    their own.  Each object is compared by value once, then found by
+    identity.  REST members are written to pieces of their own and sorted.
     """
-    memo: dict[tuple[object, Sort], str] = {}  # (term, sort) -> its text
-    out = [None]
-    todo = [(value, sort, out, 0)]
+    memo: dict[tuple, list] = {}  # (term, sort) -> [its pieces, their slice], then its text once repeated
+    seen: dict[tuple, list] = {}  # (id(term), sort) -> its memo entry
+    todo = [(value, sort, out := [], "")]  # each step with the piece before it
     while todo:
-        value, sort, dest, slot = todo.pop()
-        if sort is None:  # a build step: value holds a list's parts and the memo key it writes
-            parts, key = value
-            dest[slot] = text = "(" + " ".join(parts) + ")"
-            if key is not None:
-                memo[key] = text
+        value, sort, dest, piece = todo.pop()
+        dest.append(piece)
+        if sort is None:  # a list's end: value holds its memo entry and where its pieces start
+            entry, start = value
+            entry += dest, slice(start, len(dest))
             continue
-        if sort is REST:  # value holds the texts of a REST field, dest its list's parts
-            dest.extend(sorted(value))
+        if sort is REST:  # value holds the pieces of each member of a REST field
+            dest.extend(sorted(map("".join, value)))
             continue
         shape = sort.shapes.get(type(value))
         if shape is None:
             raise sort.error(f"not {sort.name}: a {type(value).__name__}")
         head, roles, get = shape
         if type(head) is type:
-            dest[slot] = roles[0].encode(*get(value))
+            dest.append(roles[0].encode(*get(value)))
             continue
-        key = (value, sort)
-        done = memo.get(key)
-        if done is not None:
-            dest[slot] = done
+        entry = seen.get((id(value), sort))
+        if entry is None:  # an object not met before: look for an equal term, once
+            entry = seen[id(value), sort] = memo.setdefault((value, sort), [])
+        if entry:  # written before
+            if len(entry) == 2:
+                entry.append("".join(entry[0][entry[1]]))
+            dest.append(entry[2])
             continue
-        parts = [head]
-        todo.append(((parts, key), None, dest, slot))
+        steps, text = [], "(" + head  # steps in order; text is the piece not yet taken
         i = 0  # a counter, as zip() and enumerate() made this loop slower
         for field in get(value):
             role = roles[i]
             i += 1
             if role.many is None:
                 if role.sort is None:
-                    parts.append(role.encode(field))
+                    text += " " + role.encode(field)
                 else:
-                    parts.append(None)
-                    todo.append((field, role.sort, parts, i))
+                    steps.append((field, role.sort, dest, text + " "))
+                    text = ""
             elif role.many is ENTRIES:
-                entries = [None] * len(field)
-                parts.append(None)
-                todo.append(((entries, None), None, parts, i))
-                for j, (index, node) in enumerate(field):
-                    pair = [int.__repr__(index), None]
-                    todo.append(((pair, None), None, entries, j))
-                    todo.append((node, role.sort, pair, 1))
+                text += " ("
+                for index, node in field:
+                    steps.append((node, role.sort, dest, f"{text}({int.__repr__(index)} "))
+                    text = ") "
+                text = (")" if field else text) + ")"
             elif role.sort is None:
-                parts.extend(map(role.encode, sorted(field)))
-            else:
-                texts = [None] * len(field)
-                todo.append((texts, REST, parts, None))
-                for j, item in enumerate(field):
-                    todo.append((item, role.sort, texts, j))
-    return out[0]
+                text += "".join(" " + t for t in map(role.encode, sorted(field)))
+            else:  # REST, the last field; each member's pieces start with a space
+                members = [[] for _ in field]
+                steps += zip(field, [role.sort] * len(field), members, [" "] * len(field))
+                steps.append((members, REST, dest, text))
+                text = ""
+        steps.append(((entry, len(dest)), None, dest, text + ")"))
+        steps.reverse()
+        todo += steps
+    return "".join(out)
 
 
 def _read_atom(sort: Sort, x):

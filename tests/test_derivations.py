@@ -232,6 +232,32 @@ def test_checker_rejects_wrong_rep():
     assert not report.passed
 
 
+def rep_tower(levels: int, bottom: str = '(axm (seq (= 1 1)) "0")'):
+    """`levels` repetitions of (= 1 1) over `bottom`; tags count down to 1."""
+    head = "".join(f'(rep (seq (= 1 1)) "{i}" ' for i in range(levels, 0, -1))
+    return parse_code(head + bottom + ")" * levels)
+
+
+@pytest.mark.parametrize(
+    "bottom, path, reason",
+    [
+        ('(axm (seq (= 1 1)) "5")', (1,) * 3000, "ordinal tag fails to descend"),
+        ('(axm (seq (= 2 2)) "0")', (1,) * 2999, "repetition premise must repeat the sequent"),
+    ],
+)
+def test_a_fault_at_the_bottom_of_a_deep_tower_keeps_its_whole_path(bottom, path, reason):
+    report = check_local(rep_tower(3000, bottom), depth_budget=4000)
+    assert (report.passed, report.fail_path, report.fail_reason) == (False, path, reason)
+    assert report.nodes_visited == len(path) + (reason != "ordinal tag fails to descend")
+
+
+def test_checking_a_deep_tower_holds_memory_linear_in_its_depth(peak_bytes):
+    # each open node kept its own copy of its path: 36.6 MB at 3,000 levels
+    code = rep_tower(3000)
+    assert check_local(code, depth_budget=4000).passed
+    assert peak_bytes(lambda: check_local(code, depth_budget=4000)) < 2_000_000
+
+
 A, B, C = (Eq(num(k), num(k)) for k in (1, 2, 3))
 SOME = ForAll("x", Eq(Var("x"), Var("x")))  # instance k is (= k k)
 ONE_OF = Exists("x", Eq(Var("x"), num(3)))  # instance k is (= k 3)

@@ -4,10 +4,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from proofbench import cnforacle as oracle
+from proofbench import ordinals
 from proofbench.gens import random_ordinal, random_vec_below_w3
 from proofbench.ordinals import (
     EPSILON,
@@ -363,6 +364,41 @@ def test_notations_nest_up_to_the_bound():
 def test_finite_ordinals_round_trip(n):
     assert parse(str(n)) == from_int(n)
     assert from_int(n).nat_value() == n
+
+
+def grammar_parse(s: str) -> Ordinal:
+    """`parse` by the grammar alone: what it did before numerals had a fast path."""
+    tokens = ordinals._TOKEN.findall(s) + [""]
+    value, i = ordinals._read_sum(tokens, 0, 0)
+    if tokens[i]:
+        raise ordinals._unexpected(tokens, i)
+    if text(value) != s:
+        raise NotationError(f"{s!r} is not canonical: it is written {text(value)!r}")
+    return value
+
+
+def outcome(read, s: str):
+    """What `read` makes of s: its value, or the message it refuses it with."""
+    try:
+        return read(s)
+    except NotationError as e:
+        return str(e)
+
+
+NEAR_NUMERALS = st.one_of(
+    st.integers(min_value=0).map(str),
+    st.text("0123456789", max_size=12),
+    st.text("0123456789+-_ \nw٣²", max_size=6),
+)
+
+
+@given(NEAR_NUMERALS)
+@example("1" * 4300)  # the most digits int() reads
+@example("7" * 4301)
+@example("0" + "7" * 5000)
+@settings(max_examples=400, deadline=None)
+def test_numerals_read_as_the_grammar_reads_them(s):
+    assert outcome(parse.__wrapped__, s) == outcome(grammar_parse, s)
 
 
 def test_pow2_successor_identity_random_vectors():

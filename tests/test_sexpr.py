@@ -20,7 +20,7 @@ from proofbench.formulas import (
     sequent_text,
 )
 from proofbench.orderings import FinOrd, parse_spec, spec_text
-from proofbench.ordinals import MAX_NESTING
+from proofbench.ordinals import MAX_NESTING, from_int
 from proofbench.sexpr import SexprError, Str, parse, parse_many, quote
 
 # each malformed input with the error it raises
@@ -344,3 +344,141 @@ def test_every_term_class_keeps_the_frozen_dataclass_contract():
                 if f.default is not dataclasses.MISSING:
                     assert getattr(cls(*required), f.name) == f.default
     assert formulas.Member(Num(1)).var == "X" == formulas.NotMember(Num(1)).var
+
+
+# --- the writer, byte for byte against the one it replaced
+
+
+def ref_write(sort, value) -> str:
+    """The writer that `sexpr.write` replaced: every distinct subterm's text
+    is joined from its parts and kept, written off an explicit stack."""
+    memo = {}
+    out = [None]
+    todo = [(value, sort, out, 0)]
+    while todo:
+        value, sort, dest, slot = todo.pop()
+        if sort is None:  # a build step: value holds a list's parts and the memo key it writes
+            parts, key = value
+            dest[slot] = text = "(" + " ".join(parts) + ")"
+            if key is not None:
+                memo[key] = text
+            continue
+        if sort is sexpr.REST:  # value holds the texts of a REST field, dest its list's parts
+            dest.extend(sorted(value))
+            continue
+        shape = sort.shapes.get(type(value))
+        if shape is None:
+            raise sort.error(f"not {sort.name}: a {type(value).__name__}")
+        head, roles, get = shape
+        if type(head) is type:
+            dest[slot] = roles[0].encode(*get(value))
+            continue
+        key = (value, sort)
+        done = memo.get(key)
+        if done is not None:
+            dest[slot] = done
+            continue
+        parts = [head]
+        todo.append(((parts, key), None, dest, slot))
+        for i, (role, field) in enumerate(zip(roles, get(value)), 1):
+            if role.many is None:
+                if role.sort is None:
+                    parts.append(role.encode(field))
+                else:
+                    parts.append(None)
+                    todo.append((field, role.sort, parts, i))
+            elif role.many is sexpr.ENTRIES:
+                entries = [None] * len(field)
+                parts.append(None)
+                todo.append(((entries, None), None, parts, i))
+                for j, (index, node) in enumerate(field):
+                    pair = [int.__repr__(index), None]
+                    todo.append(((pair, None), None, entries, j))
+                    todo.append((node, role.sort, pair, 1))
+            elif role.sort is None:
+                parts.extend(map(role.encode, sorted(field)))
+            else:
+                texts = [None] * len(field)
+                todo.append((texts, sexpr.REST, parts, None))
+                for j, item in enumerate(field):
+                    todo.append((item, role.sort, texts, j))
+    return out[0]
+
+
+def assert_writes_as_before(sort, value):
+    assert sexpr.write(sort, value) == ref_write(sort, value)
+
+
+def test_write_matches_the_reference_on_a_term_of_every_class_and_sort():
+    for cls, terms in contract_samples().items():
+        for sort in SORTS:
+            if cls in sort.shapes:
+                for t in terms:
+                    assert_writes_as_before(sort, t)
+    rng = random.Random(11)
+    for _ in range(200):
+        assert_writes_as_before(CODES, gens.random_code(rng))
+        assert_writes_as_before(SEQUENTS, gens.random_sequent(rng))
+        assert_writes_as_before(orderings.SPECS, gens.random_spec(rng))
+    for k in range(1, 8):
+        assert_writes_as_before(CODES, derive_ti(FinOrd(k)))
+        assert_writes_as_before(CODES, expand(derive_ti(FinOrd(k))))
+
+
+def random_dag(rng: random.Random, size: int = 40):
+    """A code built bottom-up from pools of earlier terms, so that codes,
+    sequents and formulas repeat: as premises, as ENTRIES under a
+    finite-support family, and as REST members of several sequents, some of
+    them equal but distinct objects."""
+    formulas_ = [gens.random_formula(rng, 2) for _ in range(6)]
+    for _ in range(size):
+        f, g = rng.choice(formulas_), rng.choice(formulas_)
+        formulas_.append(rng.choice([Conj(f, g), Disj(f, f), parse_formula(formula_text(f))]))
+
+    def sequent():
+        return frozenset(rng.sample(formulas_, rng.randrange(0, 5)))
+
+    codes = [gens.random_code(rng, 1) for _ in range(4)]
+    for _ in range(size):
+        c, d = rng.choice(codes), rng.choice(codes)
+        tag = gens.random_efree(rng, 1)
+        kind = rng.randrange(5)
+        if kind == 0:
+            codes.append(derivations.AndNode(sequent(), tag, c, c if rng.random() < 0.5 else d))
+        elif kind == 1:
+            entries = tuple((i, rng.choice(codes)) for i in range(rng.randrange(0, 4)))
+            family = derivations.FiniteSupport(entries, derivations.TiVac(FinOrd(2)))
+            codes.append(derivations.AllNode(sequent(), tag, family))
+        elif kind == 2:
+            codes.append(derivations.Mono(c, sequent(), tag))
+        elif kind == 3:
+            codes.append(derivations.CutNode(sequent(), tag, c, parse_code(code_text(d))))
+        else:
+            codes.append(derivations.AxMNode(sequent(), tag))
+    return codes[-1], frozenset(formulas_[-8:])
+
+
+def test_write_matches_the_reference_on_shared_subterms():
+    rng = random.Random(5)
+    for _ in range(100):
+        code, seq = random_dag(rng)
+        assert_writes_as_before(CODES, code)
+        assert_writes_as_before(SEQUENTS, seq)
+    # one formula as a REST member, inside other members, and as an equal copy
+    f = parse_formula("(forall x (or (nin (+ x 1) X) (exists y (= y (* x 2)))))")
+    seq = frozenset({f, Conj(f, f), Disj(parse_formula(formula_text(f)), Eq(Num(1), Num(1)))})
+    leaf = derivations.AxMNode(seq, from_int(0))
+    entries = ((0, leaf), (1, leaf), (2, derivations.RepNode(seq, from_int(1), leaf)))
+    fam = derivations.FiniteSupport(entries, derivations.TiVac(FinOrd(3)))
+    node = derivations.AllNode(seq, from_int(2), fam)
+    assert_writes_as_before(CODES, derivations.AndNode(seq, from_int(3), node, node))
+    empty = derivations.AllNode(frozenset(), from_int(1), derivations.FiniteSupport((), derivations.TiVac(FinOrd(1))))
+    assert code_text(empty) == ref_write(CODES, empty) == '(all (seq) "1" (fs () (tivac (fin 1))))'
+
+
+def test_writing_fin10_holds_at_most_three_times_its_text(peak_bytes):
+    # each distinct subterm's text was kept: 10.5 times the 1.16 MB written
+    code = expand(derive_ti(FinOrd(10)))
+    size = len(code_text(code))
+    assert size == 1_156_569
+    assert peak_bytes(lambda: code_text(code)) <= 3 * size
