@@ -3,9 +3,11 @@
 Given a cut-free locally-correct derivation whose root splits as
 {not-Prog(S,X)} + {t1 not-in X, ...} + Delta (Delta positive in X), walking
 the tree mirrors the classical induction on the root tag alpha: axioms give
-a true atom or a rank check, side-formula rules recurse, and refutations of
-progressiveness invert the witness conjunction and recurse at the witness's
-rank.  The produced bound is gamma = beta + 2^alpha with beta the largest
+a true atom or a rank check, side-formula rules pass to their premises, and
+refutations of progressiveness invert the witness conjunction and go on at
+the witness's rank.  The walk is one loop over an explicit stack, so a
+derivation of any depth walks without recursion.  Every node's bound is
+gamma = beta + 2^alpha, read off its own label, with beta the largest
 witness rank; the claim "some member of Delta[X -> ranks below gamma] is
 true" is verified by budgeted evaluation, never asserted beyond what the
 analyses can justify.  At every refutation step the inequality
@@ -22,25 +24,20 @@ from dataclasses import dataclass
 from .derivations import (NOT_A_WELL_ORDER, Code, RuleTag, and_invert, check_local, derive_ti, root_label,
                           step, ti_certificate_fault)
 from .formulas import (
-    Disj,
     ForAll,
-    Formula,
     Member,
-    NotFieldMember,
     NotMember,
-    SegMember,
     Sequent,
-    Var,
     atom_true,
     eval_closed,
     eval_term,
     instance,
     is_x_positive,
     negated_prog,
-    operands,
     prog_witness_instance,
     segment_template,
     set_vars,
+    substitute,
     substitute_sequent,
     term_vars,
 )
@@ -90,31 +87,11 @@ class BoundCertificate:
     valid: bool
 
 
-def _segment_universal_verdict(f: Formula) -> Verdict | None:
-    """Decide 'every field element's rank is below gamma' by order types.
-
-    Matches universals whose matrix disjoins (y not in field) with
-    (y in the segment below gamma) for one spec; true iff otyp <= gamma.
-    """
-    if not isinstance(f, ForAll):
-        return None
-    disjuncts = list(operands(f.body, Disj))
-    outside = [g for g in disjuncts if isinstance(g, NotFieldMember) and g.term == Var(f.var)]
-    inside = [g for g in disjuncts if isinstance(g, SegMember) and g.term == Var(f.var)]
-    for o in outside:
-        for i in inside:
-            if o.spec == i.spec and rankable(i.spec):
-                if le(otyp(i.spec), i.bound):
-                    return Verdict.TRUE
-    return None
-
-
 def eval_claim(delta: Sequent, budget: int) -> Verdict:
     """Budgeted truth of the disjunction of a substituted sequent."""
     acc = Verdict.FALSE if delta else Verdict.UNKNOWN
     for f in delta:
-        shortcut = _segment_universal_verdict(f)
-        acc = v_or(acc, shortcut if shortcut is not None else eval_closed(f, budget))
+        acc = v_or(acc, eval_closed(f, budget))
         if acc is Verdict.TRUE:
             return acc
     return acc
@@ -167,56 +144,84 @@ class _Walker:
         return rho
 
     def claim(self, code: Code) -> tuple[Ordinal, Verdict]:
-        """Returns (gamma, verdict) for the node's own sequent partition.  A rep
-        chain is walked in a loop: its outermost gamma, the verdict below it."""
-        outer = None
-        while True:
+        """(gamma, verdict) of the derivation at `code`, walked in pre-order
+        off an explicit stack.  A node's gamma is read off its own label, and
+        a premise's is checked against its conclusion's when it is stepped.
+        Two kinds of premise go unchecked: a rep link's, so a rep chain is
+        bounded by its outermost link, and an All node's, whose verdict its
+        own gamma decides.  The verdicts are folded after the walk, deepest
+        node first."""
+        nodes: list[list] = []  # in visiting order: [conclusion, verdict, an All node's (delta, gamma)]
+        todo = [((code,).__getitem__, 0, -1, None)]  # (child function, index, conclusion, its gamma)
+        root_gamma = ZERO
+        while todo:
+            child, i, parent, bound = todo.pop()
+            code = child(i)
+            here, entry = len(nodes), [parent, Verdict.UNKNOWN, None]
+            nodes.append(entry)
             self.nodes += 1
             if self.steps_left <= 0:
-                return (ZERO if outer is None else outer), Verdict.UNKNOWN
+                continue
             self.steps_left -= 1
             s = step(code)
-            label = s.label
+            label, rule = s.label, s.label.rule
             negp, witness_atoms, delta = _partition(self.spec, label.sequent)
             beta = _beta_of(self.spec, witness_atoms)
-            alpha = label.tag
-            gamma = add(beta, pow2(alpha))
-            outer = gamma if outer is None else outer
-            if label.rule is not RuleTag.REP:
-                return outer, self._verdict(s, negp, witness_atoms, delta, beta, alpha, gamma)
-            code = s.child(1)
+            gamma = add(beta, pow2(label.tag))
+            if parent < 0:
+                root_gamma = gamma
+            if bound is not None and compare(gamma, bound) is Cmp.GT:
+                raise CaseArithmeticError("premise bound exceeds the conclusion bound")
+            if rule is RuleTag.AXM:
+                entry[1] = Verdict.TRUE if any(atom_true(f) for f in delta) else Verdict.UNKNOWN
+                continue
+            if rule is RuleTag.AXL:
+                entry[1] = Verdict.TRUE if self._axl_holds(delta, witness_atoms, gamma) else Verdict.UNKNOWN
+                continue
+            entry[1] = Verdict.TRUE  # the empty conjunction of premise verdicts
+            if rule is RuleTag.REP:
+                todo.append((s.child, 1, here, None))
+            elif rule is RuleTag.CUT:
+                raise BoundednessError("cut encountered in a cut-free walk")
+            elif rule is RuleTag.AND:
+                todo += (s.child, 2, here, gamma), (s.child, 1, here, gamma)
+            elif rule is RuleTag.EX and (inverted := self._witness_case(s, negp, beta, gamma)) is not None:
+                todo.append(((inverted,).__getitem__, 0, here, gamma))
+            elif rule in (RuleTag.OR, RuleTag.EX):
+                todo.append((s.child, s.indices[0], here, gamma))
+            elif rule is RuleTag.ALL:
+                todo += ((s.child, i, here, None) for i in reversed(range(self.width_budget)))
+                entry[2] = delta, gamma
+            else:
+                raise BoundednessError(f"unsupported rule in the walk: {rule}")
+        for parent, verdict, universal in reversed(nodes):  # a node's premises come after it
+            if universal is not None:
+                verdict = self._all_verdict(verdict, *universal)
+            if parent >= 0:
+                nodes[parent][1] = v_and(nodes[parent][1], verdict)
+        return root_gamma, verdict
 
-    def _verdict(self, s, negp, witness_atoms, delta, beta, alpha, gamma) -> Verdict:
-        """The verdict of a node that is not a rep."""
-        rule = s.label.rule
-        if rule is RuleTag.CUT:
-            raise BoundednessError("cut encountered in a cut-free walk")
-        if rule is RuleTag.AXM:
-            for f in delta:
-                if atom_true(f):
-                    return Verdict.TRUE
-            return Verdict.UNKNOWN
-        if rule is RuleTag.AXL:
-            for f in delta:
-                if isinstance(f, Member) and not term_vars(f.term):
-                    t = eval_term(f.term)
-                    for w in witness_atoms:
-                        if eval_term(w.term) == t and in_field(self.spec, t):
-                            self._log_rank(t, gamma)
-                            return Verdict.TRUE
-            return Verdict.UNKNOWN
+    def _axl_holds(self, delta, witness_atoms, gamma) -> bool:
+        """Some closed (t in X) of delta meets a witness atom (t not in X)
+        with t in the field, whose rank is then checked below gamma."""
+        for f in delta:
+            if isinstance(f, Member) and not term_vars(f.term):
+                t = eval_term(f.term)
+                for w in witness_atoms:
+                    if eval_term(w.term) == t and in_field(self.spec, t):
+                        self._log_rank(t, gamma)
+                        return True
+        return False
 
-        # rule with premises: principal formula either refutes progressiveness
-        # (the existential witness case) or sits in Delta (side-formula case)
-        if rule is RuleTag.EX:
-            n = s.indices[0]
-            inst = prog_witness_instance(self.spec, n)
-            premise = s.child(n)
-            if inst in root_label(premise).sequent and instance(negp, n) == inst:
-                return self._witness_case(gamma, beta, alpha, n, inst, premise)
-        return self._side_case(s, negp, delta, beta, alpha, gamma)
-
-    def _witness_case(self, gamma, beta, alpha, n, inst, premise) -> Verdict:
+    def _witness_case(self, s, negp, beta, gamma) -> Code | None:
+        """The inverted premise of an Ex node that refutes progressiveness at
+        its witness, after the witness's rank and the refutation-step
+        inequality are checked; None when the node is a side-formula Ex."""
+        n = s.indices[0]
+        inst = prog_witness_instance(self.spec, n)
+        premise = s.child(n)
+        if inst not in root_label(premise).sequent or instance(negp, n) != inst:
+            return None
         self.case4 += 1
         alpha0 = root_label(premise).tag
         gamma0 = add(beta, pow2(alpha0))
@@ -231,38 +236,17 @@ class _Walker:
             raise CaseArithmeticError(
                 f"beta0 + 2^alpha0 exceeds beta + 2^alpha at witness {n}"
             )
-        inverted = and_invert(premise, 2, inst)
-        gamma2, verdict = self.claim(inverted)
-        if compare(gamma2, gamma) is Cmp.GT:
-            raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-        return verdict
+        return and_invert(premise, 2, inst)
 
-    def _side_case(self, s, negp, delta, beta, alpha, gamma) -> Verdict:
-        rule = s.label.rule
-        if rule is RuleTag.AND:
-            g1, v1 = self.claim(s.child(1))
-            g2, v2 = self.claim(s.child(2))
-            if compare(max_ord(g1, g2), gamma) is Cmp.GT:
-                raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-            return v_and(v1, v2)
-        if rule in (RuleTag.OR, RuleTag.EX):
-            g1, v1 = self.claim(s.child(s.indices[0]))
-            if compare(g1, gamma) is Cmp.GT:
-                raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-            return v1
-        if rule is RuleTag.ALL:
-            sampled = Verdict.TRUE
-            for i in range(self.width_budget):
-                sampled = v_and(sampled, self.claim(s.child(i))[1])
-            # the sequent is a disjunction, so any universal of delta that holds
-            # of the segment proves it, whichever one the rule introduced
-            segment = segment_template(self.spec, gamma)
-            if any(eval_claim(substitute_sequent(frozenset({f}), "X", segment), self.eval_budget)
-                   is Verdict.TRUE for f in delta if isinstance(f, ForAll)):
-                return Verdict.TRUE
-            # finitely many sampled premises never prove the universal
-            return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
-        raise BoundednessError(f"unsupported rule in the walk: {rule}")
+    def _all_verdict(self, sampled: Verdict, delta, gamma) -> Verdict:
+        """The sequent is a disjunction, so any universal of delta that holds
+        of the segment below gamma proves it, whichever one the rule
+        introduced; finitely many sampled premises never do."""
+        segment = segment_template(self.spec, gamma)
+        if any(eval_closed(substitute(f, "X", segment), self.eval_budget) is Verdict.TRUE
+               for f in delta if isinstance(f, ForAll)):
+            return Verdict.TRUE
+        return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
 
 
 def bounded_truth(
@@ -285,16 +269,13 @@ def bounded_truth(
     if not gate.passed:
         raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
     root = root_label(code)
-    negp, witness_atoms, delta = _partition(spec, root.sequent)
+    _, witness_atoms, delta = _partition(spec, root.sequent)
     beta = _beta_of(spec, witness_atoms)
     alpha = root.tag
     gamma = add(beta, pow2(alpha))
 
     walker = _Walker(spec, eval_budget, width_budget)
-    walked_gamma, verdict = walker.claim(code)
-    if walked_gamma != gamma:
-        raise BoundednessError("bound mismatch between the walk and the root")
-
+    _, verdict = walker.claim(code)  # the walk's gamma is this one, read off the same label
     substituted = substitute_sequent(delta, "X", segment_template(spec, gamma))
     if verdict is not Verdict.TRUE:
         verdict = v_or(verdict, eval_claim(substituted, eval_budget))

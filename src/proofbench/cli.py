@@ -28,7 +28,7 @@ from types import SimpleNamespace
 from .boundedness import BoundednessError, bounded_truth, otyp_bound
 from .derivations import DerivationError, check_local, code_text, derive_ti, expand, parse_code, root_label
 from .formulas import FormulaError, sequent_text
-from .lab import CulpritReport, LabError, build_precT, chain_check, parse_store, reflect_check, retype
+from .lab import LabError, build_precT, chain_check, parse_store, reflect_check, retype
 from .orderings import SpecError, UnsupportedRankError, otyp, parse_spec, spec_text
 from .ordinals import CapExceededError, NotationError, compare, from_int, le
 from .ordinals import parse as ord_parse
@@ -366,7 +366,7 @@ def _cmd_lab(args):
             human.append(f"{store.name}: order type {ord_text(value)}")
         else:
             verdict = reflect_check(prec, args.chain)
-            if isinstance(verdict, CulpritReport):
+            if verdict is not None:
                 ok = False
                 record = {
                     "name": store.name,
@@ -384,10 +384,10 @@ def _cmd_lab(args):
                 record = {
                     "name": store.name,
                     "verdict": "well-founded-up-to-budget",
-                    "budget": verdict.budget,
-                    "claims_checked": verdict.claims_checked,
+                    "budget": args.chain,
+                    "claims_checked": len(prec.usable),
                 }
-                human.append(f"{store.name}: well-founded up to budget {verdict.budget}")
+                human.append(f"{store.name}: well-founded up to budget {args.chain}")
         results.append(record)
     return results, ok, human
 

@@ -28,9 +28,11 @@ from .orderings import (
     finite_predecessors,
     in_field,
     less,
+    otyp,
+    rankable,
     segment_member,
 )
-from .ordinals import Ordinal
+from .ordinals import Ordinal, le
 from .sexpr import NATURAL, REST, SYMBOL, Role, term
 from .verdict import Verdict, v_and, v_not, v_or
 
@@ -431,6 +433,16 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
     return None
 
 
+def _segment_covers_field(f: ForAll) -> bool:
+    """forall y (y not in fld S or y in seg_S(gamma) or ...) holds when S is a
+    well-order and otyp(S) <= gamma, every rank being below the order type."""
+    y = Var(f.var)
+    disjuncts = list(operands(f.body, Disj))
+    outside = {g.spec for g in disjuncts if type(g) is NotFieldMember and g.term == y}
+    return any(type(g) is SegMember and g.term == y and g.spec in outside and rankable(g.spec)
+               and le(otyp(g.spec), g.bound) for g in disjuncts)
+
+
 def _set_variable_atom(f: Formula) -> bool:
     raise FormulaError("eval_closed needs a set-variable-free formula")
 
@@ -464,8 +476,10 @@ _ATOM_TESTS = {
 def eval_closed(f: Formula, budget: int) -> Verdict:
     """Three-valued evaluation; quantifiers search numerals below `budget`.
 
-    TRUE/FALSE are definitive; UNKNOWN signals budget exhaustion.  A
-    quantifier whose matrix carries a decidable guard on the bound variable
+    TRUE/FALSE are definitive; UNKNOWN signals budget exhaustion.  Two sound
+    analyses go beyond the budget.  A universal placing a well-order's field
+    in its segment below gamma holds when its order type is at most gamma.
+    A quantifier whose matrix carries a decidable guard on the bound variable
     (predecessors of a finite-rank element, or a finite field) is decided
     exactly over that finite domain.  Set variables are not allowed
     (evaluate after substitution).
@@ -486,8 +500,10 @@ def eval_closed(f: Formula, budget: int) -> Verdict:
         raise _not_a_formula(f)
     if f.var not in free_num_vars(f.body):
         return eval_closed(f.body, budget)
-    # one instance with the decisive value settles the quantifier
     existential = cls is Exists
+    if not existential and _segment_covers_field(f):
+        return Verdict.TRUE
+    # one instance with the decisive value settles the quantifier
     decisive = Verdict.TRUE if existential else Verdict.FALSE
     domain = _critical_domain(f.var, f.body, existential)
     if domain is not None:

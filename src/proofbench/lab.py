@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Union
+from typing import Callable
 
 from . import sexpr
 from .derivations import Code, parse_code, ti_certificate_fault
@@ -49,12 +49,6 @@ class Claim:
 class TheoryStore:
     name: str
     claims: tuple[Claim, ...]
-
-
-@dataclass(frozen=True)
-class WellFoundedUpToBudget:
-    budget: int
-    claims_checked: int
 
 
 @dataclass(frozen=True)
@@ -139,8 +133,9 @@ def retype(prec: PrecT) -> Ordinal:
     return certified if compare(certified, base_type) is Cmp.LT else base_type
 
 
-def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToBudget, CulpritReport]:
-    """Find a false well-foundedness claim among the usable store claims.
+def reflect_check(prec: PrecT, chain_budget: int = 50) -> CulpritReport | None:
+    """Find a false well-foundedness claim among the usable store claims, or
+    None when every usable claim is well-founded.
 
     The induced relation is a subrelation of the well-founded base, so the
     lemma's contrapositive is realized directly on the claims: the first
@@ -154,7 +149,7 @@ def reflect_check(prec: PrecT, chain_budget: int = 50) -> Union[WellFoundedUpToB
         chain = search_descending(claim.ordering, chain_budget)
         if chain is not None:
             return CulpritReport(i, claim.ordering, claim.evidence, tuple(chain))
-    return WellFoundedUpToBudget(chain_budget, len(prec.usable))
+    return None
 
 
 def chain_check(

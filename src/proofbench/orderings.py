@@ -20,7 +20,6 @@ computable rank (the order type of its strict predecessors) and order type.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heappop, heappush, merge
 from math import isqrt
@@ -28,7 +27,7 @@ from math import isqrt
 from . import sexpr
 from .ordinals import (EPSILON, OMEGA, ONE, ZERO, NotationError, Ordinal, add, canonical_texts, div, from_int,
                        left_diff, lt, max_ord, mul, parse, succ, text)
-from .sexpr import NATURAL, REST, Role, Str
+from .sexpr import NATURAL, REST, Role, Str, term
 
 
 class SpecError(ValueError):
@@ -44,6 +43,8 @@ class OrderingSpec:
     """A spec kind's defaults: linear, with no infinite ascent.  The kinds'
     methods recurse through the module functions below, so their caches see
     every call."""
+
+    __slots__ = ()
 
     def linear(self) -> bool:
         return True
@@ -69,7 +70,7 @@ class OrderingSpec:
         return None
 
 
-@dataclass(frozen=True)
+@term
 class FinOrd(OrderingSpec):
     size: int
 
@@ -92,7 +93,7 @@ class FinOrd(OrderingSpec):
         return range(self.size)
 
 
-@dataclass(frozen=True)
+@term
 class BelowOrd(OrderingSpec):
     bound: Ordinal
 
@@ -126,7 +127,7 @@ class BelowOrd(OrderingSpec):
         return map(_text_code, map(str, itertools.count()))  # the naturals
 
 
-@dataclass(frozen=True)
+@term
 class SumOrd(OrderingSpec):
     first: "OrderingSpec"
     second: "OrderingSpec"
@@ -177,7 +178,7 @@ class SumOrd(OrderingSpec):
         return SumOrd(RevOrd(self.second), RevOrd(self.first)), 1
 
 
-@dataclass(frozen=True)
+@term
 class LexOrd(OrderingSpec):
     major: "OrderingSpec"
     minor: "OrderingSpec"
@@ -260,7 +261,7 @@ class LexOrd(OrderingSpec):
         return LexOrd(RevOrd(self.major), RevOrd(self.minor)), 0
 
 
-@dataclass(frozen=True)
+@term
 class RevOrd(OrderingSpec):
     inner: "OrderingSpec"
 
@@ -307,7 +308,7 @@ class RevOrd(OrderingSpec):
         return iter_field(self.inner)
 
 
-@dataclass(frozen=True)
+@term
 class TableOrd(OrderingSpec):
     pairs: frozenset[tuple[int, int]]
 

@@ -5,10 +5,15 @@ module stay in lockstep; here each one is asserted and its pass/fail line
 printed.
 """
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import proofbench
 from proofbench import regress
 
 # name, limit and details of each criterion as `regress --json --seed 0`
@@ -46,3 +51,17 @@ def test_criterion(number):
         f"criterion {number} exceeded its time budget: {result.seconds:.1f}s"
         f" >= {result.limit:.0f}s"
     )
+
+
+# sha256 of the stdout of `regress --json --seed 0`: every criterion's
+# verdict and details, byte for byte
+SEED_0_DIGEST = "18dc38c6b42f9d35bd43f9474d375a9f81fda472d95129660ca7d4c007ba5419"
+
+
+def test_regress_json_keeps_its_digest():
+    # the exit status is not compared: it depends on each criterion's wall-clock limit
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    done = subprocess.run([sys.executable, "-m", "proofbench.cli", "regress", "--json", "--seed", "0"],
+                          capture_output=True, env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="1"),
+                          timeout=300)
+    assert hashlib.sha256(done.stdout).hexdigest() == SEED_0_DIGEST, done.stderr.decode()

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from proofbench import boundedness, derivations
 from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
-from proofbench.derivations import NOT_A_WELL_ORDER, check_local, code_text, derive_ti, expand, parse_code
-from proofbench.formulas import FormulaError, parse_formula, parse_sequent, sequent_text, ti_sequent
+from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, check_local, code_text, derive_ti,
+                                    expand, parse_code)
+from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Num, Times, Var, instance, negated_prog,
+                                 parse_formula, parse_sequent, seq, sequent_text, ti_sequent)
 from proofbench.orderings import FinOrd, SpecError, parse_spec
-from proofbench.ordinals import MAX_NESTING
+from proofbench.ordinals import MAX_NESTING, from_int
 
 BASE = code_text(expand(derive_ti(FinOrd(2))))
 HEAD = re.compile(r"\((?=[^\s()])")
@@ -139,6 +141,40 @@ def test_deep_rep_tower_bound_truth(tmp_path):
     deep = bounded_truth(parse_code(tower(3000)), FinOrd(1), depth_budget=4000)
     bare = bounded_truth(parse_code(tower(0)), FinOrd(1))
     assert deep.nodes_visited == bare.nodes_visited + 3000
+
+
+def ex_chain(levels: int):
+    """`levels` side-formula Ex steps at witness 0 over an axiom with the true
+    instance 0*0 = 0, each level keeping {not-Prog((fin 1)), E}."""
+    negp = negated_prog(FinOrd(1))
+    e = Exists("z", Eq(Times(Var("z"), Num(0)), Num(0)))
+    code = AxMNode(seq(negp, e, instance(e, 0)), from_int(0))
+    for i in range(1, levels + 1):
+        code = ExNode(seq(negp, e), from_int(i), 0, code)
+    return code
+
+
+def and_tower(levels: int):
+    """`levels` And steps on (0 = 0) and (0 = 0), each with the last level on
+    the left and one axiom on the right: 2 * levels + 1 nodes."""
+    negp = negated_prog(FinOrd(1))
+    eq = Eq(Num(0), Num(0))
+    leaf = code = AxMNode(seq(negp, eq), from_int(0))
+    for i in range(1, levels + 1):
+        code = AndNode(seq(negp, eq, Conj(eq, eq)), from_int(i), code, leaf)
+    return code
+
+
+@pytest.mark.parametrize("build", [ex_chain, and_tower])
+def test_deep_certificates_bound_truth_without_recursion(tmp_path, build):
+    path = tmp_path / "deep.sx"
+    path.write_text(code_text(build(1200)))
+    code, out, err = run(["check", str(path), "--cut-free", "--depth", "4000"])
+    assert code == EXIT_OK and out.startswith("pass"), err
+    for depth in (["--depth", "4000"], []):
+        code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth", *depth])
+        assert code == EXIT_OK, err
+        assert "claim verdict: true" in out
 
 
 def test_deeply_nested_parentheses_are_bad_input(tmp_path):

@@ -14,7 +14,6 @@ from proofbench.lab import (
     Evidence,
     LabError,
     TheoryStore,
-    WellFoundedUpToBudget,
     build_precT,
     chain_check,
     reflect_check,
@@ -253,9 +252,8 @@ def test_monotone_in_claims():
 def test_reflect_on_certified_store():
     prec = build_precT(store("t", checked(BelowOrd(W))), BelowOrd(W2))
     for budget in (10, 50, 200):
-        verdict = reflect_check(prec, budget)
-        assert isinstance(verdict, WellFoundedUpToBudget)
-        assert verdict.claims_checked == 1
+        assert reflect_check(prec, budget) is None
+    assert prec.usable == (0,)
 
 
 def test_reflect_finds_asserted_reversal():
@@ -273,7 +271,7 @@ def test_reflect_finds_asserted_reversal():
 
 def test_reflect_ignores_true_assertions():
     prec = build_precT(store("t", asserted(BelowOrd(W))), BelowOrd(W2))
-    assert isinstance(reflect_check(prec, 50), WellFoundedUpToBudget)
+    assert reflect_check(prec, 50) is None
 
 
 @pytest.mark.parametrize("budget", [10, 50, 200])
@@ -286,7 +284,7 @@ def test_reflect_verdict_does_not_depend_on_the_chain_budget(tmp_path, capsys, t
     spec = parse_spec(text)
     verdict = reflect_check(build_precT(store("t", asserted(spec)), BelowOrd(W3)), budget)
     if exit_code == EXIT_OK:
-        assert verdict == WellFoundedUpToBudget(budget, 1)
+        assert verdict is None
     else:
         assert isinstance(verdict, CulpritReport) and verdict.claim_index == 0
         assert len(verdict.chain) == budget and all(in_field(spec, x) for x in verdict.chain)
@@ -369,7 +367,7 @@ def test_malformed_table_claims_are_inert():
     cyc = Claim(TableOrd(frozenset({(0, 1), (1, 2), (2, 0)})), Evidence.ASSERTED)
     prec = build_precT(store("t", cyc), BelowOrd(W))
     assert prec.usable == ()
-    assert isinstance(reflect_check(prec, 12), WellFoundedUpToBudget)
+    assert reflect_check(prec, 12) is None
 
 
 def test_build_rejects_bad_certificates():

@@ -515,3 +515,12 @@ def test_spec_sexp_round_trip():
     for s in specs:
         assert parse_spec(spec_text(s)) == s
     assert spec_text(BelowOrd(W2)) == '(below "w^2")'
+
+
+def test_a_deep_spec_hashes_in_constant_time():
+    # a spec is a term: its hash is stored at construction from its fields' stored hashes
+    spec = FinOrd(2)
+    for _ in range(5000):
+        spec = RevOrd(spec)
+    assert hash(spec) == hash((spec.inner,))
+    assert {spec: 1}[spec] == 1
