@@ -19,8 +19,6 @@ tag alpha caps the order type by 2^alpha.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .derivations import (NOT_A_WELL_ORDER, Code, RuleTag, and_invert, check_local, derive_ti, root_label,
                           step, ti_certificate_fault)
 from .formulas import (
@@ -43,6 +41,7 @@ from .formulas import (
 )
 from .orderings import OrderingSpec, field_elements, in_field, otyp, rank, rankable
 from .ordinals import ZERO, Cmp, Ordinal, add, compare, le, lt, max_ord, pow2
+from .sexpr import term
 from .verdict import Verdict, v_and, v_or
 
 
@@ -54,7 +53,7 @@ class CaseArithmeticError(BoundednessError):
     """The refutation-step inequality beta0 + 2^alpha0 <= beta + 2^alpha failed."""
 
 
-@dataclass(frozen=True)
+@term
 class RankCheck:
     element: int
     rank: Ordinal
@@ -62,7 +61,7 @@ class RankCheck:
     ok: bool
 
 
-@dataclass(frozen=True)
+@term
 class SemanticClaim:
     spec: OrderingSpec
     sequent: Sequent  # Delta with X replaced by the segment below gamma
@@ -76,7 +75,7 @@ class SemanticClaim:
     nodes_visited: int
 
 
-@dataclass(frozen=True)
+@term
 class BoundCertificate:
     spec: OrderingSpec
     alpha: Ordinal

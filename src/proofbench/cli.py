@@ -242,7 +242,7 @@ def _cmd_check(args):
     ]
     if not report.passed:
         human.append(f"  at path {list(report.fail_path)}: {report.fail_reason}")
-    return [vars(report)], report.passed, human
+    return [{name: getattr(report, name) for name in report.__match_args__}], report.passed, human
 
 
 def _cmd_ti(args):

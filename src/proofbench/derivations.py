@@ -16,8 +16,6 @@ truncation rather than silently passing unverified branches.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, NamedTuple, Union, get_args
 
@@ -357,7 +355,7 @@ def with_premises(code, kids: dict[int, "Code"]):
         return AllNode(code.sequent, code.tag, with_premises(code.family, kids))
     if cls is FiniteSupport:
         return FiniteSupport(tuple(kids.items()), code.default)
-    return dataclasses.replace(code, **{
+    return sexpr.replace(code, **{
         field: kids[index if type(index) is int else getattr(code, index)] for index, field in _PREMISES[cls]})
 
 
@@ -602,7 +600,7 @@ def make_rep(code: Code, tag: Ordinal) -> Code:
 # --- local-correctness checking ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@term
 class CheckReport:
     passed: bool
     fail_path: tuple[int, ...] | None
@@ -862,7 +860,7 @@ def _expand(code: Code, done: dict[TiProg, Code]) -> Code:
             tree = done[code] = ExNode(s.label.sequent, s.label.tag, code.element, body)
         return tree
     if cls is Mono:
-        return dataclasses.replace(_expand(code.child, done), sequent=code.sequent, tag=code.tag)
+        return sexpr.replace(_expand(code.child, done), sequent=code.sequent, tag=code.tag)
     raise DerivationError(f"cannot expand {cls.__name__} terms")
 
 

@@ -18,7 +18,6 @@ its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
@@ -26,7 +25,7 @@ from . import sexpr
 from .derivations import Code, parse_code, ti_certificate_fault
 from .orderings import SPECS, OrderingSpec, height, in_field, less, linear, otyp, rank, rankable, search_descending
 from .ordinals import ZERO, CapExceededError, Cmp, Ordinal, compare, lt, max_ord, succ
-from .sexpr import Str
+from .sexpr import Str, term
 
 
 class LabError(ValueError):
@@ -38,20 +37,20 @@ class Evidence(Enum):
     ASSERTED = "asserted"
 
 
-@dataclass(frozen=True)
+@term
 class Claim:
     ordering: OrderingSpec
     evidence: Evidence
     certificate: Code | None = None
 
 
-@dataclass(frozen=True)
+@term
 class TheoryStore:
     name: str
     claims: tuple[Claim, ...]
 
 
-@dataclass(frozen=True)
+@term
 class CulpritReport:
     claim_index: int
     ordering: OrderingSpec
@@ -59,21 +58,21 @@ class CulpritReport:
     chain: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@term
 class ChainEntry:
     name: str
     order_type: Ordinal
     witnessed: bool | None  # next store's type covered by a claim here
 
 
-@dataclass(frozen=True)
+@term
 class ChainReport:
     entries: tuple[ChainEntry, ...]
     descent_ok: bool
     first_violation: int | None
 
 
-@dataclass(frozen=True)
+@term
 class PrecT:
     """The induced relation: below the base, bounded by embeddable claims."""
 

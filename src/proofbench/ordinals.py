@@ -27,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache, lru_cache
 
@@ -47,7 +46,17 @@ class Cmp(Enum):
     GT = 1
 
 
-@dataclass(frozen=True, slots=True, init=False)
+def frozen(self, name, *value):
+    """`__setattr__` and `__delattr__` of an ordinal and a `sexpr.term`."""
+    from dataclasses import FrozenInstanceError
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+def stored_hash(self) -> int:
+    """`__hash__` of an ordinal and a `sexpr.term`: the hash set at construction."""
+    return self._hash
+
+
 class Ordinal:
     """Canonical notation: E-coefficient plus descending w-power terms.
 
@@ -59,14 +68,13 @@ class Ordinal:
     order: the E coefficient first, then term by term the exponent and the
     coefficient, and a sum that is a proper prefix of another is smaller.
     So two ordinals compare, and are equal, as their keys do.  The hash is
-    the dataclass's, of (eterm, wterms), computed once too.  Both are set,
-    with the fields, through the slots in one frame.
+    that of (eterm, wterms), computed once too.  Both are set, with the
+    fields, through the slots in one frame; then the ordinal is frozen.
     """
 
-    eterm: int
-    wterms: tuple[tuple["Ordinal", int], ...]
-    key: tuple = field(init=False, repr=False, compare=False)
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("eterm", "wterms", "key", "_hash")
+    __setattr__ = __delattr__ = frozen
+    __hash__ = stored_hash
 
     def __init__(self, eterm: int, wterms: tuple[tuple["Ordinal", int], ...]):
         if eterm < 0:
@@ -92,9 +100,6 @@ class Ordinal:
             return self.key == other.key
         return NotImplemented
 
-    def __hash__(self):
-        return self._hash
-
     def is_zero(self) -> bool:
         return self.eterm == 0 and not self.wterms
 
@@ -116,8 +121,7 @@ class Ordinal:
 
 
 # the frozen class's __setattr__ refuses; its slots take the values
-_set_eterm, _set_wterms, _set_key, _set_hash = (
-    Ordinal.__dict__[name].__set__ for name in ("eterm", "wterms", "key", "_hash"))
+_set_eterm, _set_wterms, _set_key, _set_hash = (Ordinal.__dict__[name].__set__ for name in Ordinal.__slots__)
 
 ZERO = Ordinal(0, ())
 ONE = Ordinal(0, ((ZERO, 1),))

@@ -7,10 +7,8 @@ truth for what "passing" means.  All randomness is seeded.
 
 from __future__ import annotations
 
-import dataclasses
 import random
 import time
-from dataclasses import dataclass
 
 from . import cnforacle as oracle
 from .boundedness import bounded_truth, otyp_bound
@@ -73,13 +71,14 @@ from .lab import (
 )
 from .orderings import BelowOrd, FinOrd, RevOrd, field_elements, less, otyp, rank, spec_text, parse_spec
 from .ordinals import Cmp, add, compare, from_int, lt, mul, parse, pow2, succ, text
+from .sexpr import replace, term
 from .spector import CertifiedEntry, verify_domination, witness
 from .verdict import Verdict
 
 P = parse
 
 
-@dataclass(frozen=True)
+@term
 class CriterionResult:
     number: int
     name: str
@@ -181,7 +180,7 @@ def _principal_delete(node: Code):
     candidates = [f for f in node.sequent if principal(f)]
     if not candidates:
         return None
-    return dataclasses.replace(node, sequent=node.sequent - {min(candidates, key=formula_text)})
+    return replace(node, sequent=node.sequent - {min(candidates, key=formula_text)})
 
 
 def _all_as_ex(node: AllNode):
@@ -229,7 +228,7 @@ def criterion_3(rng: random.Random) -> CriterionResult:
         if kind == 0 and path:
             parent_path = path[:-1]
             parent = next(n for p, n in nodes if p == parent_path)
-            mutant_node = dataclasses.replace(node, tag=parent.tag)
+            mutant_node = replace(node, tag=parent.tag)
         elif kind == 1:
             mutant_node = _principal_delete(node)
         elif kind == 2:

@@ -9,18 +9,17 @@ caller may change a list it is given.  Above them sit the term languages
 table, read from those lists by `read` and written straight to text by
 `write`.  `read` builds one term per list, sort and nesting depth, so equal
 code subterms are one object; equal formulas met at two depths are equal
-but distinct objects.
+but distinct objects.  Their classes, and the verbs' records, are `term`s:
+frozen value classes with slots and a hash computed at construction.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, NamedTuple
 
-from .ordinals import MAX_NESTING
+from .ordinals import MAX_NESTING, frozen, stored_hash
 
 
 class SexprError(ValueError):
@@ -30,13 +29,6 @@ class SexprError(ValueError):
         super().__init__(f"{line}:{col}: {message}")
         self.line = line
         self.col = col
-
-
-@dataclass(frozen=True)
-class Str:
-    """A double-quoted string atom (as opposed to a bare symbol)."""
-
-    value: str
 
 
 _ATOM_CHAR = r'[^ \t\n\r()";]'  # any character but a delimiter
@@ -259,51 +251,59 @@ class Sort:
 def _field_getter(cls: type) -> Callable:
     if cls is frozenset:  # a sequent is its own one field
         return lambda value: (value,)
-    names = [f.name for f in dataclasses.fields(cls) if f.init]
-    get = attrgetter(*names)
-    return get if len(names) > 1 else lambda value: (get(value),)
+    get = attrgetter(*cls.__match_args__)
+    return get if len(cls.__match_args__) > 1 else lambda value: (get(value),)
 
 
 def term(cls: type) -> type:
-    """Make `cls` a frozen, slotted dataclass whose hash is computed once, at
-    construction.  Term fields give their stored hashes, so a term of any
-    size, a DAG included, hashes in constant time.  The hash is the
-    dataclass's, of the tuple of the fields, so sets of terms keep their
-    order; it is set before the term can be shared, so it needs no lock.
-
-    `__init__` is generated for the class, as `dataclasses` generates its
-    own, but it fills the slots and the hash in one frame."""
-    cls.__annotations__["_hash"] = "int"
-    cls._hash = dataclasses.field(init=False, repr=False, compare=False)
-    cls = dataclass(frozen=True, slots=True, init=False)(cls)
-    cls.__init__ = _term_init(cls)
-    cls.__hash__ = lambda self: self._hash
+    """A frozen value class with slots, built once from `cls`: its fields
+    are the names `cls` annotates, in order, named by `__match_args__`, and
+    a value the class body gives one is its default.  `==`, hash and repr
+    are those of `dataclass(frozen=True)`; setting or deleting a field
+    raises `dataclasses.FrozenInstanceError`.  The hash, of the tuple of
+    the fields, is set at construction, before the term can be shared, so
+    it needs no lock; term fields give their stored hashes, so a term of
+    any size, a DAG included, hashes in constant time.  One `exec` compiles
+    `__init__`, which sets the fields and the hash through their slots, and
+    `__eq__`."""
+    names = tuple(cls.__annotations__)
+    body = {k: v for k, v in cls.__dict__.items() if k not in ("__dict__", "__weakref__")}
+    scope = {f"_default_{name}": body.pop(name) for name in names if name in body}
+    body.update(__slots__=(*names, "_hash"), __qualname__=cls.__qualname__, __match_args__=names,
+                __hash__=stored_hash, __repr__=_term_repr, __setattr__=frozen, __delattr__=frozen)
+    cls = type(cls)(cls.__name__, cls.__bases__, body)
+    scope.update((f"_set_{name}", cls.__dict__[name].__set__) for name in cls.__slots__)
+    params = ", ".join(f"{name}=_default_{name}" if f"_default_{name}" in scope else name for name in names)
+    values, mine, theirs = ("(" + "".join(f"{o}{name}, " for name in names) + ")" for o in ("", "self.", "other."))
+    exec("\n".join([
+        f"def __init__(self, {params}):",
+        *(f"    _set_{name}(self, {name})" for name in names),
+        f"    _set__hash(self, hash({values}))",
+        "def __eq__(self, other):",
+        "    if other.__class__ is self.__class__:",
+        f"        return {mine} == {theirs}",
+        "    return NotImplemented",
+    ]), scope)
+    cls.__init__, cls.__eq__ = scope["__init__"], scope["__eq__"]
     return cls
 
 
-def _term_init(cls: type) -> Callable:
-    """`__init__(self, <fields>)` for the term class `cls`: each field, then
-    the hash of their tuple, set through its slot, which a frozen class's
-    `__setattr__` does not guard."""
-    fields = [f for f in dataclasses.fields(cls) if f.init]
-    scope = {f"_set_{name}": cls.__dict__[name].__set__ for name in (*(f.name for f in fields), "_hash")}
-    params = []
-    for f in fields:
-        if f.default is dataclasses.MISSING:
-            params.append(f.name)
-        else:
-            scope[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-    values = "".join(f"{f.name}, " for f in fields)
-    source = "\n    ".join([
-        f"def __init__(self, {', '.join(params)}):",
-        *(f"_set_{f.name}(self, {f.name})" for f in fields),
-        f"_set__hash(self, hash(({values})))",
-    ])
-    exec(source, scope)
-    init = scope["__init__"]
-    init.__qualname__ = f"{cls.__qualname__}.__init__"
-    return init
+def _term_repr(self) -> str:
+    fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+    return f"{self.__class__.__qualname__}({fields})"
+
+
+def replace(value, /, **changes):
+    """A copy of the term `value` with the fields named in `changes` set to
+    their values there, as `dataclasses.replace` makes it."""
+    return value.__class__(**{name: getattr(value, name) for name in value.__match_args__} | changes)
+
+
+@term
+class Str:
+    """A double-quoted string atom (as opposed to a bare symbol)."""
+
+    value: str
 
 
 def _int(x):

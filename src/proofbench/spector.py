@@ -10,7 +10,6 @@ tag discipline allows one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 from . import sexpr
@@ -27,7 +26,7 @@ from .orderings import (
     rank,
 )
 from .ordinals import EPSILON, ONE, ZERO, Cmp, Ordinal, add, compare, lt, max_ord, pow2
-from .sexpr import Str
+from .sexpr import Str, term
 
 
 class SpectorError(ValueError):
@@ -36,14 +35,14 @@ class SpectorError(ValueError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@term
 class CertifiedEntry:
     index: int
     ordering: OrderingSpec
     certificate: Code
 
 
-@dataclass(frozen=True)
+@term
 class WitnessReport:
     index: int
     ordering: BelowOrd
@@ -52,14 +51,14 @@ class WitnessReport:
     certificate: Code | None
 
 
-@dataclass(frozen=True)
+@term
 class DominationRow:
     index: int
     entry_otyp: Ordinal
     dominated: bool
 
 
-@dataclass(frozen=True)
+@term
 class SpotCheck:
     index: int
     element: int
@@ -68,7 +67,7 @@ class SpotCheck:
     below_top: bool
 
 
-@dataclass(frozen=True)
+@term
 class DominationReport:
     witness_otyp: Ordinal
     rows: tuple[DominationRow, ...]

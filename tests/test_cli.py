@@ -235,6 +235,18 @@ def test_only_the_regress_verb_imports_the_acceptance_suite():
     assert done.stdout == "False\n"
 
 
+def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
+    # the term classes are built without dataclasses (which loads inspect),
+    # and the parser only when a request needs it
+    src = os.path.dirname(os.path.dirname(proofbench.__file__))
+    script = ("import sys, proofbench.cli;"
+              " print([m for m in ('dataclasses', 'inspect', 'argparse') if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_regress_subset(capsys):
     code, out, _ = run_cli(capsys, "regress", "--only", "2,9", "--json")
     assert code == EXIT_OK

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -77,6 +76,7 @@ from proofbench.orderings import (
     rank,
 )
 from proofbench.ordinals import OMEGA, ONE, ZERO, Cmp, add, compare, from_int, le, mul, parse, succ
+from proofbench.sexpr import replace
 
 P = parse
 num = Num
@@ -190,17 +190,17 @@ def test_expand_round_trips_through_certificate_text():
 
 
 def _raise_tag(node):
-    return dataclasses.replace(node, tag=succ(node.tag))
+    return replace(node, tag=succ(node.tag))
 
 
 def test_checker_rejects_raised_child_tag():
     explicit = expand(derive_ti(FinOrd(2)))
     fam = explicit.family
     i0, child0 = fam.entries[0]
-    bad_child = dataclasses.replace(child0, tag=explicit.tag)
-    bad = dataclasses.replace(
+    bad_child = replace(child0, tag=explicit.tag)
+    bad = replace(
         explicit,
-        family=dataclasses.replace(fam, entries=((i0, bad_child),) + fam.entries[1:]),
+        family=replace(fam, entries=((i0, bad_child),) + fam.entries[1:]),
     )
     report = check_local(bad, depth_budget=100, width_budget=5)
     assert not report.passed
@@ -289,6 +289,11 @@ def test_introduction_clauses_give_their_reasons(rule, delta, indices, kids, rea
 # --- the checker against the plain tree walk
 
 
+def first_seven(report) -> tuple:
+    """The report's first seven fields, those the reference checkers give."""
+    return tuple(getattr(report, name) for name in report.__match_args__[:7])
+
+
 def reference_check(code, depth_budget, width_budget, require_cut_free):
     """check_local as a plain tree walk: every copy of a shared code is
     walked again and every node stepped twice.  Returns the seven fields
@@ -341,7 +346,7 @@ def reference_check(code, depth_budget, width_budget, require_cut_free):
 
 def assert_same_as_tree_walk(code, depth_budget, width_budget, require_cut_free=False):
     report = check_local(code, depth_budget, width_budget, require_cut_free)
-    seven = dataclasses.astuple(report)[:7]
+    seven = first_seven(report)
     assert seven == reference_check(code, depth_budget, width_budget, require_cut_free), code_text(code)
     assert report.nodes_checked <= report.nodes_visited
     return report
@@ -377,7 +382,7 @@ def mutants(tree, rng):
         kind = rng.randrange(3)
         if kind == 0 and path:
             parent = next(n for p, n in nodes if p == path[:-1])
-            mutant = dataclasses.replace(node, tag=parent.tag)
+            mutant = replace(node, tag=parent.tag)
         else:
             mutant = (regress._principal_delete if kind == 1 else regress._retag_rule)(node)
         if mutant is not None:
@@ -417,7 +422,7 @@ def _bad_tag_deep_inside(x):
     nodes = list(regress._tree_nodes(x))
     path, leaf = max(nodes, key=lambda pn: len(pn[0]))
     parent = next(n for p, n in nodes if p == path[:-1])
-    return regress._rebuild(x, path, dataclasses.replace(leaf, tag=parent.tag))
+    return regress._rebuild(x, path, replace(leaf, tag=parent.tag))
 
 
 @pytest.mark.parametrize(
@@ -537,7 +542,7 @@ def per_depth_check(code, depth_budget, width_budget, require_cut_free):
 
 def assert_same_as_per_depth(code, depth_budget, width_budget, require_cut_free=False):
     report = check_local(code, depth_budget, width_budget, require_cut_free)
-    seven = dataclasses.astuple(report)[:7]
+    seven = first_seven(report)
     assert seven == per_depth_check(code, depth_budget, width_budget, require_cut_free), (
         code_text(code), depth_budget, width_budget, require_cut_free)
     return report
@@ -608,7 +613,7 @@ def test_a_subtree_that_reuses_a_cut_copy_is_cut_itself():
     top = AndNode(lab.sequent | {conj}, succ(tag), middle, y)
     report = assert_same_as_per_depth(top, height + 2, 6, True)
     assert report.passed and report.max_depth == height + 2
-    assert dataclasses.astuple(report)[:7] == reference_check(top, height + 2, 6, True)
+    assert first_seven(report) == reference_check(top, height + 2, 6, True)
 
 
 def test_a_fault_the_cut_copy_cannot_reach_fails_in_the_copy_higher_up():

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 from functools import cmp_to_key
@@ -38,6 +37,7 @@ from proofbench.orderings import (
     rankable,
 )
 from proofbench.ordinals import le, lt, parse, succ
+from proofbench.sexpr import replace
 
 P = parse
 W, W2, W3 = P("w"), P("w^2"), P("w^3")
@@ -338,7 +338,7 @@ def fin9_with_a_bad_ninth_child():
     local checks at width 10, and passes at width 8, which never reaches it."""
     root = expand(derive_ti(FinOrd(9)))
     kids = premises(root)
-    kids[8] = dataclasses.replace(kids[8], tag=root.tag)
+    kids[8] = replace(kids[8], tag=root.tag)
     return with_premises(root, kids)
 
 

@@ -1,9 +1,11 @@
 import dataclasses
+import inspect
 import random
 
 import pytest
 
-from proofbench import derivations, formulas, gens, orderings, sexpr
+from proofbench import boundedness, derivations, formulas, gens, lab, orderings, ordinals, regress, sexpr, spector
+from proofbench.boundedness import bounded_truth, otyp_bound
 from proofbench.derivations import CODES, code_text, derive_ti, expand, parse_code
 from proofbench.formulas import (
     SEQUENTS,
@@ -19,9 +21,11 @@ from proofbench.formulas import (
     parse_sequent,
     sequent_text,
 )
-from proofbench.orderings import FinOrd, parse_spec, spec_text
+from proofbench.lab import Claim, Evidence, TheoryStore, build_precT, chain_check, reflect_check
+from proofbench.orderings import BelowOrd, FinOrd, RevOrd, parse_spec, spec_text
 from proofbench.ordinals import MAX_NESTING, from_int
 from proofbench.sexpr import SexprError, Str, parse, parse_many, quote
+from proofbench.spector import CertifiedEntry, DominationReport, WitnessReport, verify_domination, witness
 
 # each malformed input with the error it raises
 ERRORS = [
@@ -319,31 +323,93 @@ def contract_samples() -> dict[type, list]:
     return samples
 
 
+def record_samples() -> dict[type, list]:
+    """Class -> values of each value class outside the sorts: the records
+    that the verbs return, made by the functions that return them."""
+    w, w2 = ordinals.parse("w"), ordinals.parse("w^2")
+    entries = [CertifiedEntry(i, FinOrd(k), derive_ti(FinOrd(k))) for i, k in enumerate((2, 3))]
+    report = witness(entries)
+    domination = verify_domination(entries, report, sample=4)
+    claim = bounded_truth(derive_ti(FinOrd(3)), FinOrd(3))
+    certificate = otyp_bound(FinOrd(3), derive_ti(FinOrd(3)))
+    checked = Claim(BelowOrd(w), Evidence.CHECKED, derive_ti(BelowOrd(w)))
+    store = TheoryStore("t", (checked, Claim(RevOrd(BelowOrd(w)), Evidence.ASSERTED)))
+    prec = build_precT(store, BelowOrd(w2))
+    fin = Claim(FinOrd(2), Evidence.CHECKED, derive_ti(FinOrd(2)))
+    chain = chain_check([TheoryStore("s", (checked,)), TheoryStore("u", (fin,))], BelowOrd(w2))
+    failed = derivations.check_local(parse_code('(axm (seq (= 1 2)) "0")'), 8, 8)
+    return {
+        Str: [Str("a"), Str("b")],
+        derivations.CheckReport: [derivations.check_local(entries[0].certificate, 8, 8), failed],
+        CertifiedEntry: entries,
+        WitnessReport: [report],
+        DominationReport: [domination],
+        spector.DominationRow: list(domination.rows),
+        spector.SpotCheck: list(domination.spot_checks),
+        boundedness.SemanticClaim: [claim],
+        boundedness.BoundCertificate: [certificate],
+        boundedness.RankCheck: [*claim.rank_checks, *certificate.checks],
+        Claim: list(store.claims),
+        TheoryStore: [store],
+        lab.PrecT: [prec],
+        lab.CulpritReport: [reflect_check(prec, 5)],
+        lab.ChainReport: [chain],
+        lab.ChainEntry: list(chain.entries),
+        regress.CriterionResult: [regress.CriterionResult(1, "one", True, 0.5, 2.0, "fine"),
+                                  regress.CriterionResult(2, "two", False, 3.0, 2.0, "slow")],
+    }
+
+
 def test_every_term_class_keeps_the_frozen_dataclass_contract():
-    samples = contract_samples()
-    # a sequent is a plain frozenset; every other class is a dataclass
-    classes = {cls for sort in SORTS for cls in sort.shapes} - {frozenset}
+    samples = contract_samples() | record_samples()
+    # a sequent is a plain frozenset; every other class is a term, and an
+    # ordinal is the one other frozen value class
+    classes = {value for module in (sexpr, formulas, orderings, derivations, boundedness, spector, lab, regress)
+               for value in vars(module).values()
+               if isinstance(value, type) and value.__setattr__ is ordinals.frozen} - {ordinals.Ordinal}
+    assert {cls for sort in SORTS for cls in sort.shapes} - {frozenset} <= classes
     assert set(samples) - {frozenset} == classes
     for cls in classes:
+        names = cls.__match_args__
+        defaults = {name: p.default for name, p in inspect.signature(cls).parameters.items()
+                    if p.default is not p.empty}
+        # what dataclasses makes of the same fields, for the repr and hash
+        reference = dataclasses.make_dataclass(cls.__name__, names, frozen=True)
+        assert samples[cls]
         for t in samples[cls]:
-            fields = [f for f in dataclasses.fields(cls) if f.init]
-            values = tuple(getattr(t, f.name) for f in fields)
-            by_name = {f.name: v for f, v in zip(fields, values)}
+            values = tuple(getattr(t, name) for name in names)
+            by_name = dict(zip(names, values))
             assert cls(*values) == t == cls(**by_name)
-            assert hash(cls(*values)) == hash(cls(**by_name)) == hash(t) == hash(values)
+            assert hash(cls(*values)) == hash(cls(**by_name)) == hash(t) == hash(values) == hash(reference(*values))
+            assert repr(t) == repr(reference(*values))
+            assert not hasattr(t, "__dict__")
             with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(t, fields[0].name, values[0])
-            assert dataclasses.replace(t) == t
+                setattr(t, names[0], values[0])
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(t, names[0])
+            assert sexpr.replace(t) == t
+            with pytest.raises(TypeError):
+                sexpr.replace(t, no_such_field=0)
             other = samples[cls][-1]
-            last = fields[-1].name
-            changed = dataclasses.replace(t, **{last: getattr(other, last)})
+            last = names[-1]
+            changed = sexpr.replace(t, **{last: getattr(other, last)})
             assert changed == cls(*values[:-1], getattr(other, last))
             assert hash(changed) == hash((*values[:-1], getattr(other, last)))
-            required = [v for f, v in zip(fields, values) if f.default is dataclasses.MISSING]
-            for f in fields:
-                if f.default is not dataclasses.MISSING:
-                    assert getattr(cls(*required), f.name) == f.default
+            required = [v for name, v in zip(names, values) if name not in defaults]
+            for name, default in defaults.items():
+                assert getattr(cls(*required), name) == default
     assert formulas.Member(Num(1)).var == "X" == formulas.NotMember(Num(1)).var
+    # equal field tuples and hashes, but two classes
+    t = Num(5)
+    assert len({Member(t), formulas.NotMember(t)}) == 2
+    assert repr(Member(t)) == "Member(term=Num(value=5), var='X')"
+    assert sexpr.describe(Str("a b")) == "Str(value='a b')"
+    one = ordinals.ONE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        one.eterm = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del one.wterms
+    assert one == ordinals.from_int(1) and not hasattr(one, "__dict__")
 
 
 # --- the writer, byte for byte against the one it replaced

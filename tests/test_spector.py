@@ -1,10 +1,9 @@
-import dataclasses
-
 import pytest
 
 from proofbench.derivations import check_local, derive_ti, root_label
 from proofbench.orderings import BelowOrd, FinOrd, otyp
 from proofbench.ordinals import Cmp, compare, parse
+from proofbench.sexpr import replace
 from proofbench.spector import (
     CertifiedEntry,
     SpectorError,
@@ -68,7 +67,7 @@ def test_witness_certificate_has_matching_tag():
 
 def test_tampered_certificate_rejected():
     good = entry(0, FinOrd(2))
-    bad = dataclasses.replace(good, ordering=FinOrd(3))  # cert proves the wrong sequent
+    bad = replace(good, ordering=FinOrd(3))  # cert proves the wrong sequent
     with pytest.raises(SpectorError) as exc:
         sup_tag([good, bad])
     assert exc.value.index == 0 or "entry" in str(exc.value)
