@@ -6,11 +6,14 @@ the tree mirrors the classical induction on the root tag alpha: axioms give
 a true atom or a rank check, side-formula rules pass to their premises, and
 refutations of progressiveness invert the witness conjunction and go on at
 the witness's rank.  The walk is one loop over an explicit stack, so a
-derivation of any depth walks without recursion.  Every node's bound is
-gamma = beta + 2^alpha, read off its own label, with beta the largest
-witness rank; the claim "some member of Delta[X -> ranks below gamma] is
-true" is verified by budgeted evaluation, never asserted beyond what the
-analyses can justify.  At every refutation step the inequality
+derivation of any depth walks without recursion.  The induction holds only
+of a locally correct derivation, so every node whose verdict is folded in
+first passes check_local's node check (`derivations.check_node`), beyond
+the gate's depth too, and a node that fails refuses the walk.  Every node's
+bound is gamma = beta + 2^alpha, read off its own label, with beta the
+largest witness rank; the claim "some member of Delta[X -> ranks below
+gamma] is true" is verified by budgeted evaluation, never asserted beyond
+what the analyses can justify.  At every refutation step the inequality
 beta0 + 2^alpha0 <= beta + 2^alpha is re-checked with ordinal arithmetic.
 
 Order-type certificates instantiate the classical bound: a TI derivation of
@@ -19,7 +22,7 @@ tag alpha caps the order type by 2^alpha.
 
 from __future__ import annotations
 
-from .derivations import (NOT_A_WELL_ORDER, Code, RuleTag, and_invert, check_local, derive_ti, root_label,
+from .derivations import (NOT_A_WELL_ORDER, Code, Inv, RuleTag, check_local, check_node, derive_ti, root_label,
                           step, ti_certificate_fault)
 from .formulas import (
     ForAll,
@@ -29,7 +32,6 @@ from .formulas import (
     atom_true,
     eval_closed,
     eval_term,
-    instance,
     is_x_positive,
     negated_prog,
     prog_witness_instance,
@@ -114,7 +116,7 @@ def _partition(spec: OrderingSpec, sequent: Sequent, var: str = "X"):
         if not set_vars(f) <= {var}:
             raise BoundednessError("only one set variable is supported")
         delta.append(f)
-    return negp, tuple(witness_atoms), frozenset(delta)
+    return tuple(witness_atoms), frozenset(delta)
 
 
 def _beta_of(spec: OrderingSpec, witness_atoms) -> Ordinal:
@@ -131,7 +133,7 @@ class _Walker:
         self.spec = spec
         self.eval_budget = eval_budget
         self.width_budget = width_budget
-        self.steps_left = 20000
+        self.max_nodes = 20000  # visited past this, a node is neither checked nor true
         self.rank_checks: list[RankCheck] = []
         self.case4 = 0
         self.nodes = 0
@@ -142,33 +144,34 @@ class _Walker:
         self.rank_checks.append(RankCheck(element, rho, bound, ok))
         return rho
 
-    def claim(self, code: Code) -> tuple[Ordinal, Verdict]:
-        """(gamma, verdict) of the derivation at `code`, walked in pre-order
-        off an explicit stack.  A node's gamma is read off its own label, and
-        a premise's is checked against its conclusion's when it is stepped.
-        Two kinds of premise go unchecked: a rep link's, so a rep chain is
-        bounded by its outermost link, and an All node's, whose verdict its
-        own gamma decides.  The verdicts are folded after the walk, deepest
-        node first."""
+    def claim(self, code: Code) -> Verdict:
+        """The verdict of the derivation at `code`, walked in pre-order off
+        an explicit stack.  A node's verdict counts only once it passes
+        check_node at the width budget; one that fails refuses the walk.
+        The walk goes on to the children that check stepped.  A node's gamma
+        is read off its own label, and a premise's is checked against its
+        conclusion's, except a rep link's, so a rep chain is bounded by its
+        outermost link, and an All node's, whose verdict its own gamma
+        decides.  The verdicts are folded after the walk, deepest node first."""
         nodes: list[list] = []  # in visiting order: [conclusion, verdict, an All node's (delta, gamma)]
-        todo = [((code,).__getitem__, 0, -1, None)]  # (child function, index, conclusion, its gamma)
-        root_gamma = ZERO
+        todo = [(step(code), -1, None, None, 0)]  # (a node's step, conclusion, its gamma, index, depth)
+        path = []  # the indices from the root down to the node visited
         while todo:
-            child, i, parent, bound = todo.pop()
-            code = child(i)
+            s, parent, bound, i, depth = todo.pop()
+            del path[depth:]
+            path.append(i)
             here, entry = len(nodes), [parent, Verdict.UNKNOWN, None]
             nodes.append(entry)
             self.nodes += 1
-            if self.steps_left <= 0:
+            if self.nodes > self.max_nodes:
                 continue
-            self.steps_left -= 1
-            s = step(code)
+            children, reason, below = check_node(s, self.width_budget)
+            if reason is not None:
+                raise BoundednessError(f"walk check failed at {tuple(path[1:]) + below}: {reason}")
             label, rule = s.label, s.label.rule
-            negp, witness_atoms, delta = _partition(self.spec, label.sequent)
+            witness_atoms, delta = _partition(self.spec, label.sequent)
             beta = _beta_of(self.spec, witness_atoms)
             gamma = add(beta, pow2(label.tag))
-            if parent < 0:
-                root_gamma = gamma
             if bound is not None and compare(gamma, bound) is Cmp.GT:
                 raise CaseArithmeticError("premise bound exceeds the conclusion bound")
             if rule is RuleTag.AXM:
@@ -177,28 +180,21 @@ class _Walker:
             if rule is RuleTag.AXL:
                 entry[1] = Verdict.TRUE if self._axl_holds(delta, witness_atoms, gamma) else Verdict.UNKNOWN
                 continue
-            entry[1] = Verdict.TRUE  # the empty conjunction of premise verdicts
-            if rule is RuleTag.REP:
-                todo.append((s.child, 1, here, None))
-            elif rule is RuleTag.CUT:
+            if rule is RuleTag.CUT:
                 raise BoundednessError("cut encountered in a cut-free walk")
-            elif rule is RuleTag.AND:
-                todo += (s.child, 2, here, gamma), (s.child, 1, here, gamma)
-            elif rule is RuleTag.EX and (inverted := self._witness_case(s, negp, beta, gamma)) is not None:
-                todo.append(((inverted,).__getitem__, 0, here, gamma))
-            elif rule in (RuleTag.OR, RuleTag.EX):
-                todo.append((s.child, s.indices[0], here, gamma))
+            entry[1] = Verdict.TRUE  # the empty conjunction of premise verdicts
+            if rule is RuleTag.EX and (inverted := self._witness_case(*children[0], beta, gamma)) is not None:
+                children = [(children[0][0], inverted, step(inverted))]
             elif rule is RuleTag.ALL:
-                todo += ((s.child, i, here, None) for i in reversed(range(self.width_budget)))
                 entry[2] = delta, gamma
-            else:
-                raise BoundednessError(f"unsupported rule in the walk: {rule}")
+            unbounded = rule is RuleTag.REP or rule is RuleTag.ALL
+            todo += ((cs, here, None if unbounded else gamma, i, depth + 1) for i, _, cs in reversed(children))
         for parent, verdict, universal in reversed(nodes):  # a node's premises come after it
             if universal is not None:
                 verdict = self._all_verdict(verdict, *universal)
             if parent >= 0:
                 nodes[parent][1] = v_and(nodes[parent][1], verdict)
-        return root_gamma, verdict
+        return verdict
 
     def _axl_holds(self, delta, witness_atoms, gamma) -> bool:
         """Some closed (t in X) of delta meets a witness atom (t not in X)
@@ -212,17 +208,15 @@ class _Walker:
                         return True
         return False
 
-    def _witness_case(self, s, negp, beta, gamma) -> Code | None:
+    def _witness_case(self, n, premise, s, beta, gamma) -> Code | None:
         """The inverted premise of an Ex node that refutes progressiveness at
-        its witness, after the witness's rank and the refutation-step
+        its witness n, after the witness's rank and the refutation-step
         inequality are checked; None when the node is a side-formula Ex."""
-        n = s.indices[0]
         inst = prog_witness_instance(self.spec, n)
-        premise = s.child(n)
-        if inst not in root_label(premise).sequent or instance(negp, n) != inst:
+        if inst not in s.label.sequent:
             return None
         self.case4 += 1
-        alpha0 = root_label(premise).tag
+        alpha0 = s.label.tag
         gamma0 = add(beta, pow2(alpha0))
         # the guard inversion bounds the witness's rank; the rank oracle
         # realizes the bound directly and the stated cap is re-checked
@@ -235,7 +229,7 @@ class _Walker:
             raise CaseArithmeticError(
                 f"beta0 + 2^alpha0 exceeds beta + 2^alpha at witness {n}"
             )
-        return and_invert(premise, 2, inst)
+        return Inv(premise, inst, 2)
 
     def _all_verdict(self, sampled: Verdict, delta, gamma) -> Verdict:
         """The sequent is a disjunction, so any universal of delta that holds
@@ -259,8 +253,10 @@ def bounded_truth(
 
     The spec must be a well-order, decided first; then the derivation is
     gate-checked (cut-free local correctness at the given budgets) before
-    any bound is computed.  An Unknown verdict means the budgets were
-    exhausted; it is never upgraded to True.
+    any bound is computed: only the gate checks the side of each witness
+    conjunction that the walk inverts away.  The walk checks each node it
+    folds in, at any depth, and refuses one that fails.  An Unknown verdict
+    means the budgets were exhausted; it is never upgraded to True.
     """
     if not rankable(spec):
         raise BoundednessError(NOT_A_WELL_ORDER)
@@ -268,13 +264,13 @@ def bounded_truth(
     if not gate.passed:
         raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
     root = root_label(code)
-    _, witness_atoms, delta = _partition(spec, root.sequent)
+    witness_atoms, delta = _partition(spec, root.sequent)
     beta = _beta_of(spec, witness_atoms)
     alpha = root.tag
     gamma = add(beta, pow2(alpha))
 
     walker = _Walker(spec, eval_budget, width_budget)
-    _, verdict = walker.claim(code)  # the walk's gamma is this one, read off the same label
+    verdict = walker.claim(code)
     substituted = substitute_sequent(delta, "X", segment_template(spec, gamma))
     if verdict is not Verdict.TRUE:
         verdict = v_or(verdict, eval_claim(substituted, eval_budget))

@@ -646,16 +646,12 @@ def _premise_formula(f: Formula, i: int) -> Formula:
 def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | None:
     """None when the node's local condition holds, else a reason."""
     delta, rule = label.sequent, label.rule
-    if rule is RuleTag.AXM:
+    if rule is RuleTag.AXM or rule is RuleTag.AXL:
         if indices != ():
             return "axiom with premises"
-        if not any(atom_true(f) for f in delta):
+        if rule is RuleTag.AXM and not any(atom_true(f) for f in delta):
             return "no true closed atom for AxM"
-        return None
-    if rule is RuleTag.AXL:
-        if indices != ():
-            return "axiom with premises"
-        if not _axl_holds(delta):
+        if rule is RuleTag.AXL and not _axl_holds(delta):
             return "no matching membership pair for AxL"
         return None
     intro = INTRODUCTIONS.get(rule)
@@ -690,6 +686,25 @@ def _clause_ok(label: NodeLabel, kids: dict[int, NodeLabel], indices) -> str | N
     return f"unknown rule {rule}"
 
 
+def check_node(s: Step, width: int) -> tuple[list[tuple[int, Code, Step]], str | None, tuple[int, ...]]:
+    """The check of one node, for check_local and the bounded-truth walk: it
+    steps the children (0..width-1 of an All node), checks the rule clause
+    and that their tags descend, and gives (children as (index, code, step),
+    the reason it fails or None, the path below it to the failure)."""
+    children = []
+    for i in range(width) if s.indices is NAT else s.indices:
+        c = s.child(i)
+        children.append((i, c, step(c)))
+    kids = {i: cs.label for i, _, cs in children}
+    reason = _clause_ok(s.label, kids, s.indices)
+    if reason is not None:
+        return children, reason, ()
+    for i, label in kids.items():
+        if compare(label.tag, s.label.tag) is not Cmp.LT:
+            return children, "ordinal tag fails to descend", (i,)
+    return children, None, ()
+
+
 _DECODE_ERRORS = (DerivationError, FormulaError, NotationError, UnsupportedRankError)
 
 # why the certificate gate, check_local and bounded truth refuse a spec
@@ -704,10 +719,10 @@ def check_local(
 ) -> CheckReport:
     """Verify local correctness along a budgeted exploration.
 
-    Each visited node's rule clause is checked against its (sampled)
-    children, tags must strictly descend, and Cut nodes trip the cut_free
-    flag (a failure when require_cut_free).  All nodes contribute children
-    0..width_budget-1; skipped branches set `truncated`, never a silent pass.
+    Each visited node must pass `check_node`: its rule clause and strict tag
+    descent.  Cut nodes trip the cut_free flag (a failure when
+    require_cut_free).  All nodes contribute children 0..width_budget-1;
+    skipped branches set `truncated`, never a silent pass.
 
     The report is that of walking the whole tree, but a subtree that passed
     is not walked again: an equal one met later adds the counts of the
@@ -783,24 +798,13 @@ def check_local(
             if require_cut_free:
                 return fail("cut rule used in a cut-free check")
         truncated = s.indices is NAT
-        idxs = list(range(width_budget)) if truncated else list(s.indices)
-        kids: dict[int, NodeLabel] = {}
-        children: list[tuple[int, Code, Step]] = []
         try:
-            for i in idxs:
-                c = s.child(i)
-                cs = step(c)
-                kids[i] = cs.label
-                children.append((i, c, cs))
+            children, reason, below = check_node(s, width_budget)
         except _DECODE_ERRORS as e:
             return fail(f"decode error in a premise: {e}")
         checked += 1
-        reason = _clause_ok(s.label, kids, s.indices if s.indices is NAT else tuple(idxs))
         if reason is not None:
-            return fail(reason)
-        for i, lab in kids.items():
-            if compare(lab.tag, s.label.tag) is not Cmp.LT:
-                return fail("ordinal tag fails to descend", i)
+            return fail(reason, *below)
         if depth + 1 <= depth_budget:
             for i, c, cs in reversed(children):
                 stack.append((c, cs, depth + 1, i))

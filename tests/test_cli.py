@@ -17,7 +17,9 @@ import proofbench.cli as cli
 
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
 from proofbench.derivations import code_text, derive_ti, expand
-from proofbench.orderings import FinOrd, UnsupportedRankError, height, linear, otyp, parse_spec, rankable
+from proofbench.orderings import (FinOrd, UnsupportedRankError, element_of_rank, height, linear, otyp, parse_spec,
+                                  rankable)
+from proofbench.ordinals import parse
 
 
 def run_cli(capsys, *argv):
@@ -457,7 +459,10 @@ def test_a_well_formed_request_imports_no_argparse():
 # --- the bytes of every verb ----------------------------------------------------------
 # Each request runs in one directory and names its files relatively, so no
 # temporary path reaches the output.  The digests are the sha256 of stdout,
-# taken before the handlers returned their verdicts to one dispatcher.
+# taken before the handlers returned their verdicts to one dispatcher; those
+# of `bound --truth` on builder terms, before the walk checked each node.
+
+W2 = '(below "w^2")'
 
 PINNED_INPUTS = {
     "f2.sx": code_text(expand(derive_ti(FinOrd(2)))) + "\n",
@@ -468,6 +473,8 @@ PINNED_INPUTS = {
     "s3.sx": '(theory "s3" (claim (fin 3) (cert "f3.sx")) (claim (fin 2) (cert "f2.sx")))',
     "rev.sx": '(theory "rev" (claim (rev (below "w")) asserted))',
     "s2.sx": '(theory "s2" (claim (fin 2) (cert "f2.sx")))',
+    "w2.sx": f"(tiroot {W2})\n",
+    "w2-prog.sx": f"(tiprog {W2} {element_of_rank(parse_spec(W2), parse('w*3+2'))})\n",
 }
 
 PINNED_ARGVS = {
@@ -480,6 +487,9 @@ PINNED_ARGVS = {
     "check-parse-error": ["check", "junk.sx"],
     "bound": ["bound", "--ordering", "(fin 3)", "--cert", "f3.sx"],
     "bound-truth": ["bound", "--ordering", "(fin 3)", "--cert", "f3.sx", "--truth"],
+    "bound-truth-tiroot": ["bound", "--ordering", W2, "--cert", "w2.sx", "--truth", "--width", "54", "--depth", "400"],
+    "bound-truth-tiprog": ["bound", "--ordering", W2, "--cert", "w2-prog.sx", "--truth", "--width", "54", "--depth",
+                           "400"],
     "spector": ["spector", "entries.sx"],
     "lab-build": ["lab", "build", "s3.sx", "s2.sx", "--base", '(below "w")'],
     "lab-retype": ["lab", "retype", "s3.sx", "s2.sx", "--base", '(below "w")'],
@@ -507,6 +517,10 @@ PINNED_BYTES = {
     ('bound', True): (0, '8e3de62da4dfe9eb5060be3c6651faf86ada361eb2598cf3a141d15e260fdff4', ''),
     ('bound-truth', False): (0, '381c18b9c7c615352929ca6a84fab7c249c721e643f97070496d14eae154330f', ''),
     ('bound-truth', True): (0, 'd1f107546dfa55a20c1cbbb2e668282240580a7b3c337db85b60dd2cceabf0a8', ''),
+    ('bound-truth-tiroot', False): (0, '865dffc36fd78b6df8181f25cbde7e6fa2a38a3f89340de8ab2eaae4764817fd', ''),
+    ('bound-truth-tiroot', True): (0, 'f7d64bac67d0876a088edbcb767dd38fbd02c47d56779cb16939a78cfadb261d', ''),
+    ('bound-truth-tiprog', False): (0, 'c9f89617b22ae175abe7e991cbbb24e07309baa8ac73c510dafc3012a45d460b', ''),
+    ('bound-truth-tiprog', True): (0, 'dc6a4583656716bb78cb49a1d88bd0a0fab76426d6733dc582f59a8cca64168d', ''),
     ('spector', False): (0, '4247cd9234adf6a38b4be14fb7ef99c9c1b1404f3b1bb43d12d1c804d8e3369b', ''),
     ('spector', True): (0, '96de12b0db95087d5f37a054a0240e89a5259311707505e7cd63297165f83a6b', ''),
     ('lab-build', False): (0, 'bcaae07cd1e758b3b78a358f82bf6ef7dffa55bdb5b6a3ff082ef0c24701b3e6', ''),

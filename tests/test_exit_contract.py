@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 from proofbench import boundedness, derivations
 from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
-from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, check_local, code_text, derive_ti,
-                                    expand, parse_code)
+from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, RepNode, check_local, code_text,
+                                    derive_ti, expand, parse_code)
 from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Num, Times, Var, instance, negated_prog,
                                  parse_formula, parse_sequent, seq, sequent_text, ti_sequent)
 from proofbench.orderings import FinOrd, SpecError, parse_spec
@@ -143,14 +143,16 @@ def test_deep_rep_tower_bound_truth(tmp_path):
     assert deep.nodes_visited == bare.nodes_visited + 3000
 
 
-def ex_chain(levels: int):
+def ex_chain(levels: int, claim: int = 0):
     """`levels` side-formula Ex steps at witness 0 over an axiom with the true
-    instance 0*0 = 0, each level keeping {not-Prog((fin 1)), E}."""
+    instance 0*0 = 0 of E = exists z z*0 = 0, each level keeping
+    {not-Prog((fin 1)), exists z z*0 = claim}: locally correct when claim is 0."""
     negp = negated_prog(FinOrd(1))
     e = Exists("z", Eq(Times(Var("z"), Num(0)), Num(0)))
     code = AxMNode(seq(negp, e, instance(e, 0)), from_int(0))
+    claimed = Exists("z", Eq(Times(Var("z"), Num(0)), Num(claim)))
     for i in range(1, levels + 1):
-        code = ExNode(seq(negp, e), from_int(i), 0, code)
+        code = ExNode(seq(negp, claimed), from_int(i), 0, code)
     return code
 
 
@@ -175,6 +177,56 @@ def test_deep_certificates_bound_truth_without_recursion(tmp_path, build):
         code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth", *depth])
         assert code == EXIT_OK, err
         assert "claim verdict: true" in out
+
+
+# certificates that claim the false 0 = 1, faulty at one node deeper than
+# the default depth, over the axiom {not-Prog((fin 1)), 1 = 1}
+FALSE, WRONG_LEAF = Eq(Num(0), Num(1)), AxMNode(seq(negated_prog(FinOrd(1)), Eq(Num(1), Num(1))), from_int(0))
+
+
+def faulty_rep_chain(levels: int):
+    """`levels` rep links on {not-Prog((fin 1)), 0 = 1}, tags `levels` down to
+    1, over the wrong axiom: the last link does not repeat its premise."""
+    code = WRONG_LEAF
+    for i in range(1, levels + 1):
+        code = RepNode(seq(negated_prog(FinOrd(1)), FALSE), from_int(i), code)
+    return code
+
+
+def faulty_ex_chain(levels: int):
+    """An ex_chain whose levels claim exists z z*0 = 1: the lowest one's
+    premise does not match it."""
+    return ex_chain(levels, claim=1)
+
+
+@pytest.mark.parametrize("build, levels, reason", [
+    (faulty_rep_chain, 100, "repetition premise must repeat the sequent"),
+    (faulty_ex_chain, 1200, "no existential formula matches the premise"),
+])
+def test_faulty_deep_certificates_are_refused_at_every_depth(tmp_path, build, levels, reason):
+    path = tmp_path / "faulty.sx"
+    path.write_text(code_text(build(levels)) + "\n")
+    code, out, _ = run(["check", str(path), "--cut-free", "--depth", "4000", "--json"])
+    record = json.loads(out.splitlines()[0])
+    assert code == EXIT_VERDICT and len(record["fail_path"]) == levels - 1 and record["fail_reason"] == reason
+    # the gate refuses it within its depth, the walk beyond; both name check's node
+    where = f"at {tuple(record['fail_path'])}: {record['fail_reason']}\n"
+    for depth in ([], ["--depth", "400"], ["--depth", "4000"]):
+        code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth", *depth])
+        assert code == EXIT_PRECONDITION and out == "" and err.endswith(where), err
+
+
+def test_faulty_shared_and_tower_is_refused_by_the_walk():
+    # 100 levels, each with its two premises one object: never write it out,
+    # as its text is about 2^100 nodes long
+    code = WRONG_LEAF
+    for i in range(1, 101):
+        code = AndNode(seq(negated_prog(FinOrd(1)), FALSE, Conj(FALSE, FALSE)), from_int(i), code, code)
+    for depth in (64, 400):
+        started = time.monotonic()
+        with pytest.raises(boundedness.BoundednessError, match="no conjunction in the sequent matches the premises$"):
+            bounded_truth(code, FinOrd(1), depth_budget=depth)
+        assert time.monotonic() - started < 1
 
 
 def test_deeply_nested_parentheses_are_bad_input(tmp_path):
