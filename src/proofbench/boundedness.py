@@ -22,8 +22,8 @@ tag alpha caps the order type by 2^alpha.
 
 from __future__ import annotations
 
-from .derivations import (NOT_A_WELL_ORDER, Code, Inv, RuleTag, check_local, check_node, derive_ti, root_label,
-                          step, ti_certificate_fault)
+from .derivations import (_DECODE_ERRORS, NOT_A_WELL_ORDER, Code, Inv, RuleTag, check_local, check_node, derive_ti,
+                          root_label, step, ti_certificate_fault)
 from .formulas import (
     ForAll,
     Member,
@@ -165,7 +165,10 @@ class _Walker:
             self.nodes += 1
             if self.nodes > self.max_nodes:
                 continue
-            children, reason, below = check_node(s, self.width_budget)
+            try:
+                children, reason, below = check_node(s, self.width_budget)
+            except _DECODE_ERRORS as e:  # as check_local names it
+                children, reason, below = (), f"decode error in a premise: {e}", ()
             if reason is not None:
                 raise BoundednessError(f"walk check failed at {tuple(path[1:]) + below}: {reason}")
             label, rule = s.label, s.label.rule

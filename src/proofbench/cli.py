@@ -19,9 +19,11 @@ Each verb's handler returns its records, its verdict and its human lines;
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -58,6 +60,11 @@ _PRECONDITION_ERRORS = (
     SpectorError,
     UnsupportedRankError,
 )
+
+
+# held while a call reads and pauses the collector, and while it re-enables
+# it, so that no call on another thread pauses it for good in between
+_COLLECTOR = threading.Lock()
 
 
 class _ParseFailure(Exception):
@@ -483,7 +490,18 @@ def main(argv: list[str] | None = None) -> int:
         if getattr(args, name) <= 0:
             print(f"budget {flag} (PROOFBENCH_{name.upper()}) must be positive", file=sys.stderr)
             return EXIT_PARSE
-    return run(args)
+    # values are immutable DAGs, so the cyclic collector's passes find next
+    # to nothing to free: the verb runs with it paused, and it is re-enabled
+    # only if this call paused it, so the caller's setting is restored
+    with _COLLECTOR:
+        paused = gc.isenabled()
+        gc.disable()
+    try:
+        return run(args)
+    finally:
+        if paused:
+            with _COLLECTOR:
+                gc.enable()
 
 
 if __name__ == "__main__":

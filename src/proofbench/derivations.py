@@ -76,6 +76,8 @@ class RuleTag(Enum):
     CUT = "Cut"
     REP = "Rep"
 
+    __hash__ = object.__hash__  # members are singletons; Enum's hashes the name in Python
+
 
 class NodeLabel(NamedTuple):
     sequent: Sequent
@@ -447,6 +449,9 @@ def derive_ti(spec: OrderingSpec) -> Code:
 # --- step ---------------------------------------------------------------------------
 
 
+_NO_PREMISES = {}.__getitem__
+
+
 def step(code: Code) -> Step:
     """Decode one node: label, premise index set, and child-code function."""
     cls = type(code)
@@ -454,8 +459,13 @@ def step(code: Code) -> Step:
     if rule is not None:
         if cls is AllNode:
             return Step(NodeLabel(code.sequent, rule, code.tag), NAT, code.family.children())
-        if cls is OrNode and code.branch not in (1, 2):
-            raise DerivationError("Or branch index must be 1 or 2")
+        # the rules of every sampled child, built without the premises loop
+        if cls is OrNode:
+            if code.branch not in (1, 2):
+                raise DerivationError("Or branch index must be 1 or 2")
+            return Step(NodeLabel(code.sequent, rule, code.tag), (code.branch,), {code.branch: code.child}.__getitem__)
+        if cls is AxMNode or cls is AxLNode:
+            return Step(NodeLabel(code.sequent, rule, code.tag), (), _NO_PREMISES)
         if cls is ExNode and code.witness < 0:
             raise DerivationError("Ex witness must be a natural")
         kids = premises(code)
@@ -736,14 +746,18 @@ def check_local(
     depth of at least its height: the entry is keyed by the node alone and
     reused wherever the subtree fits.  A subtree that was cut, itself or in
     a copy it reused, is keyed by the node and the remaining depth, so a
-    copy met higher up is walked again.  Only subtrees that passed are kept,
-    and only for this call.  `nodes_checked` counts the clauses evaluated.
-    The open subtrees are the node checked and its ancestors, so a failure's
-    path is read off them, and memory stays linear in the depth.
+    copy met higher up is walked again.  That key is consulted only once
+    some subtree was cut, so a walk the depth budget never cuts builds no
+    such pair.  Only subtrees that passed are kept, and only for this call.
+    `nodes_checked` counts the clauses evaluated.  The open subtrees are the
+    node checked and its ancestors, so a failure's path is read off them,
+    and memory stays linear in the depth; a leaf's closes where it is
+    checked.
     """
     nodes = checked = max_depth = 0
-    # cut: a node's children were skipped for the depth budget
-    cut_free, truncated, cut = True, False, False
+    # cut: a node's children were skipped for the depth budget; clipped: some
+    # node's were in this call, so an entry may be keyed by the remaining depth
+    cut_free, truncated, cut, clipped = True, False, False, False
     # a node, or (node, remaining depth) when its subtree was cut
     # -> (nodes, height, cut_free, truncated, cut)
     passed: dict[Code | tuple[Code, int], tuple[int, int, bool, bool, bool]] = {}
@@ -752,8 +766,9 @@ def check_local(
     # counters restart inside
     frames: list[tuple[int | None, Code, int, int, int, bool, bool, bool]] = []
     # (code, its step, depth, its index); only the root comes unstepped, and
-    # a None code closes the innermost frame
+    # close_frame closes the innermost frame once its children are walked
     stack: list[tuple[Code | None, Step | None, int, int | None]] = [(code, None, 0, None)]
+    close_frame = (None, None, 0, None)
 
     def fail(reason, *below):
         md, cf, tr = max_depth, cut_free, truncated
@@ -764,52 +779,53 @@ def check_local(
 
     while stack:
         node, s, depth, index = stack.pop()
-        if node is None:
-            _, key, top, before, outer_md, outer_cf, outer_tr, outer_cut = frames.pop()
-            passed[(key, depth_budget - top) if cut else key] = (
-                nodes - before, max_depth - top, cut_free, truncated, cut)
-            max_depth = max(max_depth, outer_md)
-            cut_free, truncated, cut = cut_free and outer_cf, truncated or outer_tr, cut or outer_cut
-            continue
-        seen = passed.get(node)
-        if seen is None or seen[1] > depth_budget - depth:
-            seen = passed.get((node, depth_budget - depth))
-        if seen is not None:
-            nodes += seen[0]
-            max_depth = max(max_depth, depth + seen[1])
-            cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
-            continue
-        frames.append((index, node, depth, nodes, max_depth, cut_free, truncated, cut))
-        stack.append((None, None, depth, None))
-        max_depth, cut_free, truncated, cut = depth, True, False, False
-        nodes += 1
-        if s is None:
+        if node is not None:
+            seen = passed.get(node)
+            if seen is None or seen[1] > depth_budget - depth:  # a miss, or too tall to fit here
+                seen = passed.get((node, depth_budget - depth)) if clipped else None
+            if seen is not None:
+                nodes += seen[0]
+                max_depth = max(max_depth, depth + seen[1])
+                cut_free, truncated, cut = cut_free and seen[2], truncated or seen[3], cut or seen[4]
+                continue
+            frames.append((index, node, depth, nodes, max_depth, cut_free, truncated, cut))
+            max_depth, cut_free, truncated, cut = depth, True, False, False
+            nodes += 1
+            if s is None:
+                try:
+                    s = step(node)
+                except _DECODE_ERRORS as e:
+                    return fail(f"decode error: {e}")
+                # the root: a TI sequent claims its spec is a well-order, decided
+                # before any child is sampled
+                spec = ti_spec(s.label.sequent)
+                if spec is not None and not rankable(spec):
+                    return fail(NOT_A_WELL_ORDER)
+            if s.label.rule is RuleTag.CUT:
+                cut_free = False
+                if require_cut_free:
+                    return fail("cut rule used in a cut-free check")
+            truncated = s.indices is NAT
             try:
-                s = step(node)
+                children, reason, below = check_node(s, width_budget)
             except _DECODE_ERRORS as e:
-                return fail(f"decode error: {e}")
-            # the root: a TI sequent claims its spec is a well-order, decided
-            # before any child is sampled
-            spec = ti_spec(s.label.sequent)
-            if spec is not None and not rankable(spec):
-                return fail(NOT_A_WELL_ORDER)
-        if s.label.rule is RuleTag.CUT:
-            cut_free = False
-            if require_cut_free:
-                return fail("cut rule used in a cut-free check")
-        truncated = s.indices is NAT
-        try:
-            children, reason, below = check_node(s, width_budget)
-        except _DECODE_ERRORS as e:
-            return fail(f"decode error in a premise: {e}")
-        checked += 1
-        if reason is not None:
-            return fail(reason, *below)
-        if depth + 1 <= depth_budget:
-            for i, c, cs in reversed(children):
-                stack.append((c, cs, depth + 1, i))
-        elif children:
-            truncated = cut = True
+                return fail(f"decode error in a premise: {e}")
+            checked += 1
+            if reason is not None:
+                return fail(reason, *below)
+            if children and depth + 1 <= depth_budget:
+                stack.append(close_frame)
+                for i, c, cs in reversed(children):
+                    stack.append((c, cs, depth + 1, i))
+                continue
+            if children:
+                truncated = cut = clipped = True
+            # no child is walked: the frame closes at once
+        _, key, top, before, outer_md, outer_cf, outer_tr, outer_cut = frames.pop()
+        passed[(key, depth_budget - top) if cut else key] = (
+            nodes - before, max_depth - top, cut_free, truncated, cut)
+        max_depth = max(max_depth, outer_md)
+        cut_free, truncated, cut = cut_free and outer_cf, truncated or outer_tr, cut or outer_cut
     return CheckReport(True, None, None, nodes, max_depth, cut_free, truncated, checked)
 
 

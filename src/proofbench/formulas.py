@@ -94,13 +94,14 @@ def term_vars(t: Term) -> frozenset[str]:
     return term_vars(t.left) | term_vars(t.right)
 
 
-def subst_term(t: Term, var: str, value: int) -> Term:
+def subst_term(t: Term, var: str, num: Num) -> Term:
+    """t with the numeral `num` for each occurrence of the variable `var`."""
     cls = type(t)
     if cls is Num:
         return t
     if cls is Var:
-        return Num(value) if t.name == var else t
-    return cls(subst_term(t.left, var, value), subst_term(t.right, var, value))
+        return num if t.name == var else t
+    return cls(subst_term(t.left, var, num), subst_term(t.right, var, num))
 
 
 # --- formulas ------------------------------------------------------------------
@@ -340,8 +341,10 @@ def free_num_vars(f: Formula) -> frozenset[str]:
     return out - {f.var} if binder else out
 
 
-def subst_num(f: Formula, var: str, value: int) -> Formula:
-    """Instantiate a number variable with a numeral (capture-free: numerals)."""
+def subst_num(f: Formula, var: str, value: int | Num) -> Formula:
+    """Instantiate a number variable with a numeral (capture-free: numerals),
+    one `Num` for all its occurrences."""
+    num = value if type(value) is Num else Num(value)
     try:
         _, terms, subs, binder, get = _OPS[type(f)]
     except KeyError:
@@ -350,9 +353,9 @@ def subst_num(f: Formula, var: str, value: int) -> Formula:
         return f
     args = [*get(f)]
     for i in terms:
-        args[i] = subst_term(args[i], var, value)
+        args[i] = subst_term(args[i], var, num)
     for i in subs:
-        args[i] = subst_num(args[i], var, value)
+        args[i] = subst_num(args[i], var, num)
     return type(f)(*args)
 
 
@@ -522,9 +525,13 @@ def eval_closed(f: Formula, budget: int) -> Verdict:
 
 def atom_true(f: Formula) -> bool:
     """Membership of a closed, set-variable-free atom in the atomic diagram."""
-    if not is_atom(f) or isinstance(f, (Member, NotMember)) or free_num_vars(f):
+    cls = type(f)
+    if cls not in _ATOM_TESTS or cls is Member or cls is NotMember:
         return False
-    return eval_closed(f, 1) is Verdict.TRUE
+    try:
+        return eval_closed(f, 1) is Verdict.TRUE
+    except FormulaError:  # an open term: eval_term meets a variable
+        return False
 
 
 # --- progressiveness and transfinite induction ------------------------------------

@@ -357,11 +357,14 @@ def ord_code(o: Ordinal) -> int:
     return _text_code(text(o))
 
 
+_NOTATION_STARTS = b"0123456789Ew"  # the first characters of notations
+
+
 def ord_decode(n: int) -> Ordinal | None:
-    if n <= 0:
+    if n <= 0 or n < 256 and n not in _NOTATION_STARTS:  # a one-byte code is its first character
         return None
     raw = n.to_bytes((n.bit_length() + 7) // 8, "big")
-    if raw[0] not in b"0123456789Ew":  # no notation starts otherwise
+    if raw[0] not in _NOTATION_STARTS:
         return None
     try:
         return parse(raw.decode("ascii"))

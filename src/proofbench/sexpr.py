@@ -149,7 +149,8 @@ def _atom(text: str, m: re.Match, kind: int):
     if kind == _SYMBOL:
         return m[kind]
     if kind == _STRING:
-        return Str(_ESCAPE.sub(r"\1", m[kind]))
+        body = m[kind]
+        return Str(_ESCAPE.sub(r"\1", body) if "\\" in body else body)
     if kind == _BAD_QUOTE:
         end = _STRING_BODY.match(text, m.end()).end()
         if end == len(text):

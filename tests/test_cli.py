@@ -1,11 +1,13 @@
 import argparse
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
+import threading
 from unittest import mock
 
 import pytest
@@ -460,7 +462,9 @@ def test_a_well_formed_request_imports_no_argparse():
 # Each request runs in one directory and names its files relatively, so no
 # temporary path reaches the output.  The digests are the sha256 of stdout,
 # taken before the handlers returned their verdicts to one dispatcher; those
-# of `bound --truth` on builder terms, before the walk checked each node.
+# of `bound --truth` on builder terms, before the walk checked each node; and
+# those of the builder roots at the benchmark's widths, before a verb paused
+# the cyclic collector and check_local closed a leaf's frame where it checked it.
 
 W2 = '(below "w^2")'
 
@@ -475,6 +479,8 @@ PINNED_INPUTS = {
     "s2.sx": '(theory "s2" (claim (fin 2) (cert "f2.sx")))',
     "w2.sx": f"(tiroot {W2})\n",
     "w2-prog.sx": f"(tiprog {W2} {element_of_rank(parse_spec(W2), parse('w*3+2'))})\n",
+    "sum.sx": '(tiroot (sum (fin 3) (below "w")))\n',
+    "fin9.sx": "(tiroot (fin 9))\n",
 }
 
 PINNED_ARGVS = {
@@ -490,6 +496,11 @@ PINNED_ARGVS = {
     "bound-truth-tiroot": ["bound", "--ordering", W2, "--cert", "w2.sx", "--truth", "--width", "54", "--depth", "400"],
     "bound-truth-tiprog": ["bound", "--ordering", W2, "--cert", "w2-prog.sx", "--truth", "--width", "54", "--depth",
                            "400"],
+    "check-tiroot-w2": ["check", "w2.sx", "--cut-free", "--depth", "400", "--width", "55"],
+    "check-tiroot-sum": ["check", "sum.sx", "--cut-free", "--depth", "400", "--width", "56"],
+    "check-tiprog-w2": ["check", "w2-prog.sx", "--cut-free", "--depth", "400", "--width", "54"],
+    "bound-truth-fin9": ["bound", "--ordering", "(fin 9)", "--cert", "fin9.sx", "--truth", "--depth", "400", "--width",
+                         "11"],
     "spector": ["spector", "entries.sx"],
     "lab-build": ["lab", "build", "s3.sx", "s2.sx", "--base", '(below "w")'],
     "lab-retype": ["lab", "retype", "s3.sx", "s2.sx", "--base", '(below "w")'],
@@ -521,6 +532,14 @@ PINNED_BYTES = {
     ('bound-truth-tiroot', True): (0, 'f7d64bac67d0876a088edbcb767dd38fbd02c47d56779cb16939a78cfadb261d', ''),
     ('bound-truth-tiprog', False): (0, 'c9f89617b22ae175abe7e991cbbb24e07309baa8ac73c510dafc3012a45d460b', ''),
     ('bound-truth-tiprog', True): (0, 'dc6a4583656716bb78cb49a1d88bd0a0fab76426d6733dc582f59a8cca64168d', ''),
+    ('check-tiroot-w2', False): (0, '5691264f33cd1337cc07aa6e77e1bf9d1ab9a3172a98f412cb49056e6fe8f281', ''),
+    ('check-tiroot-w2', True): (0, '60dfa015773a66177f4a66e371863f8ece196732b3888fc74a4d3a7e0bb29258', ''),
+    ('check-tiroot-sum', False): (0, '65c9fd59d918fdf2a099c7dfc4b331f71bfc3f28646c14a6ad9a6b344b88a642', ''),
+    ('check-tiroot-sum', True): (0, 'e774a6050152af6bda247476e6bd7d2f5e025d104c9866664f1c290a1e1b9f42', ''),
+    ('check-tiprog-w2', False): (0, '2da1f11f63469f2eacfba73a4abc43c46e3db60964e7fc9ac629d4f50759d075', ''),
+    ('check-tiprog-w2', True): (0, 'd70aba774c698d9da1b6e927dd7f02717068f079d295723012acd4139e0ae3f4', ''),
+    ('bound-truth-fin9', False): (0, '9b3a47d3bc8a350dd021e75121fa16acdaac1efcb1fefda202d6bddbbcc70770', ''),
+    ('bound-truth-fin9', True): (0, '14dc3b23c6cc05d35280c4bf1e0e66175932896a8f2363cf2b0cfa69234e053d', ''),
     ('spector', False): (0, '4247cd9234adf6a38b4be14fb7ef99c9c1b1404f3b1bb43d12d1c804d8e3369b', ''),
     ('spector', True): (0, '96de12b0db95087d5f37a054a0240e89a5259311707505e7cd63297165f83a6b', ''),
     ('lab-build', False): (0, 'bcaae07cd1e758b3b78a358f82bf6ef7dffa55bdb5b6a3ff082ef0c24701b3e6', ''),
@@ -549,3 +568,102 @@ def test_every_verb_prints_the_pinned_bytes(tmp_path, monkeypatch, capsys, name,
         (tmp_path / file).write_text(text)
     monkeypatch.chdir(tmp_path)
     assert _pinned_run(capsys, name, json_mode) == PINNED_BYTES[name, json_mode]
+
+
+# --- the cyclic collector -----------------------------------------------------------------
+
+
+def _ord_or_boom(args):
+    if args.op == "succ":
+        raise RuntimeError("a verb that raises")
+    assert not gc.isenabled()  # the verb runs with the collector paused
+    return cli._cmd_ord(args)
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_main_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, capsys, enabled):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli.VERBS, "ord", (cli.VERBS["ord"][0], _ord_or_boom, cli.VERBS["ord"][2]))
+    cases = [
+        (["ord", "add", "w", "1"], EXIT_OK),
+        (["ord", "add", "w^", "1"], EXIT_PARSE),
+        (["check", "missing.sx"], EXIT_PARSE),
+        (["ti", '(rev (below "w"))'], EXIT_PRECONDITION),
+        (["ord", "--bogus"], SystemExit),
+        (["ord", "succ", "w"], RuntimeError),
+    ]
+    was = gc.isenabled()
+    try:
+        for argv, outcome in cases:
+            (gc.enable if enabled else gc.disable)()
+            if type(outcome) is int:
+                assert main(argv) == outcome, argv
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled, argv
+    finally:
+        (gc.enable if was else gc.disable)()
+    capsys.readouterr()
+
+
+class _Collector:
+    """A stand-in for `gc` that lets the test order two calls of `main`."""
+
+    def __init__(self, second: threading.Event, reenabled: threading.Event):
+        self.enabled, self.second, self.reenabled = True, second, reenabled
+
+    def isenabled(self) -> bool:
+        enabled = self.enabled
+        if threading.current_thread().name == "second":
+            self.second.set()
+            self.reenabled.wait(0.5)  # until the first call re-enables it, if nothing holds that back
+        return enabled
+
+    def disable(self):
+        self.enabled = False
+
+    def enable(self):
+        self.enabled = True
+        self.reenabled.set()
+
+
+def test_the_collector_is_restored_when_verbs_run_on_two_threads(monkeypatch, capsys):
+    # the second call reads the collector while the first has it paused,
+    # and the first returns before the second pauses it: that pause must
+    # not be for good
+    second, reenabled, entered = threading.Event(), threading.Event(), threading.Event()
+    collector = _Collector(second, reenabled)
+    monkeypatch.setattr(cli, "gc", collector)
+
+    def verb(args):
+        if threading.current_thread().name == "first":
+            entered.set()
+            second.wait(5)
+        return cli._cmd_ord(args)
+
+    monkeypatch.setitem(cli.VERBS, "ord", (cli.VERBS["ord"][0], verb, cli.VERBS["ord"][2]))
+    threads = {name: threading.Thread(target=main, args=(["ord", "add", "w", "1"],), name=name)
+               for name in ("first", "second")}
+    threads["first"].start()
+    assert entered.wait(5)
+    threads["second"].start()
+    for t in threads.values():
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads.values())
+    assert collector.enabled
+    assert capsys.readouterr().out == "w+1\nw+1\n"
+
+
+@pytest.mark.parametrize("argv", [["regress", "--json", "--seed", "0"], PINNED_ARGVS["check-tiroot-w2"] + ["--json"]],
+                         ids=["regress", "check-tiroot-w2"])
+def test_a_verb_leaves_the_collector_little_to_free(tmp_path, monkeypatch, capsys, argv):
+    # values are immutable DAGs, so pausing the collector for a verb keeps
+    # next to nothing alive that it would have freed
+    for file, text in PINNED_INPUTS.items():
+        (tmp_path / file).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    gc.collect()
+    assert main(argv) == EXIT_OK
+    assert gc.collect() < 2000
+    capsys.readouterr()

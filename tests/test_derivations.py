@@ -1024,6 +1024,38 @@ def test_prog_instances_are_built_once_per_family():
     assert int(visited10) == 29_692 and int(calls10) <= 150
 
 
+# the calls of the two Python-level hashes that a check makes, counted in a
+# fresh interpreter, so that no cache is warm
+PER_CHILD_HASHES_SCRIPT = """
+import sys
+from enum import Enum
+from proofbench import ordinals
+from proofbench.derivations import TiRoot, check_local
+from proofbench.orderings import BelowOrd
+from proofbench.ordinals import parse
+counts = {ordinals.stored_hash.__code__: 0, Enum.__hash__.__code__: 0}
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code in counts:
+        counts[frame.f_code] += 1
+code = TiRoot(BelowOrd(parse("w")))
+sys.setprofile(profile)
+report = check_local(code, 400, 54)
+sys.setprofile(None)
+print(report.passed, report.nodes_checked, *counts.values())
+"""
+
+
+def test_each_sampled_child_costs_few_python_level_hashes():
+    # counted, not timed: the 777 clause checks at width 54 once made 8,742
+    # stored_hash calls, hashing a (node, depth) pair for each new node though
+    # the depth budget cut nothing, and 408 Enum.__hash__ calls, looking the
+    # rule up in INTRODUCTIONS.  Now 7,965 and 0: the bound is 2% over the first
+    stored_hash_limit = 8_124
+    passed, checked, stored, enum = output_under_hash_seeds(PER_CHILD_HASHES_SCRIPT).split()
+    assert passed == "True" and int(checked) == 777
+    assert int(stored) <= stored_hash_limit and int(enum) == 0
+
+
 def test_each_quantifier_instance_is_substituted_once(monkeypatch):
     # the All clause used to substitute each sampled child's instance again,
     # though the child function had just built it: 466 of 913 calls

@@ -19,12 +19,12 @@ from hypothesis import strategies as st
 from proofbench import boundedness, derivations
 from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
-from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, RepNode, check_local, code_text,
-                                    derive_ti, expand, parse_code)
-from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Num, Times, Var, instance, negated_prog,
+from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, Inv, RepNode, TiProg, check_local,
+                                    code_text, derive_ti, expand, parse_code)
+from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Member, Num, Times, Var, instance, negated_prog,
                                  parse_formula, parse_sequent, seq, sequent_text, ti_sequent)
 from proofbench.orderings import FinOrd, SpecError, parse_spec
-from proofbench.ordinals import MAX_NESTING, from_int
+from proofbench.ordinals import MAX_NESTING, NotationError, add, from_int, parse
 
 BASE = code_text(expand(derive_ti(FinOrd(2))))
 HEAD = re.compile(r"\((?=[^\s()])")
@@ -199,9 +199,20 @@ def faulty_ex_chain(levels: int):
     return ex_chain(levels, claim=1)
 
 
+def faulty_inv_chain(levels: int):
+    """`levels` rep links on {not-Prog((fin 1)), 0 = 1} over an inversion of
+    a conjunction missing from its child's sequent: the last link's premise
+    fails to decode."""
+    code = Inv(WRONG_LEAF, Conj(FALSE, FALSE), 1)
+    for i in range(1, levels + 1):
+        code = RepNode(seq(negated_prog(FinOrd(1)), FALSE), from_int(i), code)
+    return code
+
+
 @pytest.mark.parametrize("build, levels, reason", [
     (faulty_rep_chain, 100, "repetition premise must repeat the sequent"),
     (faulty_ex_chain, 1200, "no existential formula matches the premise"),
+    (faulty_inv_chain, 100, "decode error in a premise: inversion target missing from the sequent"),
 ])
 def test_faulty_deep_certificates_are_refused_at_every_depth(tmp_path, build, levels, reason):
     path = tmp_path / "faulty.sx"
@@ -214,6 +225,33 @@ def test_faulty_deep_certificates_are_refused_at_every_depth(tmp_path, build, le
     for depth in ([], ["--depth", "400"], ["--depth", "4000"]):
         code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth", *depth])
         assert code == EXIT_PRECONDITION and out == "" and err.endswith(where), err
+
+
+@pytest.mark.parametrize("error", [NotationError, FormulaError])
+def test_a_walk_premise_that_fails_to_decode_is_refused_with_its_path(tmp_path, monkeypatch, error):
+    # 100 rep links over the tiprog of element 3, whose step is made to
+    # raise: a bad-input error class there is still a failed precondition,
+    # named as check names it
+    spec, real_rank = FinOrd(9), derivations.rank
+
+    def rank(s, n):
+        if n == 3:
+            raise error("no rank for 3 here")
+        return real_rank(s, n)
+
+    cert = TiProg(spec, 3)
+    for i in range(1, 101):
+        cert = RepNode(seq(negated_prog(spec), Member(Num(3))), add(parse("w*4"), from_int(i)), cert)
+    path = tmp_path / "faulty.sx"
+    path.write_text(code_text(cert) + "\n")
+    monkeypatch.setattr(derivations, "rank", rank)
+    code, out, _ = run(["check", str(path), "--cut-free", "--depth", "400", "--json"])
+    record = json.loads(out.splitlines()[0])
+    assert code == EXIT_VERDICT and record["fail_path"] == [1] * 99
+    assert record["fail_reason"] == "decode error in a premise: no rank for 3 here"
+    code, out, err = run(["bound", "--ordering", "(fin 9)", "--cert", str(path), "--truth"])
+    assert (code, out) == (EXIT_PRECONDITION, "")
+    assert err == f"precondition failed: walk check failed at {(1,) * 99}: {record['fail_reason']}\n"
 
 
 def test_faulty_shared_and_tower_is_refused_by_the_walk():
