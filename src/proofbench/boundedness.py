@@ -5,12 +5,15 @@ Given a cut-free locally-correct derivation whose root splits as
 the tree mirrors the classical induction on the root tag alpha: axioms give
 a true atom or a rank check, side-formula rules pass to their premises, and
 refutations of progressiveness invert the witness conjunction and go on at
-the witness's rank.  The walk is one loop over an explicit stack, so a
-derivation of any depth walks without recursion.  The induction holds only
-of a locally correct derivation, so every node whose verdict is folded in
-first passes check_local's node check (`derivations.check_node`), beyond
-the gate's depth too, and a node that fails refuses the walk.  Every node's
-bound is gamma = beta + 2^alpha, read off its own label, with beta the
+the witness's rank.  The walk is one post-order loop over an explicit
+stack, so a derivation of any depth walks without recursion, and a node's
+verdict is folded into its conclusion's once its premises are.  Each
+distinct node, keyed by value as check_local keys its memo, is checked and
+walked once, so a DAG costs one visit per distinct node.  The induction
+holds only of a locally correct derivation, so every node whose verdict is
+folded in first passes check_local's node check (`derivations.check_node`),
+beyond the gate's depth too, and a node that fails refuses the walk.  Every
+node's bound is gamma = beta + 2^alpha, read off its own label, with beta the
 largest witness rank; the claim "some member of Delta[X -> ranks below
 gamma] is true" is verified by budgeted evaluation, never asserted beyond
 what the analyses can justify.  At every refutation step the inequality
@@ -29,7 +32,6 @@ from .formulas import (
     Member,
     NotMember,
     Sequent,
-    atom_true,
     eval_closed,
     eval_term,
     is_x_positive,
@@ -65,21 +67,18 @@ class RankCheck:
 
 @term
 class SemanticClaim:
-    spec: OrderingSpec
     sequent: Sequent  # Delta with X replaced by the segment below gamma
     gamma: Ordinal
     verdict: Verdict
-    eval_budget: int
     alpha: Ordinal
     beta: Ordinal
     rank_checks: tuple[RankCheck, ...]
     case4_checks: int
-    nodes_visited: int
+    nodes_visited: int  # distinct nodes walked
 
 
 @term
 class BoundCertificate:
-    spec: OrderingSpec
     alpha: Ordinal
     bound: Ordinal
     otyp_value: Ordinal
@@ -108,7 +107,7 @@ def _partition(spec: OrderingSpec, sequent: Sequent, var: str = "X"):
     for f in sequent:
         if f == negp:
             continue
-        if isinstance(f, NotMember) and f.var == var and not term_vars(f.term):
+        if type(f) is NotMember and f.var == var and not term_vars(f.term):
             witness_atoms.append(f)
             continue
         if not is_x_positive(f, var):
@@ -128,12 +127,17 @@ def _beta_of(spec: OrderingSpec, witness_atoms) -> Ordinal:
     return beta
 
 
+def _within(gamma: Ordinal, bound: Ordinal | None) -> None:
+    """A premise's gamma must not exceed its conclusion's, if that bounds it."""
+    if bound is not None and compare(gamma, bound) is Cmp.GT:
+        raise CaseArithmeticError("premise bound exceeds the conclusion bound")
+
+
 class _Walker:
     def __init__(self, spec: OrderingSpec, eval_budget: int, width_budget: int):
         self.spec = spec
         self.eval_budget = eval_budget
         self.width_budget = width_budget
-        self.max_nodes = 20000  # visited past this, a node is neither checked nor true
         self.rank_checks: list[RankCheck] = []
         self.case4 = 0
         self.nodes = 0
@@ -144,66 +148,68 @@ class _Walker:
         self.rank_checks.append(RankCheck(element, rho, bound, ok))
         return rho
 
-    def claim(self, code: Code) -> Verdict:
-        """The verdict of the derivation at `code`, walked in pre-order off
-        an explicit stack.  A node's verdict counts only once it passes
-        check_node at the width budget; one that fails refuses the walk.
-        The walk goes on to the children that check stepped.  A node's gamma
-        is read off its own label, and a premise's is checked against its
-        conclusion's, except a rep link's, so a rep chain is bounded by its
-        outermost link, and an All node's, whose verdict its own gamma
-        decides.  The verdicts are folded after the walk, deepest node first."""
-        nodes: list[list] = []  # in visiting order: [conclusion, verdict, an All node's (delta, gamma)]
-        todo = [(step(code), -1, None, None, 0)]  # (a node's step, conclusion, its gamma, index, depth)
-        path = []  # the indices from the root down to the node visited
-        while todo:
-            s, parent, bound, i, depth = todo.pop()
-            del path[depth:]
-            path.append(i)
-            here, entry = len(nodes), [parent, Verdict.UNKNOWN, None]
-            nodes.append(entry)
-            self.nodes += 1
-            if self.nodes > self.max_nodes:
+    def claim(self, code: Code) -> tuple[Verdict, Ordinal, Ordinal, Ordinal, Sequent]:
+        """The verdict of the derivation at `code`, and its root's alpha,
+        beta, gamma and delta, walked in post-order off an explicit stack.
+        A node counts only once it passes check_node at the width budget;
+        one that fails refuses the walk.  The walk goes on to the children
+        that check stepped, and a node's verdict is folded into its
+        conclusion's once its own premises are folded in.  Each distinct
+        node, keyed by value, is checked and walked once: met again, it adds
+        the verdict it closed with, and its rank checks are logged once.  A
+        node's gamma is read off its own label, and a premise's is checked
+        against its conclusion's wherever it is met, except a rep link's, so
+        a rep chain is bounded by its outermost link, and an All node's,
+        whose verdict its own gamma decides."""
+        done: dict[Code, tuple[Verdict, Ordinal]] = {}  # a closed node -> (its verdict, its gamma)
+        frames: list[list] = []  # the open nodes, root first: [index, code, verdict, label, beta, gamma, delta]
+        stack = [(None, code, step(code), None)]  # (index, code, its step, its conclusion's gamma); None closes
+        while stack:
+            if (top := stack.pop()) is None:  # the innermost open node's premises are all folded in
+                _, c, verdict, label, beta, gamma, delta = frames.pop()
+                if label.rule is RuleTag.ALL:
+                    verdict = self._all_verdict(verdict, delta, gamma)
+                done[c] = verdict, gamma
+            elif (seen := done.get(top[1])) is not None:
+                verdict, gamma = seen
+                _within(gamma, top[3])
+            else:
+                i, c, s, bound = top
+                self.nodes += 1
+                try:
+                    children, reason, below = check_node(s, self.width_budget)
+                except _DECODE_ERRORS as e:  # as check_local names it
+                    children, reason, below = (), f"decode error in a premise: {e}", ()
+                if reason is not None:
+                    path = (*(f[0] for f in frames), i)[1:] + below
+                    raise BoundednessError(f"walk check failed at {path}: {reason}")
+                label, rule = s.label, s.label.rule
+                witness_atoms, delta = _partition(self.spec, label.sequent)
+                beta = _beta_of(self.spec, witness_atoms)
+                gamma = add(beta, pow2(label.tag))
+                _within(gamma, bound)
+                if rule is RuleTag.CUT:
+                    raise BoundednessError("cut encountered in a cut-free walk")
+                # an AxM node that passed its check has a true closed atom, and delta keeps it
+                verdict = Verdict.TRUE
+                if rule is RuleTag.AXL and not self._axl_holds(delta, witness_atoms, gamma):
+                    verdict = Verdict.UNKNOWN
+                elif rule is RuleTag.EX and (inverted := self._witness_case(*children[0], beta, gamma)) is not None:
+                    children = [(children[0][0], inverted, step(inverted))]
+                frames.append([i, c, verdict, label, beta, gamma, delta])
+                unbounded = rule is RuleTag.REP or rule is RuleTag.ALL
+                stack.append(None)
+                stack += ((j, cc, cs, None if unbounded else gamma) for j, cc, cs in reversed(children))
                 continue
-            try:
-                children, reason, below = check_node(s, self.width_budget)
-            except _DECODE_ERRORS as e:  # as check_local names it
-                children, reason, below = (), f"decode error in a premise: {e}", ()
-            if reason is not None:
-                raise BoundednessError(f"walk check failed at {tuple(path[1:]) + below}: {reason}")
-            label, rule = s.label, s.label.rule
-            witness_atoms, delta = _partition(self.spec, label.sequent)
-            beta = _beta_of(self.spec, witness_atoms)
-            gamma = add(beta, pow2(label.tag))
-            if bound is not None and compare(gamma, bound) is Cmp.GT:
-                raise CaseArithmeticError("premise bound exceeds the conclusion bound")
-            if rule is RuleTag.AXM:
-                entry[1] = Verdict.TRUE if any(atom_true(f) for f in delta) else Verdict.UNKNOWN
-                continue
-            if rule is RuleTag.AXL:
-                entry[1] = Verdict.TRUE if self._axl_holds(delta, witness_atoms, gamma) else Verdict.UNKNOWN
-                continue
-            if rule is RuleTag.CUT:
-                raise BoundednessError("cut encountered in a cut-free walk")
-            entry[1] = Verdict.TRUE  # the empty conjunction of premise verdicts
-            if rule is RuleTag.EX and (inverted := self._witness_case(*children[0], beta, gamma)) is not None:
-                children = [(children[0][0], inverted, step(inverted))]
-            elif rule is RuleTag.ALL:
-                entry[2] = delta, gamma
-            unbounded = rule is RuleTag.REP or rule is RuleTag.ALL
-            todo += ((cs, here, None if unbounded else gamma, i, depth + 1) for i, _, cs in reversed(children))
-        for parent, verdict, universal in reversed(nodes):  # a node's premises come after it
-            if universal is not None:
-                verdict = self._all_verdict(verdict, *universal)
-            if parent >= 0:
-                nodes[parent][1] = v_and(nodes[parent][1], verdict)
-        return verdict
+            if frames:
+                frames[-1][2] = v_and(frames[-1][2], verdict)
+        return verdict, label.tag, beta, gamma, delta  # the root's: it closes last
 
     def _axl_holds(self, delta, witness_atoms, gamma) -> bool:
         """Some closed (t in X) of delta meets a witness atom (t not in X)
         with t in the field, whose rank is then checked below gamma."""
         for f in delta:
-            if isinstance(f, Member) and not term_vars(f.term):
+            if type(f) is Member and not term_vars(f.term):
                 t = eval_term(f.term)
                 for w in witness_atoms:
                     if eval_term(w.term) == t and in_field(self.spec, t):
@@ -240,7 +246,7 @@ class _Walker:
         introduced; finitely many sampled premises never do."""
         segment = segment_template(self.spec, gamma)
         if any(eval_closed(substitute(f, "X", segment), self.eval_budget) is Verdict.TRUE
-               for f in delta if isinstance(f, ForAll)):
+               for f in delta if type(f) is ForAll):
             return Verdict.TRUE
         return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
 
@@ -257,8 +263,9 @@ def bounded_truth(
     The spec must be a well-order, decided first; then the derivation is
     gate-checked (cut-free local correctness at the given budgets) before
     any bound is computed: only the gate checks the side of each witness
-    conjunction that the walk inverts away.  The walk checks each node it
-    folds in, at any depth, and refuses one that fails.  An Unknown verdict
+    conjunction that the walk inverts away.  The walk checks each distinct
+    node it folds in once, at any depth, and refuses one that fails; it
+    hands back the root's alpha, beta, gamma and delta.  An Unknown verdict
     means the budgets were exhausted; it is never upgraded to True.
     """
     if not rankable(spec):
@@ -266,25 +273,17 @@ def bounded_truth(
     gate = check_local(code, depth_budget, width_budget, require_cut_free=True)
     if not gate.passed:
         raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
-    root = root_label(code)
-    witness_atoms, delta = _partition(spec, root.sequent)
-    beta = _beta_of(spec, witness_atoms)
-    alpha = root.tag
-    gamma = add(beta, pow2(alpha))
-
     walker = _Walker(spec, eval_budget, width_budget)
-    verdict = walker.claim(code)
+    verdict, alpha, beta, gamma, delta = walker.claim(code)
     substituted = substitute_sequent(delta, "X", segment_template(spec, gamma))
     if verdict is not Verdict.TRUE:
         verdict = v_or(verdict, eval_claim(substituted, eval_budget))
     if any(not c.ok for c in walker.rank_checks):
         verdict = Verdict.FALSE if verdict is not Verdict.TRUE else verdict
     return SemanticClaim(
-        spec=spec,
         sequent=substituted,
         gamma=gamma,
         verdict=verdict,
-        eval_budget=eval_budget,
         alpha=alpha,
         beta=beta,
         rank_checks=tuple(walker.rank_checks),
@@ -313,7 +312,7 @@ def otyp_bound(
         rho = rank(spec, e)
         checks.append(RankCheck(e, rho, bound, lt(rho, bound)))
     ok = comparison in (Cmp.LT, Cmp.EQ) and all(c.ok for c in checks)
-    return BoundCertificate(spec, alpha, bound, value, comparison, tuple(checks), ok)
+    return BoundCertificate(alpha, bound, value, comparison, tuple(checks), ok)
 
 
 def tc_upper(spec: OrderingSpec) -> Ordinal:

@@ -522,7 +522,7 @@ def _step_inv(code: Inv, inner: Step) -> Step:
     """The step of `code` from the step of its child."""
     delta = inner.label.sequent
     conj, which = code.conj, code.which
-    if not isinstance(conj, Conj) or which not in (1, 2):
+    if type(conj) is not Conj or which not in (1, 2):
         raise DerivationError("inversion needs a conjunction and a branch in {1,2}")
     if conj not in delta:
         raise DerivationError("inversion target missing from the sequent")
@@ -588,13 +588,13 @@ def and_invert(code: Code, which: int, conj: Formula | None = None) -> Code:
         raise DerivationError("conjunct index must be 1 or 2")
     root = root_label(code)
     if conj is None:
-        candidates = [f for f in root.sequent if isinstance(f, Conj)]
+        candidates = [f for f in root.sequent if type(f) is Conj]
         if len(candidates) != 1:
             raise DerivationError(
                 f"root holds {len(candidates)} conjunctions; pass the target explicitly"
             )
         conj = candidates[0]
-    if conj not in root.sequent or not isinstance(conj, Conj):
+    if conj not in root.sequent or type(conj) is not Conj:
         raise DerivationError("inversion target must be a conjunction in the root sequent")
     return Inv(code, conj, which)
 
@@ -623,8 +623,8 @@ class CheckReport:
 
 
 def _axl_holds(delta: Sequent) -> bool:
-    ins = [f for f in delta if isinstance(f, Member) and not term_vars(f.term)]
-    outs = [f for f in delta if isinstance(f, NotMember) and not term_vars(f.term)]
+    ins = [f for f in delta if type(f) is Member and not term_vars(f.term)]
+    outs = [f for f in delta if type(f) is NotMember and not term_vars(f.term)]
     for fin in ins:
         for fout in outs:
             if fin.var == fout.var and eval_term(fin.term) == eval_term(fout.term):

@@ -323,10 +323,6 @@ def set_vars(f: Formula) -> frozenset[str]:
     return frozenset(g.var for g in subformulas(f) if type(g) in (Member, NotMember))
 
 
-def is_atom(f: Formula) -> bool:
-    return type(f) in _ATOM_TESTS
-
-
 def free_num_vars(f: Formula) -> frozenset[str]:
     try:
         _, terms, subs, binder, get = _OPS[type(f)]

@@ -161,7 +161,7 @@ kids = tuple(
 )
 node = AllNode(gamma, parse("w"), FiniteSupport(kids, TiVac(spec)))
 assert check_local(node, 8, 3, require_cut_free=True).passed
-print(_Walker(spec, 200, 3).claim(node).value, bounded_truth(node, spec, width_budget=3).verdict.value)
+print(_Walker(spec, 200, 3).claim(node)[0].value, bounded_truth(node, spec, width_budget=3).verdict.value)
 """
 
 

@@ -462,21 +462,26 @@ def test_a_well_formed_request_imports_no_argparse():
 # Each request runs in one directory and names its files relatively, so no
 # temporary path reaches the output.  The digests are the sha256 of stdout,
 # taken before the handlers returned their verdicts to one dispatcher; those
-# of `bound --truth` on builder terms, before the walk checked each node; and
+# of `bound --truth` on builder terms, before the walk checked each node;
 # those of the builder roots at the benchmark's widths, before a verb paused
-# the cyclic collector and check_local closed a leaf's frame where it checked it.
+# the cyclic collector and check_local closed a leaf's frame where it checked it;
+# and those of the benchmark's other `bound --truth` requests, before the walk
+# checked each distinct node once.
 
 W2 = '(below "w^2")'
 
 PINNED_INPUTS = {
     "f2.sx": code_text(expand(derive_ti(FinOrd(2)))) + "\n",
     "f3.sx": code_text(expand(derive_ti(FinOrd(3)))) + "\n",
+    "f5.sx": code_text(expand(derive_ti(FinOrd(5)))) + "\n",
+    "f8.sx": code_text(expand(derive_ti(FinOrd(8)))) + "\n",
     "bad.sx": code_text(expand(derive_ti(FinOrd(3)))).replace('"w*3"', '"w*3+2"', 1) + "\n",
     "junk.sx": "(axm (seq",
     "entries.sx": '(entries (0 (fin 2) "f2.sx") (1 (fin 3) "f3.sx"))',
     "s3.sx": '(theory "s3" (claim (fin 3) (cert "f3.sx")) (claim (fin 2) (cert "f2.sx")))',
     "rev.sx": '(theory "rev" (claim (rev (below "w")) asserted))',
     "s2.sx": '(theory "s2" (claim (fin 2) (cert "f2.sx")))',
+    "w.sx": '(tiroot (below "w"))\n',
     "w2.sx": f"(tiroot {W2})\n",
     "w2-prog.sx": f"(tiprog {W2} {element_of_rank(parse_spec(W2), parse('w*3+2'))})\n",
     "sum.sx": '(tiroot (sum (fin 3) (below "w")))\n',
@@ -501,6 +506,11 @@ PINNED_ARGVS = {
     "check-tiprog-w2": ["check", "w2-prog.sx", "--cut-free", "--depth", "400", "--width", "54"],
     "bound-truth-fin9": ["bound", "--ordering", "(fin 9)", "--cert", "fin9.sx", "--truth", "--depth", "400", "--width",
                          "11"],
+    "bound-truth-w": ["bound", "--ordering", '(below "w")', "--cert", "w.sx", "--truth", "--depth", "400", "--width",
+                      "52"],
+    "bound-truth-f5": ["bound", "--ordering", "(fin 5)", "--cert", "f5.sx", "--truth", "--depth", "400", "--width", "7"],
+    "bound-truth-f8": ["bound", "--ordering", "(fin 8)", "--cert", "f8.sx", "--truth", "--depth", "400", "--width",
+                       "10"],
     "spector": ["spector", "entries.sx"],
     "lab-build": ["lab", "build", "s3.sx", "s2.sx", "--base", '(below "w")'],
     "lab-retype": ["lab", "retype", "s3.sx", "s2.sx", "--base", '(below "w")'],
@@ -540,6 +550,12 @@ PINNED_BYTES = {
     ('check-tiprog-w2', True): (0, 'd70aba774c698d9da1b6e927dd7f02717068f079d295723012acd4139e0ae3f4', ''),
     ('bound-truth-fin9', False): (0, '9b3a47d3bc8a350dd021e75121fa16acdaac1efcb1fefda202d6bddbbcc70770', ''),
     ('bound-truth-fin9', True): (0, '14dc3b23c6cc05d35280c4bf1e0e66175932896a8f2363cf2b0cfa69234e053d', ''),
+    ('bound-truth-w', False): (0, '18bf9cb210604d3f2044f27634b121b1a122464c5b1ae1e629bc1ae44aedc16d', ''),
+    ('bound-truth-w', True): (0, 'f49212258173a1bc8f43f42b3929c9ee1de93ccbcca5f480b31e638ed7537f1f', ''),
+    ('bound-truth-f5', False): (0, 'c270f4716f61c80c6af8b02168a24bb74d4baf9367da899a37e22592500b1533', ''),
+    ('bound-truth-f5', True): (0, '7b8de3cac7a3d0bd9e164451d5fd8a2c617f7d7817abe8ddb264874363a13282', ''),
+    ('bound-truth-f8', False): (0, 'cf6d8a3c75a521d584b63eb46254d1da085c2a48d6d22f77a67e7852506db39f', ''),
+    ('bound-truth-f8', True): (0, 'c67c84f9e50ddbbe77325ae735f8d1f9a2b0fbdf1de969618395f148b5a26394', ''),
     ('spector', False): (0, '4247cd9234adf6a38b4be14fb7ef99c9c1b1404f3b1bb43d12d1c804d8e3369b', ''),
     ('spector', True): (0, '96de12b0db95087d5f37a054a0240e89a5259311707505e7cd63297165f83a6b', ''),
     ('lab-build', False): (0, 'bcaae07cd1e758b3b78a358f82bf6ef7dffa55bdb5b6a3ff082ef0c24701b3e6', ''),

@@ -19,10 +19,10 @@ from hypothesis import strategies as st
 from proofbench import boundedness, derivations
 from proofbench.boundedness import bounded_truth
 from proofbench.cli import EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_VERDICT, main
-from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxMNode, ExNode, Inv, RepNode, TiProg, check_local,
-                                    code_text, derive_ti, expand, parse_code)
-from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Member, Num, Times, Var, instance, negated_prog,
-                                 parse_formula, parse_sequent, seq, sequent_text, ti_sequent)
+from proofbench.derivations import (NOT_A_WELL_ORDER, AndNode, AxLNode, AxMNode, ExNode, Inv, RepNode, TiProg,
+                                    check_local, code_text, derive_ti, expand, parse_code)
+from proofbench.formulas import (Conj, Eq, Exists, FormulaError, Member, NotMember, Num, Times, Var, instance,
+                                 negated_prog, parse_formula, parse_sequent, seq, sequent_text, ti_sequent)
 from proofbench.orderings import FinOrd, SpecError, parse_spec
 from proofbench.ordinals import MAX_NESTING, NotationError, add, from_int, parse
 
@@ -265,6 +265,41 @@ def test_faulty_shared_and_tower_is_refused_by_the_walk():
         with pytest.raises(boundedness.BoundednessError, match="no conjunction in the sequent matches the premises$"):
             bounded_truth(code, FinOrd(1), depth_budget=depth)
         assert time.monotonic() - started < 1
+
+
+def shared_and_tower(leaf, *side):
+    """100 And levels over `leaf`, each with its two premises one object and
+    {not-Prog((fin 1)), *side} beside its conjunction: a DAG of 100 + leaf's
+    distinct nodes whose tree has 2^100 leaves."""
+    code, tag = leaf, derivations.root_label(leaf).tag
+    for i in range(1, 101):
+        code = AndNode(seq(negated_prog(FinOrd(1)), *side, Conj(side[0], side[0])), add(tag, from_int(i)), code, code)
+    return code
+
+
+E500 = Exists("z", Eq(Var("z"), Num(500)))  # true, at a witness beyond the default eval budget of 200
+SHARED_TOWERS = {
+    # a side-formula Ex at witness 500 over the axiom of its true instance
+    "ex": (shared_and_tower(ExNode(seq(negated_prog(FinOrd(1)), E500), from_int(1), 500,
+                                   AxMNode(seq(negated_prog(FinOrd(1)), E500, Eq(Num(500), Num(500))), from_int(0))),
+                            E500), 102, 0),
+    # the AxL leaf {not-Prog, 0 in X, 0 not-in X}, whose rank check is logged once
+    "axl": (shared_and_tower(AxLNode(seq(negated_prog(FinOrd(1)), Member(Num(0)), NotMember(Num(0))), from_int(0)),
+                             Member(Num(0)), NotMember(Num(0))), 101, 1),
+    "axm": (shared_and_tower(AxMNode(seq(negated_prog(FinOrd(1)), Eq(Num(1), Num(1))), from_int(0)),
+                             Eq(Num(1), Num(1))), 101, 0),
+}
+
+
+@pytest.mark.parametrize("depth", [64, 400])
+@pytest.mark.parametrize("leaf", SHARED_TOWERS)
+def test_the_walk_checks_each_distinct_node_of_a_shared_tower_once(leaf, depth):
+    code, nodes, rank_checks = SHARED_TOWERS[leaf]
+    started = time.monotonic()
+    claim = bounded_truth(code, FinOrd(1), depth_budget=depth)
+    assert time.monotonic() - started < 0.1
+    assert claim.verdict.value == "true"
+    assert (claim.nodes_visited, len(claim.rank_checks)) == (nodes, rank_checks)
 
 
 def test_deeply_nested_parentheses_are_bad_input(tmp_path):
