@@ -37,7 +37,6 @@ from .formulas import (
     is_x_positive,
     negated_prog,
     prog_witness_instance,
-    segment_template,
     set_vars,
     substitute,
     substitute_sequent,
@@ -97,9 +96,9 @@ def eval_claim(delta: Sequent, budget: int) -> Verdict:
     return acc
 
 
-def _partition(spec: OrderingSpec, sequent: Sequent, var: str = "X"):
+def _partition(spec: OrderingSpec, sequent: Sequent):
     """Split a sequent into (not-Prog, witness atoms, positive Delta)."""
-    negp = negated_prog(spec, var)
+    negp = negated_prog(spec)
     if negp not in sequent:
         raise BoundednessError("root sequent lacks the progressiveness refutation")
     witness_atoms = []
@@ -107,12 +106,12 @@ def _partition(spec: OrderingSpec, sequent: Sequent, var: str = "X"):
     for f in sequent:
         if f == negp:
             continue
-        if type(f) is NotMember and f.var == var and not term_vars(f.term):
+        if type(f) is NotMember and f.var == "X" and not term_vars(f.term):
             witness_atoms.append(f)
             continue
-        if not is_x_positive(f, var):
-            raise BoundednessError(f"side formula is not positive in {var}: {f!r}")
-        if not set_vars(f) <= {var}:
+        if not is_x_positive(f):
+            raise BoundednessError(f"side formula is not positive in X: {f!r}")
+        if not set_vars(f) <= {"X"}:
             raise BoundednessError("only one set variable is supported")
         delta.append(f)
     return tuple(witness_atoms), frozenset(delta)
@@ -244,8 +243,7 @@ class _Walker:
         """The sequent is a disjunction, so any universal of delta that holds
         of the segment below gamma proves it, whichever one the rule
         introduced; finitely many sampled premises never do."""
-        segment = segment_template(self.spec, gamma)
-        if any(eval_closed(substitute(f, "X", segment), self.eval_budget) is Verdict.TRUE
+        if any(eval_closed(substitute(f, self.spec, gamma), self.eval_budget) is Verdict.TRUE
                for f in delta if type(f) is ForAll):
             return Verdict.TRUE
         return Verdict.UNKNOWN if sampled is Verdict.TRUE else sampled
@@ -275,7 +273,7 @@ def bounded_truth(
         raise BoundednessError(f"gate check failed at {gate.fail_path}: {gate.fail_reason}")
     walker = _Walker(spec, eval_budget, width_budget)
     verdict, alpha, beta, gamma, delta = walker.claim(code)
-    substituted = substitute_sequent(delta, "X", segment_template(spec, gamma))
+    substituted = substitute_sequent(delta, spec, gamma)
     if verdict is not Verdict.TRUE:
         verdict = v_or(verdict, eval_claim(substituted, eval_budget))
     if any(not c.ok for c in walker.rank_checks):

@@ -7,8 +7,8 @@ stores) and `regress` (the acceptance suite).
 
 Every semantic check is budgeted; the budget flags carry safe defaults and
 may also be set through PROOFBENCH_DEPTH / _WIDTH / _EVAL / _CHAIN.
-Exit status: 0 all verdicts pass, 1 a verdict failed, 2 unreadable or
-ill-formed input, 3 a precondition was violated.
+Exit status: 0 all verdicts pass, 1 a verdict failed, 2 an input file or
+command-line value could not be read, 3 any failure after that.
 
 Machine-readable mode (--json) prints line-delimited records followed by a
 single top-level verdict object; the record schema is versioned.
@@ -171,7 +171,7 @@ def _read_argv(argv: list[str]) -> SimpleNamespace | None:
         else:
             # argparse reads a string default (the environment's) with `type`
             default = keywords.get("default")
-            if "type" in keywords and isinstance(default, str):
+            if "type" in keywords and type(default) is str:
                 try:
                     default = keywords["type"](default)
                 except ValueError:
@@ -199,6 +199,14 @@ def _read_file(name: str, reader, prefix: str = ""):
         return reader(_read_input(path), lambda rel: _read_input(path.parent / rel))
     except (OSError, DerivationError, LabError, SpectorError, *_PARSE_ERRORS) as e:
         raise _ParseFailure(f"{prefix}{e}") from None
+
+
+def _read_arg(reader, text: str):
+    """`reader(text)` of a command-line value; one that does not read is bad input."""
+    try:
+        return reader(text)
+    except _PARSE_ERRORS as e:
+        raise _ParseFailure(e) from None
 
 
 def _write_output(path: Path, text: str):
@@ -230,7 +238,7 @@ def _cmd_ord(args):
         raise _ParseFailure(f"{args.op} wants {want} operand(s)")
     from .ordinals import add, mul, pow2, succ
 
-    operands = [ord_parse(s) for s in args.operands]
+    operands = [_read_arg(ord_parse, s) for s in args.operands]
     if args.op == "compare":
         out = compare(*operands).name
     else:
@@ -253,7 +261,7 @@ def _cmd_check(args):
 
 
 def _cmd_ti(args):
-    spec = parse_spec(args.spec)
+    spec = _read_arg(parse_spec, args.spec)
     code = derive_ti(spec)
     if not args.compact and le(otyp(spec), from_int(MAX_EXPANDED_FIELD)):
         code = expand(code)
@@ -270,7 +278,7 @@ def _rank_check_record(c) -> dict:
 
 
 def _cmd_bound(args):
-    spec = parse_spec(args.ordering)
+    spec = _read_arg(parse_spec, args.ordering)
     code = _read_file(args.cert, lambda text, _: parse_code(text))
     if args.truth:
         claim = bounded_truth(code, spec, args.eval, args.depth, args.width)
@@ -334,7 +342,7 @@ def _cmd_spector(args):
 
 
 def _cmd_lab(args):
-    base = parse_spec(args.base)
+    base = _read_arg(parse_spec, args.base)
     stores = [_read_file(name, parse_store, prefix=f"{name}: ") for name in args.stores]
 
     if args.verb == "chain":
@@ -471,12 +479,12 @@ def run(args: SimpleNamespace) -> int:
     status: its verdict, or the kind of error that stopped it."""
     try:
         records, ok, human = VERBS[args.command][1](args)
-    except _PRECONDITION_ERRORS as e:
-        print(f"precondition failed: {e}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (_ParseFailure, *_PARSE_ERRORS) as e:
+    except _ParseFailure as e:
         print(f"parse error: {e}", file=sys.stderr)
         return EXIT_PARSE
+    except (*_PRECONDITION_ERRORS, *_PARSE_ERRORS) as e:
+        print(f"precondition failed: {e}", file=sys.stderr)
+        return EXIT_PRECONDITION
     _emit(records, ok, args.json, human)
     return EXIT_OK if ok else EXIT_VERDICT
 

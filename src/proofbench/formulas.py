@@ -1,4 +1,4 @@
-"""Tait-normal-form formulas over (0,1,+,x) with one set-variable alphabet.
+"""Tait-normal-form formulas over (0,1,+,x) and the one set variable X.
 
 Negation lives on atoms only; `negate` is the De Morgan dual and an
 involution.  Atoms come in dual pairs: term equations, set-variable
@@ -9,14 +9,16 @@ matrices over combinator orderings stay quantifier-checkable at desk scale;
 the atomic diagram used by axiom checks is the set of true closed atoms over
 this enlarged signature.
 
-Sequents are plain frozensets of formulas, read disjunctively.
+Sequents are plain frozensets of formulas, read disjunctively.  Prog and
+TI speak about X alone, and `substitute` makes the one substitution the
+bound walk needs; the format still reads another variable, as (in t Y).
 """
 
 from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from typing import Callable, Union
+from typing import Union
 
 from . import sexpr
 from .orderings import (
@@ -72,17 +74,15 @@ Term = Union[Num, Var, Plus, Times]
 _OPERATORS = {Plus: operator.add, Times: operator.mul}
 
 
-def eval_term(t: Term, env: dict[str, int] | None = None) -> int:
+def eval_term(t: Term) -> int:
     cls = type(t)
     if cls is Num:
         return t.value
     if cls is Var:
-        if env and t.name in env:
-            return env[t.name]
         raise FormulaError(f"open term: variable {t.name}")
     if cls not in _OPERATORS:
         raise FormulaError(f"not a term: a {cls.__name__}")
-    return _OPERATORS[cls](eval_term(t.left, env), eval_term(t.right, env))
+    return _OPERATORS[cls](eval_term(t.left), eval_term(t.right))
 
 
 def term_vars(t: Term) -> frozenset[str]:
@@ -314,9 +314,9 @@ def subformulas(f: Formula):
         yield from subformulas(args[i])
 
 
-def is_x_positive(f: Formula, var: str = "X") -> bool:
-    """No occurrence of the form t not-in var."""
-    return not any(type(g) is NotMember and g.var == var for g in subformulas(f))
+def is_x_positive(f: Formula) -> bool:
+    """No occurrence of the form t not-in X."""
+    return not any(type(g) is NotMember and g.var == "X" for g in subformulas(f))
 
 
 def set_vars(f: Formula) -> frozenset[str]:
@@ -364,19 +364,20 @@ def instance(f: Formula, i: int) -> Formula:
     return subst_num(f.body, f.var, i)
 
 
-def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> Formula:
-    """Replace each occurrence of (t in var) by template(t).
+def substitute(f: Formula, spec: OrderingSpec, bound: Ordinal) -> Formula:
+    """X |-> the elements of rank below `bound` in `spec`: each occurrence of
+    (t in X) becomes the segment atom SegMember(spec, t, bound).
 
-    Only defined on formulas positive in var, mirroring how the bound
+    Only defined on formulas positive in X, mirroring how the bound
     machinery applies it.
     """
-    if not is_x_positive(f, var):
-        raise FormulaError(f"substitution target is not positive in {var}")
+    if not is_x_positive(f):
+        raise FormulaError("substitution target is not positive in X")
 
     def walk(g: Formula) -> Formula:
         cls = type(g)
-        if cls is Member and g.var == var:
-            return template(g.term)
+        if cls is Member and g.var == "X":
+            return SegMember(spec, g.term, bound)
         _, _, subs, _, get = _OPS[cls]
         if not subs:
             return g
@@ -388,13 +389,8 @@ def substitute(f: Formula, var: str, template: Callable[[Term], Formula]) -> For
     return walk(f)
 
 
-def substitute_sequent(delta: Sequent, var: str, template: Callable[[Term], Formula]) -> Sequent:
-    return frozenset(substitute(f, var, template) for f in delta)
-
-
-def segment_template(spec: OrderingSpec, bound: Ordinal) -> Callable[[Term], Formula]:
-    """The substitution X |-> (rank below `bound`); (t in X) becomes a segment atom."""
-    return lambda t: SegMember(spec, t, bound)
+def substitute_sequent(delta: Sequent, spec: OrderingSpec, bound: Ordinal) -> Sequent:
+    return frozenset(substitute(f, spec, bound) for f in delta)
 
 
 # --- budgeted evaluation ---------------------------------------------------------
@@ -420,13 +416,13 @@ def _critical_domain(var: str, body: Formula, existential: bool) -> list[int] | 
     guards = operands(body, Conj if existential else Disj)
     want_less, want_field = (OrdLess, FieldMember) if existential else (NotOrdLess, NotFieldMember)
     for g in guards:
-        if isinstance(g, want_less) and g.left == Var(var) and not term_vars(g.right):
+        if type(g) is want_less and g.left == Var(var) and not term_vars(g.right):
             spec, n = g.spec, eval_term(g.right)
             if not in_field(spec, n):
                 return []
             if (domain := finite_predecessors(spec, n)) is not None:
                 return domain
-        if isinstance(g, want_field) and g.term == Var(var):
+        if type(g) is want_field and g.term == Var(var):
             if (domain := finite_field(g.spec)) is not None:
                 return domain
     return None
@@ -533,29 +529,29 @@ def atom_true(f: Formula) -> bool:
 # --- progressiveness and transfinite induction ------------------------------------
 
 
-def prog_formula(spec: OrderingSpec, var: str = "X") -> Formula:
+def prog_formula(spec: OrderingSpec) -> Formula:
     """Tait normal form of: X is progressive along the ordering."""
     x, y = Var("x"), Var("y")
     hyp_fails = Disj(
         NotFieldMember(spec, x),
-        Exists("y", Conj(OrdLess(spec, y, x), NotMember(y, var))),
+        Exists("y", Conj(OrdLess(spec, y, x), NotMember(y))),
     )
-    return ForAll("x", Disj(hyp_fails, Member(x, var)))
+    return ForAll("x", Disj(hyp_fails, Member(x)))
 
 
-def field_statement(spec: OrderingSpec, var: str = "X") -> Formula:
+def field_statement(spec: OrderingSpec) -> Formula:
     y = Var("y")
-    return ForAll("y", Disj(NotFieldMember(spec, y), Member(y, var)))
+    return ForAll("y", Disj(NotFieldMember(spec, y), Member(y)))
 
 
 @lru_cache(maxsize=None)
-def negated_prog(spec: OrderingSpec, var: str = "X") -> Formula:
-    """negate(prog_formula(spec, var)), built once per spec and variable."""
-    return negate(prog_formula(spec, var))
+def negated_prog(spec: OrderingSpec) -> Formula:
+    """negate(prog_formula(spec)), built once per spec."""
+    return negate(prog_formula(spec))
 
 
-def ti_sequent(spec: OrderingSpec, var: str = "X") -> Sequent:
-    return seq(negated_prog(spec, var), field_statement(spec, var))
+def ti_sequent(spec: OrderingSpec) -> Sequent:
+    return seq(negated_prog(spec), field_statement(spec))
 
 
 def ti_spec(sequent: Sequent) -> OrderingSpec | None:
@@ -567,6 +563,6 @@ def ti_spec(sequent: Sequent) -> OrderingSpec | None:
     return None
 
 
-def prog_witness_instance(spec: OrderingSpec, n: int, var: str = "X") -> Formula:
+def prog_witness_instance(spec: OrderingSpec, n: int) -> Formula:
     """The instance picked when refuting progressiveness at element n."""
-    return instance(negated_prog(spec, var), n)
+    return instance(negated_prog(spec), n)

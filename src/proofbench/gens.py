@@ -36,12 +36,8 @@ def random_ordinal(rng: random.Random, depth: int = 2, allow_e: bool = True) -> 
     return o
 
 
-def random_vec_below_w3(rng: random.Random, max_coeff: int = 5) -> tuple[int, int, int]:
-    return (
-        rng.randrange(0, max_coeff + 1),
-        rng.randrange(0, max_coeff + 1),
-        rng.randrange(0, max_coeff + 1),
-    )
+def random_vec_below_w3(rng: random.Random) -> tuple[int, int, int]:
+    return rng.randrange(0, 6), rng.randrange(0, 6), rng.randrange(0, 6)
 
 
 def random_term(rng: random.Random, depth: int = 2) -> fm.Term:
@@ -105,8 +101,8 @@ def random_formula(rng: random.Random, depth: int = 3) -> fm.Formula:
     return ctor(spec, random_term(rng, 1), random_efree(rng, depth=1))
 
 
-def random_sequent(rng: random.Random, max_size: int = 4) -> fm.Sequent:
-    return frozenset(random_formula(rng, 2) for _ in range(rng.randrange(1, max_size + 1)))
+def random_sequent(rng: random.Random) -> fm.Sequent:
+    return frozenset(random_formula(rng, 2) for _ in range(rng.randrange(1, 5)))
 
 
 def random_code(rng: random.Random, depth: int = 3) -> dv.Code:

@@ -191,25 +191,22 @@ def chain_check(
 # --- store file format ------------------------------------------------------------
 
 
-def store_from_sexp(x, cert_loader: Callable[[str], str]) -> TheoryStore:
+def parse_store(text: str, cert_loader: Callable[[str], str]) -> TheoryStore:
     """Parse `(theory "name" (claim SPEC (cert "file") | asserted) ...)`."""
-    if not isinstance(x, list) or len(x) < 2 or x[0] != "theory" or not isinstance(x[1], Str):
+    x = sexpr.parse(text)
+    if type(x) is not list or len(x) < 2 or x[0] != "theory" or type(x[1]) is not Str:
         raise LabError('a store file starts with (theory "name" ...)')
     claims = []
     for item in x[2:]:
-        if not (isinstance(item, list) and len(item) == 3 and item[0] == "claim"):
+        if not (type(item) is list and len(item) == 3 and item[0] == "claim"):
             raise LabError(f"bad claim: {sexpr.describe(item)}")
         spec = sexpr.read(SPECS, item[1])
         ev = item[2]
         if ev == "asserted":
             claims.append(Claim(spec, Evidence.ASSERTED))
-        elif isinstance(ev, list) and len(ev) == 2 and ev[0] == "cert" and isinstance(ev[1], Str):
+        elif type(ev) is list and len(ev) == 2 and ev[0] == "cert" and type(ev[1]) is Str:
             code = parse_code(cert_loader(ev[1].value))
             claims.append(Claim(spec, Evidence.CHECKED, code))
         else:
             raise LabError(f"bad evidence: {sexpr.describe(ev)}")
     return TheoryStore(x[1].value, tuple(claims))
-
-
-def parse_store(text: str, cert_loader: Callable[[str], str]) -> TheoryStore:
-    return store_from_sexp(sexpr.parse(text), cert_loader)

@@ -171,7 +171,7 @@ def _principal_delete(node: Code):
     if rule is RuleTag.AXM:
         principal = atom_true
     elif rule is RuleTag.AXL:
-        principal = lambda f: isinstance(f, (Member, NotMember))
+        principal = lambda f: type(f) in (Member, NotMember)
     elif rule in INTRODUCTIONS:
         connective = INTRODUCTIONS[rule][0]
         principal = lambda f: type(f) is connective

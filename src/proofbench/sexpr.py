@@ -182,11 +182,11 @@ def describe(value) -> str:
     A list is never printed whole: malformed input can nest far deeper than
     `repr` can recurse.
     """
-    if not isinstance(value, list):
+    if type(value) is not list:
         return repr(value)
     if not value:
         return "()"
-    head = "a list" if isinstance(value[0], list) else repr(value[0])
+    head = "a list" if type(value[0]) is list else repr(value[0])
     return f"({head} ...) with {len(value) - 1} argument(s)"
 
 

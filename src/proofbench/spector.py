@@ -134,19 +134,15 @@ def verify_domination(entries, report: WitnessReport, sample: int = 50) -> Domin
 # --- enumeration file format -------------------------------------------------------
 
 
-def enumeration_from_sexp(x, cert_loader: Callable[[str], str]) -> list[CertifiedEntry]:
+def parse_enumeration(text: str, cert_loader: Callable[[str], str]) -> list[CertifiedEntry]:
     """Parse `(entries (idx spec "cert-file") ...)`, loading each certificate."""
-    if not isinstance(x, list) or not x or x[0] != "entries":
+    x = sexpr.parse(text)
+    if type(x) is not list or not x or x[0] != "entries":
         raise SpectorError("an enumeration file starts with (entries ...)")
     out = []
     for item in x[1:]:
-        if not (isinstance(item, list) and len(item) == 3 and isinstance(item[0], int)
-                and isinstance(item[2], Str)):
+        if not (type(item) is list and len(item) == 3 and type(item[0]) is int and type(item[2]) is Str):
             raise SpectorError(f"bad entry: {sexpr.describe(item)}")
         code = parse_code(cert_loader(item[2].value))
         out.append(CertifiedEntry(item[0], sexpr.read(SPECS, item[1]), code))
     return out
-
-
-def parse_enumeration(text: str, cert_loader: Callable[[str], str]) -> list[CertifiedEntry]:
-    return enumeration_from_sexp(sexpr.parse(text), cert_loader)

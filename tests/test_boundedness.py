@@ -128,15 +128,15 @@ def test_executable_order_type_bound_family():
 
 
 def test_eval_claim_segment_shortcut():
-    from proofbench.formulas import segment_template, substitute_sequent, field_statement
+    from proofbench.formulas import substitute_sequent, field_statement
 
     spec = BelowOrd(P("w"))
     delta = frozenset({field_statement(spec)})
-    good = substitute_sequent(delta, "X", segment_template(spec, P("w*2")))
+    good = substitute_sequent(delta, spec, P("w*2"))
     assert eval_claim(good, 20) is Verdict.TRUE
-    tight = substitute_sequent(delta, "X", segment_template(spec, P("w")))
+    tight = substitute_sequent(delta, spec, P("w"))
     assert eval_claim(tight, 20) is Verdict.TRUE  # otyp = w <= w
-    short = substitute_sequent(delta, "X", segment_template(spec, P("5")))
+    short = substitute_sequent(delta, spec, P("5"))
     assert eval_claim(short, 20) is Verdict.UNKNOWN  # counterexample code is 53
     assert eval_claim(short, 60) is Verdict.FALSE  # element of rank 5 found
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import gc
 import hashlib
@@ -8,6 +9,7 @@ import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -249,6 +251,17 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_argparse():
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_the_package_dispatches_on_exact_types_only():
+    # no class the package tests a value against is subclassed: the term
+    # classes, and the list, str, Str and int that sexpr.parse yields, so
+    # `type(x) is C` is the test and no isinstance call is needed
+    calls = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(proofbench.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if type(node) is ast.Call and type(node.func) is ast.Name and node.func.id == "isinstance"]
+    assert calls == []
 
 
 def test_regress_subset(capsys):

@@ -1,9 +1,9 @@
 """The CLI exit contract under malformed and deeply nested input.
 
-0 = pass, 1 = a verdict failed (and a fail record says so), 2 = bad input,
-3 = precondition violated; never a traceback.  Certificates decode at any
-nesting depth; ordinal notations, and the formulas, terms and ordering specs
-in a certificate, nest at most `ordinals.MAX_NESTING` deep.
+0 = pass, 1 = a verdict failed (and a fail record says so), 2 = an input that
+could not be read, 3 = any failure after it; never a traceback.  Certificates
+decode at any nesting depth; ordinal notations, and the formulas, terms and
+ordering specs in a certificate, nest at most `ordinals.MAX_NESTING` deep.
 """
 
 import contextlib
@@ -581,3 +581,14 @@ def test_bound_truth_refuses_an_ordering_that_is_not_a_well_order_before_it_chec
     assert code == EXIT_PRECONDITION and not out
     assert err == f"precondition failed: {NOT_A_WELL_ORDER}\n"
     assert calls == []
+
+
+def test_an_open_side_formula_in_a_checked_certificate_is_a_failed_precondition(tmp_path):
+    # the certificate reads and checks; only the walk's evaluation meets the
+    # open term, after every input was read
+    sequent = seq(negated_prog(FinOrd(1)), Member(Num(5)), NotMember(Num(5)), Member(Var("y")))
+    path = tmp_path / "open.sx"
+    path.write_text(code_text(AxLNode(sequent, from_int(0))) + "\n")
+    assert run(["check", str(path), "--cut-free"])[0] == EXIT_OK
+    code, out, err = run(["bound", "--ordering", "(fin 1)", "--cert", str(path), "--truth"])
+    assert (code, out, err) == (EXIT_PRECONDITION, "", "precondition failed: open term: variable y\n")

@@ -39,7 +39,6 @@ from proofbench.formulas import (
     subst_num,
     substitute,
     substitute_sequent,
-    segment_template,
     ti_sequent,
 )
 from proofbench.orderings import BelowOrd, FinOrd
@@ -114,29 +113,30 @@ def test_x_positive():
 
 
 def test_substitute():
-    psi = lambda t: Eq(t, num(5))
-    assert substitute(Member(num(5)), "X", psi) == Eq(num(5), num(5))
+    spec, bound = FinOrd(5), from_int(4)
+    assert substitute(Member(num(5)), spec, bound) == SegMember(spec, num(5), bound)
     delta = seq(Member(num(1)), Member(num(2)))
-    assert substitute_sequent(delta, "X", psi) == seq(Eq(num(1), num(5)), Eq(num(2), num(5)))
+    assert substitute_sequent(delta, spec, bound) == seq(SegMember(spec, num(1), bound),
+                                                         SegMember(spec, num(2), bound))
     with pytest.raises(FormulaError):
-        substitute(NotMember(num(1)), "X", psi)
+        substitute(NotMember(num(1)), spec, bound)
     # the result never mentions X again
     from proofbench.formulas import set_vars
 
-    out = substitute(field_statement(FinOrd(3)), "X", psi)
+    out = substitute(field_statement(FinOrd(3)), spec, bound)
     assert set_vars(out) == frozenset()
     # and on X-free formulas the substitution is the identity
     xfree = ForAll("y", Disj(Eq(Var("y"), num(0)), Neq(Var("y"), num(0))))
-    assert substitute(xfree, "X", psi) == xfree
-    assert substitute(negate(xfree), "X", psi) == negate(substitute(xfree, "X", psi))
+    assert substitute(xfree, spec, bound) == xfree
+    assert substitute(negate(xfree), spec, bound) == negate(substitute(xfree, spec, bound))
 
 
 def test_segment_substitution_means_rank_below():
     spec = FinOrd(5)
-    f = substitute(Member(num(3)), "X", segment_template(spec, from_int(4)))
+    f = substitute(Member(num(3)), spec, from_int(4))
     assert f == SegMember(spec, num(3), from_int(4))
     assert eval_closed(f, 10) is Verdict.TRUE
-    g = substitute(Member(num(3)), "X", segment_template(spec, from_int(3)))
+    g = substitute(Member(num(3)), spec, from_int(3))
     assert eval_closed(g, 10) is Verdict.FALSE
 
 
